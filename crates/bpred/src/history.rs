@@ -15,8 +15,10 @@ use serde::Serialize;
 /// Capacity of the circular history buffer in bits. Must exceed the longest
 /// history length plus the deepest speculative run-ahead.
 const GHR_CAPACITY_BITS: usize = 8192;
+const GHR_WORDS: usize = GHR_CAPACITY_BITS / 64;
 
-/// Maximum folded registers a [`HistoryState`] can carry.
+/// Maximum folded registers a [`HistoryState`] can carry, and the fold
+/// slots a serialized [`HistCheckpoint`] always holds.
 pub const MAX_FOLDS: usize = 56;
 
 /// Specification of one folded history register.
@@ -28,50 +30,64 @@ pub struct FoldSpec {
     pub clen: u32,
 }
 
+/// The constants one fold's update needs, precomputed so that a push
+/// shifts each register by exactly one and masks with fixed values.
 #[derive(Clone, Copy, Debug, Default)]
-struct Fold {
-    comp: u32,
-    olen: u32,
-    clen: u32,
-    outpoint: u32,
+struct FoldShape {
+    /// `1 << (olen % clen)`: where the outgoing bit is cancelled.
+    out_mask: u32,
+    /// `1 << clen`: the bit a one-bit shift carries out of the register.
+    top: u32,
 }
 
-impl Fold {
+impl FoldShape {
     fn new(spec: FoldSpec) -> Self {
         assert!(spec.clen >= 1 && spec.clen <= 16, "clen out of range");
         assert!(spec.olen >= 1, "olen must be nonzero");
-        Fold {
-            comp: 0,
-            olen: spec.olen,
-            clen: spec.clen,
-            outpoint: spec.olen % spec.clen,
+        FoldShape {
+            out_mask: 1 << (spec.olen % spec.clen),
+            top: 1 << spec.clen,
         }
     }
 
-    #[inline]
-    fn push(&mut self, new_bit: u32, out_bit: u32) {
-        self.comp = (self.comp << 1) | new_bit;
-        self.comp ^= out_bit << self.outpoint;
-        self.comp ^= self.comp >> self.clen;
-        self.comp &= (1 << self.clen) - 1;
+    /// Shifts `new_bit` into `comp`, cancels `out_bit` (all ones or all
+    /// zeros) and wraps the carried-out bit back into bit 0.
+    #[inline(always)]
+    fn step(self, comp: u32, new_bit: u32, out_bit: u32) -> u32 {
+        let c = ((comp << 1) | new_bit) ^ (self.out_mask & out_bit);
+        // The carry is as random as the history bits: keep it branch-free.
+        std::hint::select_unpredictable(c >= self.top, c ^ (self.top | 1), c)
     }
 }
 
-/// Fixed-size snapshot of a [`HistoryState`], taken before each prediction
-/// and restored on a pipeline flush.
-#[derive(Clone, Copy, Debug)]
-pub struct HistCheckpoint {
-    ptr: u64,
-    n: u8,
-    comps: [u32; MAX_FOLDS],
+/// A run of consecutive folds with one history length: the bit leaving
+/// their window is read once per push for the whole run.
+#[derive(Clone, Copy, Debug, Default)]
+struct FoldGroup {
+    olen: u32,
+    /// One past the group's last fold index.
+    end: u8,
 }
 
-impl Default for HistCheckpoint {
+/// Snapshot of a [`HistoryState`]'s write pointer and folded registers,
+/// taken before each prediction and restored on a pipeline flush.
+///
+/// `N` is the number of fold slots held in memory; a branch record keeps
+/// only as many as its history has live folds. The serialized form always
+/// carries [`MAX_FOLDS`] slots, zero-padded, whatever `N` is.
+#[derive(Clone, Copy, Debug)]
+pub struct HistCheckpoint<const N: usize = MAX_FOLDS> {
+    ptr: u64,
+    n: u8,
+    comps: [u32; N],
+}
+
+impl<const N: usize> Default for HistCheckpoint<N> {
     fn default() -> Self {
         HistCheckpoint {
             ptr: 0,
             n: 0,
-            comps: [0; MAX_FOLDS],
+            comps: [0; N],
         }
     }
 }
@@ -80,20 +96,50 @@ impl Default for HistCheckpoint {
 ///
 /// The same type serves conditional-outcome history (TAGE, SC) and
 /// target/path history (ITTAGE); what the bits mean is up to the pusher.
-#[derive(Clone)]
+/// Folded registers live in fixed arrays; slots past the live folds stay
+/// zero, so a checkpoint copies a fixed-size prefix.
 pub struct HistoryState {
-    bits: Vec<u64>,
+    bits: Box<[u64; GHR_WORDS]>,
     /// Monotonic bit write position (mod capacity when indexing).
     ptr: u64,
-    folds: Vec<Fold>,
+    n: usize,
+    comps: [u32; MAX_FOLDS],
+    shapes: [FoldShape; MAX_FOLDS],
+    groups: Vec<FoldGroup>,
     max_olen: u32,
+}
+
+impl Clone for HistoryState {
+    fn clone(&self) -> Self {
+        HistoryState {
+            bits: self.bits.clone(),
+            ptr: self.ptr,
+            n: self.n,
+            comps: self.comps,
+            shapes: self.shapes,
+            groups: self.groups.clone(),
+            max_olen: self.max_olen,
+        }
+    }
+
+    /// Copies `source` without allocating when both histories share a
+    /// geometry (the UCP engine re-seeds its walk histories this way).
+    fn clone_from(&mut self, source: &Self) {
+        *self.bits = *source.bits;
+        self.ptr = source.ptr;
+        self.n = source.n;
+        self.comps = source.comps;
+        self.shapes = source.shapes;
+        self.groups.clone_from(&source.groups);
+        self.max_olen = source.max_olen;
+    }
 }
 
 impl std::fmt::Debug for HistoryState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistoryState")
             .field("ptr", &self.ptr)
-            .field("folds", &self.folds.len())
+            .field("folds", &self.n)
             .field("max_olen", &self.max_olen)
             .finish()
     }
@@ -113,10 +159,25 @@ impl HistoryState {
             (max_olen as usize) < GHR_CAPACITY_BITS / 2,
             "history length {max_olen} too large for buffer"
         );
+        let mut shapes = [FoldShape::default(); MAX_FOLDS];
+        let mut groups: Vec<FoldGroup> = Vec::new();
+        for (i, &spec) in specs.iter().enumerate() {
+            shapes[i] = FoldShape::new(spec);
+            match groups.last_mut() {
+                Some(g) if g.olen == spec.olen => g.end += 1,
+                _ => groups.push(FoldGroup {
+                    olen: spec.olen,
+                    end: i as u8 + 1,
+                }),
+            }
+        }
         HistoryState {
-            bits: vec![0; GHR_CAPACITY_BITS / 64],
+            bits: Box::new([0; GHR_WORDS]),
             ptr: 0,
-            folds: specs.iter().copied().map(Fold::new).collect(),
+            n: specs.len(),
+            comps: [0; MAX_FOLDS],
+            shapes,
+            groups,
             max_olen,
         }
     }
@@ -134,35 +195,74 @@ impl HistoryState {
         *w = (*w & !(1u64 << (p % 64))) | ((bit as u64) << (p % 64));
     }
 
+    /// The bit leaving a window of `olen` bits when the bit at `pos` is
+    /// pushed, as all ones or all zeros; zero during the cold start.
+    #[inline]
+    fn out_bit(&self, pos: u64, olen: u32) -> u32 {
+        let olen = u64::from(olen);
+        if pos >= olen {
+            self.bit_at(pos - olen).wrapping_neg()
+        } else {
+            0
+        }
+    }
+
     /// Pushes one history bit, updating every folded view.
     pub fn push(&mut self, bit: bool) {
         let new_bit = u32::from(bit);
         let ptr = self.ptr;
         self.set_bit(ptr, new_bit);
-        for i in 0..self.folds.len() {
-            // The bit leaving this fold's window was written `olen` pushes
-            // ago; position ptr - olen (guarded for the cold start).
-            let olen = u64::from(self.folds[i].olen);
-            let out_bit = if ptr >= olen {
-                self.bit_at(ptr - olen)
-            } else {
-                0
-            };
-            self.folds[i].push(new_bit, out_bit);
+        let mut start = 0;
+        for g in 0..self.groups.len() {
+            let FoldGroup { olen, end } = self.groups[g];
+            let out = self.out_bit(ptr, olen);
+            let end = usize::from(end);
+            for (c, shape) in self.comps[start..end]
+                .iter_mut()
+                .zip(&self.shapes[start..end])
+            {
+                *c = shape.step(*c, new_bit, out);
+            }
+            start = end;
         }
         self.ptr = ptr + 1;
+    }
+
+    /// Pushes two history bits, `first` then `second`, in one pass over
+    /// the folds; equivalent to `push(first); push(second)`.
+    pub fn push2(&mut self, first: bool, second: bool) {
+        let (a, b) = (u32::from(first), u32::from(second));
+        let ptr = self.ptr;
+        self.set_bit(ptr, a);
+        self.set_bit(ptr + 1, b);
+        let mut start = 0;
+        for g in 0..self.groups.len() {
+            let FoldGroup { olen, end } = self.groups[g];
+            let out_a = self.out_bit(ptr, olen);
+            let out_b = self.out_bit(ptr + 1, olen);
+            let end = usize::from(end);
+            for (c, shape) in self.comps[start..end]
+                .iter_mut()
+                .zip(&self.shapes[start..end])
+            {
+                *c = shape.step(shape.step(*c, a, out_a), b, out_b);
+            }
+            start = end;
+        }
+        self.ptr = ptr + 2;
     }
 
     /// The folded value of view `i`.
     #[inline]
     pub fn folded(&self, i: usize) -> u32 {
-        self.folds[i].comp
+        debug_assert!(i < self.n, "fold {i} out of range");
+        self.comps[i]
     }
 
     /// Number of folded views.
     #[inline]
     pub fn num_folds(&self) -> usize {
-        self.folds.len()
+        self.n
     }
 
     /// Total bits pushed so far.
@@ -186,15 +286,31 @@ impl HistoryState {
 
     /// Captures the folded registers and write pointer.
     pub fn checkpoint(&self) -> HistCheckpoint {
-        let mut cp = HistCheckpoint {
+        self.checkpoint_sized()
+    }
+
+    /// Captures the folded registers and write pointer into a checkpoint
+    /// holding `N` fold slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this history has more than `N` folds.
+    #[inline]
+    pub fn checkpoint_sized<const N: usize>(&self) -> HistCheckpoint<N> {
+        const { assert!(N <= MAX_FOLDS, "checkpoint wider than MAX_FOLDS") };
+        assert!(
+            self.n <= N,
+            "{} folds do not fit a {N}-slot checkpoint",
+            self.n
+        );
+        let mut comps = [0; N];
+        // Slots past the live folds are zero, so the prefix copy is exact.
+        comps.copy_from_slice(&self.comps[..N]);
+        HistCheckpoint {
             ptr: self.ptr,
-            n: self.folds.len() as u8,
-            comps: [0; MAX_FOLDS],
-        };
-        for (i, f) in self.folds.iter().enumerate() {
-            cp.comps[i] = f.comp;
+            n: self.n as u8,
+            comps,
         }
-        cp
     }
 
     /// Restores a checkpoint taken earlier on this history.
@@ -202,33 +318,51 @@ impl HistoryState {
     /// # Panics
     ///
     /// Panics in debug builds if the checkpoint's fold count mismatches.
-    pub fn restore(&mut self, cp: &HistCheckpoint) {
-        debug_assert_eq!(cp.n as usize, self.folds.len(), "checkpoint shape mismatch");
+    #[inline]
+    pub fn restore<const N: usize>(&mut self, cp: &HistCheckpoint<N>) {
+        debug_assert_eq!(cp.n as usize, self.n, "checkpoint shape mismatch");
         self.ptr = cp.ptr;
-        for (i, f) in self.folds.iter_mut().enumerate() {
-            f.comp = cp.comps[i];
-        }
+        let n = self.n;
+        self.comps[..n].copy_from_slice(&cp.comps[..n]);
     }
 }
 
-impl HistCheckpoint {
+impl<const N: usize> HistCheckpoint<N> {
     /// Serializes the checkpoint (whole-simulation checkpoint path; the
-    /// pipeline keeps checkpoints inside in-flight branch records).
+    /// pipeline keeps checkpoints inside in-flight branch records). The
+    /// fold slots are zero-padded to [`MAX_FOLDS`], so the bytes do not
+    /// depend on `N`.
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
         w.put_u64(self.ptr);
         w.put_u8(self.n);
-        for c in self.comps {
+        for &c in &self.comps {
             w.put_u32(c);
+        }
+        for _ in N..MAX_FOLDS {
+            w.put_u32(0);
         }
     }
 
     /// Decodes a checkpoint written by [`HistCheckpoint::save_state`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checkpoint holds more live folds than `N`.
     pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
+        const { assert!(N <= MAX_FOLDS, "checkpoint wider than MAX_FOLDS") };
         let ptr = r.get_u64();
         let n = r.get_u8();
-        let mut comps = [0u32; MAX_FOLDS];
+        assert!(
+            usize::from(n) <= N,
+            "checkpoint state corrupt: {n} folds in a {N}-slot checkpoint"
+        );
+        let mut comps = [0u32; N];
         for c in &mut comps {
             *c = r.get_u32();
+        }
+        for _ in N..MAX_FOLDS {
+            let pad = r.get_u32();
+            debug_assert_eq!(pad, 0, "checkpoint fold padding must be zero");
         }
         HistCheckpoint { ptr, n, comps }
     }
@@ -242,12 +376,12 @@ impl HistoryState {
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
         w.put_u64(self.ptr);
         w.put_usize(self.bits.len());
-        for &word in &self.bits {
+        for &word in self.bits.iter() {
             w.put_u64(word);
         }
-        w.put_usize(self.folds.len());
-        for f in &self.folds {
-            w.put_u32(f.comp);
+        w.put_usize(self.n);
+        for &c in &self.comps[..self.n] {
+            w.put_u32(c);
         }
     }
 
@@ -257,13 +391,13 @@ impl HistoryState {
         self.ptr = r.get_u64();
         let nb = r.get_usize();
         assert_eq!(nb, self.bits.len(), "history buffer geometry mismatch");
-        for word in &mut self.bits {
+        for word in self.bits.iter_mut() {
             *word = r.get_u64();
         }
         let nf = r.get_usize();
-        assert_eq!(nf, self.folds.len(), "history fold-count mismatch");
-        for f in &mut self.folds {
-            f.comp = r.get_u32();
+        assert_eq!(nf, self.n, "history fold-count mismatch");
+        for c in &mut self.comps[..nf] {
+            *c = r.get_u32();
         }
     }
 }
@@ -283,20 +417,22 @@ mod tests {
         ]
     }
 
-    /// Reference: recompute the fold from the raw history.
+    /// Reference: recompute the fold from the raw history with the
+    /// textbook variable-shift update.
     fn fold_reference(history: &[bool], spec: FoldSpec) -> u32 {
-        let mut f = Fold::new(spec);
-        let mut past: Vec<u32> = Vec::new();
-        for &b in history {
-            let out = if past.len() >= spec.olen as usize {
-                past[past.len() - spec.olen as usize]
+        let mut comp = 0u32;
+        for (i, &b) in history.iter().enumerate() {
+            let out = if i >= spec.olen as usize {
+                u32::from(history[i - spec.olen as usize])
             } else {
                 0
             };
-            f.push(u32::from(b), out);
-            past.push(u32::from(b));
+            comp = (comp << 1) | u32::from(b);
+            comp ^= out << (spec.olen % spec.clen);
+            comp ^= comp >> spec.clen;
+            comp &= (1 << spec.clen) - 1;
         }
-        f.comp
+        comp
     }
 
     #[test]
@@ -378,6 +514,42 @@ mod tests {
             b.push(i % 3 == 0);
         }
         assert_ne!(a.folded(2), b.folded(2));
+    }
+
+    #[test]
+    fn folds_sharing_a_length_form_one_group() {
+        let h = HistoryState::new(&[
+            FoldSpec { olen: 8, clen: 7 },
+            FoldSpec { olen: 8, clen: 9 },
+            FoldSpec { olen: 8, clen: 8 },
+            FoldSpec { olen: 20, clen: 7 },
+            FoldSpec { olen: 8, clen: 7 },
+        ]);
+        let ends: Vec<(u32, u8)> = h.groups.iter().map(|g| (g.olen, g.end)).collect();
+        assert_eq!(ends, vec![(8, 3), (20, 4), (8, 5)]);
+    }
+
+    #[test]
+    fn sized_checkpoint_serializes_like_a_full_one() {
+        let mut h = HistoryState::new(&specs());
+        for i in 0..90 {
+            h.push(i % 4 == 1);
+        }
+        let mut full = sim_isa::StateWriter::new();
+        h.checkpoint().save_state(&mut full);
+        let mut sized = sim_isa::StateWriter::new();
+        h.checkpoint_sized::<3>().save_state(&mut sized);
+        assert_eq!(full.bytes(), sized.bytes());
+        let mut r = sim_isa::StateReader::new(full.bytes());
+        let back = HistCheckpoint::<3>::load_state(&mut r);
+        r.finish();
+        for _ in 0..10 {
+            h.push(true);
+        }
+        h.restore(&back);
+        let mut again = sim_isa::StateWriter::new();
+        h.checkpoint().save_state(&mut again);
+        assert_eq!(again.bytes(), full.bytes());
     }
 
     #[test]

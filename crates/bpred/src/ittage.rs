@@ -8,6 +8,12 @@ use sim_isa::Addr;
 /// Upper bound on tagged tables.
 pub const MAX_ITT_TABLES: usize = 10;
 
+/// Folded views in the [`IttageParams::main_64k`] history (8 tables × 3).
+pub const MAIN_ITT_FOLDS: usize = 24;
+
+/// Folded views in the [`IttageParams::alt_4k`] history (4 tables × 3).
+pub const ALT_ITT_FOLDS: usize = 12;
+
 /// Geometry of an ITTAGE predictor.
 #[derive(Clone, Debug)]
 pub struct IttageParams {
@@ -101,7 +107,8 @@ pub struct IttagePrediction {
 #[derive(Clone, Debug)]
 pub struct Ittage {
     params: IttageParams,
-    tables: Vec<Vec<IttEntry>>,
+    /// All tagged tables back to back, `1 << log_entries` entries each.
+    tables: Vec<IttEntry>,
     base: Vec<BaseEntry>,
     lfsr: u32,
     updates: u64,
@@ -113,8 +120,7 @@ pub fn push_target_history(hist: &mut HistoryState, target: Addr) {
     // Aligned code means the low target bits are constant; mix higher bits
     // down so distinct targets produce distinct history bits.
     let h = (target.raw() >> 2).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56;
-    hist.push(h & 1 == 1);
-    hist.push((h >> 1) & 1 == 1);
+    hist.push2(h & 1 == 1, (h >> 1) & 1 == 1);
 }
 
 impl Ittage {
@@ -127,7 +133,7 @@ impl Ittage {
         assert_eq!(params.hist_len.len(), params.num_tables);
         assert!(params.num_tables <= MAX_ITT_TABLES);
         Ittage {
-            tables: vec![vec![IttEntry::default(); 1 << params.log_entries]; params.num_tables],
+            tables: vec![IttEntry::default(); params.num_tables << params.log_entries],
             base: vec![BaseEntry::default(); 1 << params.log_base],
             lfsr: 0xBEEF_5678,
             updates: 0,
@@ -143,6 +149,12 @@ impl Ittage {
     /// Builds a history with this predictor's fold layout.
     pub fn new_history(&self) -> HistoryState {
         HistoryState::new(&self.params.fold_specs())
+    }
+
+    /// Flat position of entry `idx` of tagged table `t`.
+    #[inline]
+    fn slot(&self, t: usize, idx: u16) -> usize {
+        (t << self.params.log_entries) | usize::from(idx)
     }
 
     #[inline]
@@ -171,14 +183,15 @@ impl Ittage {
         for t in 0..n {
             indices[t] = self.index(pc, hist, t);
             tags[t] = self.tag(pc, hist, t);
-            let e = &self.tables[t][indices[t] as usize];
+            let e = &self.tables[self.slot(t, indices[t])];
             if !e.target.is_null() && e.tag == tags[t] {
                 provider = t as i8;
             }
         }
         let base_idx = ((pc.raw() >> 2) & ((1 << self.params.log_base) - 1)) as u32;
         if provider >= 0 {
-            let e = &self.tables[provider as usize][indices[provider as usize] as usize];
+            let p = provider as usize;
+            let e = &self.tables[self.slot(p, indices[p])];
             // Weak entries fall back to the base table if it has a target.
             if e.ctr == 0 && !self.base[base_idx as usize].target.is_null() {
                 return IttagePrediction {
@@ -224,10 +237,8 @@ impl Ittage {
     pub fn update(&mut self, _pc: Addr, pred: &IttagePrediction, actual: Addr) {
         self.updates += 1;
         if self.updates.is_multiple_of(64 * 1024) {
-            for t in &mut self.tables {
-                for e in t.iter_mut() {
-                    e.u >>= 1;
-                }
+            for e in &mut self.tables {
+                e.u >>= 1;
             }
         }
         let correct = pred.target == Some(actual);
@@ -236,7 +247,8 @@ impl Ittage {
         // Provider update.
         if pred.provider >= 0 {
             let p = pred.provider as usize;
-            let e = &mut self.tables[p][pred.indices[p] as usize];
+            let slot = self.slot(p, pred.indices[p]);
+            let e = &mut self.tables[slot];
             if e.target == actual {
                 e.ctr = (e.ctr + 1).min(3);
                 e.u = (e.u + 1).min(3);
@@ -268,7 +280,8 @@ impl Ittage {
                 let mut j = (start + skip).min(n - 1);
                 let mut allocated = false;
                 while j < n {
-                    let e = &mut self.tables[j][pred.indices[j] as usize];
+                    let slot = self.slot(j, pred.indices[j]);
+                    let e = &mut self.tables[slot];
                     if e.u == 0 {
                         *e = IttEntry {
                             tag: pred.tags[j],
@@ -283,7 +296,8 @@ impl Ittage {
                 }
                 if !allocated {
                     for j in start..n {
-                        let e = &mut self.tables[j][pred.indices[j] as usize];
+                        let slot = self.slot(j, pred.indices[j]);
+                        let e = &mut self.tables[slot];
                         e.u = e.u.saturating_sub(1);
                     }
                 }
@@ -308,8 +322,9 @@ impl Ittage {
     /// Serializes the mutable state (tagged tables, base table, allocator
     /// LFSR, update counter).
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.tables.len());
-        for t in &self.tables {
+        let per_table = 1usize << self.params.log_entries;
+        w.put_usize(self.params.num_tables);
+        for t in self.tables.chunks(per_table) {
             w.put_usize(t.len());
             for e in t {
                 w.put_u16(e.tag);
@@ -329,9 +344,10 @@ impl Ittage {
 
     /// Restores state written by [`Ittage::save_state`].
     pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
+        let per_table = 1usize << self.params.log_entries;
         let nt = r.get_usize();
-        assert_eq!(nt, self.tables.len(), "ITTAGE table-count mismatch");
-        for t in &mut self.tables {
+        assert_eq!(nt, self.params.num_tables, "ITTAGE table-count mismatch");
+        for t in self.tables.chunks_mut(per_table) {
             let ne = r.get_usize();
             assert_eq!(ne, t.len(), "ITTAGE table geometry mismatch");
             for e in t.iter_mut() {
@@ -406,6 +422,12 @@ mod tests {
         let i = Ittage::new(IttageParams::alt_4k());
         let h = i.new_history();
         (i, h)
+    }
+
+    #[test]
+    fn fold_counts_fit_their_checkpoints() {
+        assert_eq!(IttageParams::main_64k().fold_specs().len(), MAIN_ITT_FOLDS);
+        assert_eq!(IttageParams::alt_4k().fold_specs().len(), ALT_ITT_FOLDS);
     }
 
     #[test]

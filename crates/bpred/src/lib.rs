@@ -46,8 +46,10 @@ pub mod tage_sc_l;
 pub use bimodal::Bimodal;
 pub use confidence::{ConfidenceEstimator, TageConf, UcpConf};
 pub use history::{FoldSpec, HistCheckpoint, HistoryState};
-pub use ittage::{push_target_history, Ittage, IttageParams, IttagePrediction};
+pub use ittage::{
+    push_target_history, Ittage, IttageParams, IttagePrediction, ALT_ITT_FOLDS, MAIN_ITT_FOLDS,
+};
 pub use loop_pred::{LoopPrediction, LoopPredictor};
 pub use sc::{Sc, ScParams, ScPrediction};
 pub use tage::{Tage, TageParams, TagePrediction, TageProvider};
-pub use tage_sc_l::{Provider, SclPrediction, SclPreset, TageScL};
+pub use tage_sc_l::{Provider, SclPrediction, SclPreset, TageScL, ALT_SCL_FOLDS, SCL_MAX_FOLDS};

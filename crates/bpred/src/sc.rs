@@ -86,7 +86,8 @@ pub struct ScPrediction {
 #[derive(Clone, Debug)]
 pub struct Sc {
     params: ScParams,
-    tables: Vec<Vec<i8>>,
+    /// All GEHL tables back to back, `1 << log_entries` counters each.
+    tables: Vec<i8>,
     bias: Vec<i8>,
     /// Dynamic use threshold.
     thr: i32,
@@ -104,7 +105,7 @@ impl Sc {
         assert_eq!(params.hist_len.len(), params.num_tables);
         assert!(params.num_tables <= MAX_SC_TABLES);
         Sc {
-            tables: vec![vec![0; 1 << params.log_entries]; params.num_tables],
+            tables: vec![0; params.num_tables << params.log_entries],
             bias: vec![0; 1 << params.log_bias],
             thr: 12,
             tc: 0,
@@ -115,6 +116,12 @@ impl Sc {
     /// The geometry.
     pub fn params(&self) -> &ScParams {
         &self.params
+    }
+
+    /// Flat position of counter `idx` of GEHL table `t`.
+    #[inline]
+    fn slot(&self, t: usize, idx: u16) -> usize {
+        (t << self.params.log_entries) | usize::from(idx)
     }
 
     #[inline]
@@ -150,7 +157,7 @@ impl Sc {
         for (t, slot) in indices.iter_mut().enumerate().take(self.params.num_tables) {
             let i = self.index(pc, hist, t, fold_base);
             *slot = i;
-            sum += 2 * i32::from(self.tables[t][i as usize]) + 1;
+            sum += 2 * i32::from(self.tables[self.slot(t, i)]) + 1;
         }
         let taken = sum >= 0;
         let used = taken != tage_taken && sum.unsigned_abs() as i32 >= self.thr;
@@ -186,7 +193,8 @@ impl Sc {
             let b = &mut self.bias[p.bias_idx as usize];
             *b = bump6(*b, taken);
             for t in 0..self.params.num_tables {
-                let c = &mut self.tables[t][p.indices[t] as usize];
+                let slot = self.slot(t, p.indices[t]);
+                let c = &mut self.tables[slot];
                 *c = bump6(*c, taken);
             }
         }
@@ -204,8 +212,8 @@ impl Sc {
     /// Serializes the mutable state (GEHL tables, bias table, dynamic
     /// threshold).
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.tables.len());
-        for t in &self.tables {
+        w.put_usize(self.params.num_tables);
+        for t in self.tables.chunks(1 << self.params.log_entries) {
             w.put_usize(t.len());
             for &c in t {
                 w.put_i8(c);
@@ -222,8 +230,8 @@ impl Sc {
     /// Restores state written by [`Sc::save_state`].
     pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
         let nt = r.get_usize();
-        assert_eq!(nt, self.tables.len(), "SC table-count mismatch");
-        for t in &mut self.tables {
+        assert_eq!(nt, self.params.num_tables, "SC table-count mismatch");
+        for t in self.tables.chunks_mut(1 << self.params.log_entries) {
             let ne = r.get_usize();
             assert_eq!(ne, t.len(), "SC table geometry mismatch");
             for c in t.iter_mut() {

@@ -161,7 +161,8 @@ impl TagePrediction {
 pub struct Tage {
     params: TageParams,
     bimodal: Bimodal,
-    tables: Vec<Vec<TageEntry>>,
+    /// All tagged tables back to back, `1 << log_entries` entries each.
+    tables: Vec<TageEntry>,
     use_alt_on_na: i8,
     lfsr: u32,
     updates: u64,
@@ -177,10 +178,9 @@ impl Tage {
         assert_eq!(params.hist_len.len(), params.num_tables);
         assert!(params.num_tables <= MAX_TABLES);
         assert!(params.tag_bits >= 2 && params.tag_bits <= 15);
-        let entries = 1usize << params.log_entries;
         Tage {
             bimodal: Bimodal::new(params.log_bimodal),
-            tables: vec![vec![TageEntry::default(); entries]; params.num_tables],
+            tables: vec![TageEntry::default(); params.num_tables << params.log_entries],
             use_alt_on_na: 0,
             lfsr: 0xACE1_1234,
             updates: 0,
@@ -197,6 +197,12 @@ impl Tage {
     /// TAGE-SC-L composite builds a combined one instead).
     pub fn new_history(&self) -> HistoryState {
         HistoryState::new(&self.params.fold_specs())
+    }
+
+    /// Flat position of entry `idx` of tagged table `t`.
+    #[inline]
+    fn slot(&self, t: usize, idx: u16) -> usize {
+        (t << self.params.log_entries) | usize::from(idx)
     }
 
     #[inline]
@@ -228,7 +234,7 @@ impl Tage {
         for t in 0..n {
             indices[t] = self.index(pc, hist, t, fold_base);
             tags[t] = self.tag(pc, hist, t, fold_base);
-            let e = &self.tables[t][indices[t] as usize];
+            let e = &self.tables[self.slot(t, indices[t])];
             if e.valid && e.tag == tags[t] {
                 alt = hit;
                 hit = t as i8;
@@ -238,11 +244,11 @@ impl Tage {
         let bim_taken = bim_ctr >= 0;
         let (taken, provider, provider_ctr, hit_taken, alt_taken, newly_alloc);
         if hit >= 0 {
-            let e = self.tables[hit as usize][indices[hit as usize] as usize];
+            let e = self.tables[self.slot(hit as usize, indices[hit as usize])];
             hit_taken = e.ctr >= 0;
             newly_alloc = e.u == 0 && (e.ctr == 0 || e.ctr == -1);
             let (a_taken, a_ctr, a_is_table) = if alt >= 0 {
-                let a = self.tables[alt as usize][indices[alt as usize] as usize];
+                let a = self.tables[self.slot(alt as usize, indices[alt as usize])];
                 (a.ctr >= 0, a.ctr, true)
             } else {
                 (bim_taken, bim_ctr, false)
@@ -302,10 +308,8 @@ impl Tage {
     pub fn update(&mut self, pc: Addr, pred: &TagePrediction, taken: bool) {
         self.updates += 1;
         if self.updates.is_multiple_of(self.params.u_reset_period) {
-            for t in &mut self.tables {
-                for e in t.iter_mut() {
-                    e.u >>= 1;
-                }
+            for e in &mut self.tables {
+                e.u >>= 1;
             }
         }
 
@@ -321,7 +325,8 @@ impl Tage {
             let mut allocated = false;
             let mut j = start + skip.min(n - 1 - start);
             while j < n {
-                let e = &mut self.tables[j][pred.indices[j] as usize];
+                let slot = self.slot(j, pred.indices[j]);
+                let e = &mut self.tables[slot];
                 if e.u == 0 {
                     *e = TageEntry {
                         ctr: if taken { 0 } else { -1 },
@@ -336,7 +341,8 @@ impl Tage {
             }
             if !allocated {
                 for j in start..n {
-                    let e = &mut self.tables[j][pred.indices[j] as usize];
+                    let slot = self.slot(j, pred.indices[j]);
+                    let e = &mut self.tables[slot];
                     e.u = e.u.saturating_sub(1);
                 }
             }
@@ -345,15 +351,17 @@ impl Tage {
         // Counter updates.
         if pred.hit_bank >= 0 {
             let hb = pred.hit_bank as usize;
+            let hit_slot = self.slot(hb, pred.indices[hb]);
             {
-                let e = &mut self.tables[hb][pred.indices[hb] as usize];
+                let e = &mut self.tables[hit_slot];
                 e.ctr = bump3(e.ctr, taken);
             }
             if pred.newly_alloc {
                 // Also train the alternate chain while the hit entry is cold.
                 if pred.alt_bank >= 0 {
                     let ab = pred.alt_bank as usize;
-                    let e = &mut self.tables[ab][pred.indices[ab] as usize];
+                    let slot = self.slot(ab, pred.indices[ab]);
+                    let e = &mut self.tables[slot];
                     e.ctr = bump3(e.ctr, taken);
                 } else {
                     self.bimodal.update(pc, taken);
@@ -370,7 +378,7 @@ impl Tage {
             // Usefulness: the hit entry is useful when it disagrees with
             // the alternate and is right.
             if pred.hit_taken != pred.alt_taken {
-                let e = &mut self.tables[hb][pred.indices[hb] as usize];
+                let e = &mut self.tables[hit_slot];
                 if pred.hit_taken == taken {
                     e.u = (e.u + 1).min(3);
                 } else {
@@ -395,8 +403,8 @@ impl Tage {
     /// update counter). Geometry is reconstructed from params, not stored.
     pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
         self.bimodal.save_state(w);
-        w.put_usize(self.tables.len());
-        for t in &self.tables {
+        w.put_usize(self.params.num_tables);
+        for t in self.tables.chunks(1 << self.params.log_entries) {
             w.put_usize(t.len());
             for e in t {
                 w.put_i8(e.ctr);
@@ -414,8 +422,8 @@ impl Tage {
     pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
         self.bimodal.restore_state(r);
         let nt = r.get_usize();
-        assert_eq!(nt, self.tables.len(), "TAGE table-count mismatch");
-        for t in &mut self.tables {
+        assert_eq!(nt, self.params.num_tables, "TAGE table-count mismatch");
+        for t in self.tables.chunks_mut(1 << self.params.log_entries) {
             let ne = r.get_usize();
             assert_eq!(ne, t.len(), "TAGE table geometry mismatch");
             for e in t.iter_mut() {

@@ -5,9 +5,61 @@
 use proptest::prelude::*;
 use sim_isa::Addr;
 use ucp_bpred::{
-    push_target_history, ConfidenceEstimator, Ittage, IttageParams, Provider, SclPreset, TageConf,
-    TageScL, UcpConf,
+    push_target_history, ConfidenceEstimator, FoldSpec, HistCheckpoint, HistoryState, Ittage,
+    IttageParams, Provider, ScParams, SclPreset, TageConf, TageParams, TageScL, UcpConf,
 };
+
+/// Recomputes one folded register from the raw history with the textbook
+/// variable-shift update, independently of [`HistoryState`].
+fn fold_reference(history: &[bool], spec: FoldSpec) -> u32 {
+    let olen = spec.olen as usize;
+    let mut comp = 0u32;
+    for (i, &b) in history.iter().enumerate() {
+        let out = if i >= olen {
+            u32::from(history[i - olen])
+        } else {
+            0
+        };
+        comp = (comp << 1) | u32::from(b);
+        comp ^= out << (spec.olen % spec.clen);
+        comp ^= comp >> spec.clen;
+        comp &= (1 << spec.clen) - 1;
+    }
+    comp
+}
+
+/// The fold layouts the simulator builds histories with.
+fn fold_layouts() -> Vec<(&'static str, Vec<FoldSpec>)> {
+    let scl = |t: TageParams, s: ScParams| {
+        let mut v = t.fold_specs();
+        v.extend(s.fold_specs());
+        v
+    };
+    vec![
+        ("Main64K", scl(TageParams::main_64k(), ScParams::main_64k())),
+        ("Alt8K", scl(TageParams::alt_8k(), ScParams::alt_8k())),
+        ("ITTAGE-64K", IttageParams::main_64k().fold_specs()),
+        ("Alt-4K", IttageParams::alt_4k().fold_specs()),
+    ]
+}
+
+/// One step of a random history workout.
+#[derive(Clone, Debug)]
+enum HistOp {
+    Push(bool),
+    Push2(bool, bool),
+    Checkpoint,
+    Restore,
+}
+
+fn hist_op() -> impl Strategy<Value = HistOp> {
+    (0u8..14, any::<bool>(), any::<bool>()).prop_map(|(k, a, b)| match k {
+        0..=5 => HistOp::Push(a),
+        6..=11 => HistOp::Push2(a, b),
+        12 => HistOp::Checkpoint,
+        _ => HistOp::Restore,
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -142,5 +194,67 @@ proptest! {
         prop_assert_eq!(before.taken, after.taken);
         prop_assert_eq!(before.provider, after.provider);
         prop_assert_eq!(before.sc.sum, after.sc.sum);
+    }
+
+    /// After any mix of single and fused pushes, checkpoints and restores,
+    /// every fold of every simulator layout equals its recomputation from
+    /// the raw (restored) history.
+    #[test]
+    fn folds_match_reference_after_random_ops(
+        ops in proptest::collection::vec(hist_op(), 1..700),
+    ) {
+        for (name, specs) in fold_layouts() {
+            let mut h = HistoryState::new(&specs);
+            let mut raw: Vec<bool> = Vec::new();
+            let mut saved: Vec<(HistCheckpoint, usize)> = Vec::new();
+            for op in &ops {
+                match *op {
+                    HistOp::Push(b) => {
+                        h.push(b);
+                        raw.push(b);
+                    }
+                    HistOp::Push2(a, b) => {
+                        h.push2(a, b);
+                        raw.extend([a, b]);
+                    }
+                    HistOp::Checkpoint => saved.push((h.checkpoint(), raw.len())),
+                    HistOp::Restore => {
+                        if let Some((cp, len)) = saved.pop() {
+                            h.restore(&cp);
+                            raw.truncate(len);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(h.position(), raw.len() as u64);
+            for (i, &spec) in specs.iter().enumerate() {
+                prop_assert_eq!(h.folded(i), fold_reference(&raw, spec), "{} fold {}", name, i);
+            }
+        }
+    }
+
+    /// `push2(a, b)` is exactly `push(a); push(b)` on every layout.
+    #[test]
+    fn push2_is_two_pushes(
+        pre in proptest::collection::vec(any::<bool>(), 0..800),
+        pairs in proptest::collection::vec((any::<bool>(), any::<bool>()), 1..200),
+    ) {
+        for (name, specs) in fold_layouts() {
+            let mut fused = HistoryState::new(&specs);
+            let mut single = HistoryState::new(&specs);
+            for &b in &pre {
+                fused.push(b);
+                single.push(b);
+            }
+            for &(a, b) in &pairs {
+                fused.push2(a, b);
+                single.push(a);
+                single.push(b);
+            }
+            prop_assert_eq!(fused.position(), single.position());
+            for i in 0..specs.len() {
+                prop_assert_eq!(fused.folded(i), single.folded(i), "{} fold {}", name, i);
+            }
+        }
     }
 }

@@ -101,17 +101,22 @@ impl Backend {
         complete
     }
 
-    /// Retires completed head entries, up to the commit width. Returns the
-    /// retired entries in order.
-    pub fn commit(&mut self, now: u64) -> Vec<RobEntry> {
-        let mut out = Vec::new();
-        for _ in 0..self.cfg.commit_width {
+    /// Retires completed head entries, up to the commit width, and
+    /// returns how many retired. `next_pos` is the correct-path position
+    /// the oldest of them must carry (checked in debug builds).
+    pub fn commit(&mut self, now: u64, next_pos: u64) -> usize {
+        let mut retired = 0;
+        while retired < self.cfg.commit_width as usize {
             match self.rob.front() {
-                Some(e) if e.complete <= now => out.push(self.rob.pop_front().expect("front")),
+                Some(e) if e.complete <= now => {
+                    debug_assert_eq!(e.pos, next_pos + retired as u64, "in-order commit");
+                    self.rob.pop_front();
+                    retired += 1;
+                }
                 _ => break,
             }
         }
-        out
+        retired
     }
 
     /// The completion cycle of the oldest unfinished µ-op (for watchdogs).
@@ -238,11 +243,10 @@ mod tests {
                 None,
             );
         }
-        let retired = b.commit(100);
-        assert_eq!(retired.len(), 2, "commit width");
-        assert_eq!(retired[0].pos, 0);
-        assert_eq!(retired[1].pos, 1);
-        assert_eq!(b.commit(100).len(), 2);
+        assert_eq!(b.commit(100, 0), 2, "commit width");
+        assert_eq!(b.rob.front().map(|e| e.pos), Some(2), "oldest first");
+        assert_eq!(b.commit(100, 2), 2);
+        assert_eq!(b.occupancy(), 0);
     }
 
     #[test]
@@ -263,7 +267,7 @@ mod tests {
             None,
         );
         // At cycle 3 the ALU op is done but the div head is not.
-        assert!(b.commit(3).is_empty());
+        assert_eq!(b.commit(3, 0), 0);
     }
 
     #[test]
@@ -302,7 +306,7 @@ mod tests {
             None,
             Some(99),
         );
-        let retired = b.commit(100);
-        assert_eq!(retired[0].rec, Some(99));
+        assert_eq!(b.rob.front().and_then(|e| e.rec), Some(99));
+        assert_eq!(b.commit(100, 0), 1);
     }
 }

@@ -23,6 +23,7 @@
 //!   refill speed is precisely what UCP accelerates.
 
 pub mod backend;
+mod records;
 
 use crate::config::{PrefetcherKind, SimConfig, UopCacheModel};
 use crate::error::{watchdog_from_env, DiagSnapshot, SimError};
@@ -31,15 +32,16 @@ use crate::snapshot::{
     run_slug, write_checkpoint, CheckpointMeta, CheckpointPolicy, DigestRecord, CKPT_VERSION,
 };
 use crate::stats::{SimStats, UcpStats};
-use crate::ucp::UcpEngine;
+use crate::ucp::{AltCheckpoints, UcpEngine};
 use backend::Backend;
+use records::RecordRing;
 use sim_isa::{fnv1a64, Addr, BranchClass, DynInst, InstKind, StateReader, StateWriter};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
-    IttagePrediction, SclPrediction, TageConf, TageScL, UcpConf,
+    IttagePrediction, SclPrediction, TageConf, TageScL, UcpConf, MAIN_ITT_FOLDS, SCL_MAX_FOLDS,
 };
 use ucp_frontend::{BoundedQueue, Btb, EntryEnd, Ras, RasCheckpoint, UopCache, UopEntrySpec};
 use ucp_mem::{CacheStats, Hierarchy, HitLevel};
@@ -115,7 +117,9 @@ enum RecKind {
     Return,
 }
 
-/// One in-flight branch prediction.
+/// One in-flight branch prediction. History checkpoints hold only the
+/// live folds of their history; they serialize zero-padded to the full
+/// checkpoint width.
 struct PredRecord {
     pc: Addr,
     kind: RecKind,
@@ -126,10 +130,10 @@ struct PredRecord {
     mispredicted: bool,
     /// Indirect with no known target: fetch stalls until execution.
     no_target: bool,
-    cp_bp: HistCheckpoint,
-    cp_it: HistCheckpoint,
+    cp_bp: HistCheckpoint<SCL_MAX_FOLDS>,
+    cp_it: HistCheckpoint<MAIN_ITT_FOLDS>,
     cp_ras: RasCheckpoint,
-    cp_alt: Option<(HistCheckpoint, HistCheckpoint)>,
+    cp_alt: Option<AltCheckpoints>,
     scl: Option<SclPrediction>,
     itt: Option<IttagePrediction>,
     alt_scl: Option<SclPrediction>,
@@ -270,6 +274,8 @@ pub struct Simulator<'p> {
     hier: Hierarchy,
     prefetcher: Box<dyn InstPrefetcher>,
     prefetch_pq: BoundedQueue<Addr>,
+    /// Reused buffer for the candidates the prefetcher drains each cycle.
+    prefetch_drain: Vec<Addr>,
     mrc: Option<Mrc>,
     mrc_filling: bool,
     mrc_stream_left: u32,
@@ -293,12 +299,7 @@ pub struct Simulator<'p> {
     ideal_brcond_left: u32,
     demand_uop_banks: [bool; 2],
 
-    // Determinism: only ever accessed by key — HashMap iteration order
-    // must not influence simulation, and `save_state` serializes the
-    // entries sorted so it cannot leak into checkpoint bytes either.
-    records: HashMap<u64, PredRecord>,
-    rec_order: VecDeque<u64>,
-    next_rec_id: u64,
+    records: RecordRing<PredRecord>,
 
     backend: Backend,
     resolve_q: BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
@@ -398,6 +399,7 @@ impl<'p> Simulator<'p> {
             hier,
             prefetcher,
             prefetch_pq: BoundedQueue::new(32),
+            prefetch_drain: Vec::new(),
             mrc: cfg.mrc_entries.map(Mrc::new),
             mrc_filling: false,
             mrc_stream_left: 0,
@@ -417,9 +419,7 @@ impl<'p> Simulator<'p> {
             head_delivered: 0,
             ideal_brcond_left: 0,
             demand_uop_banks: [false; 2],
-            records: HashMap::with_capacity(1024),
-            rec_order: VecDeque::with_capacity(1024),
-            next_rec_id: 1,
+            records: RecordRing::with_capacity(1024),
             backend: Backend::new(cfg.backend.clone()),
             resolve_q: BinaryHeap::new(),
             committed: 0,
@@ -776,12 +776,7 @@ impl<'p> Simulator<'p> {
 
     fn process_resolutions(&mut self) {
         // Lazily drop ids of records that resolved without a flush.
-        while let Some(&id) = self.rec_order.front() {
-            if self.records.contains_key(&id) {
-                break;
-            }
-            self.rec_order.pop_front();
-        }
+        self.records.pop_resolved();
         while let Some(&std::cmp::Reverse((t, id))) = self.resolve_q.peek() {
             if t > self.now {
                 break;
@@ -792,7 +787,7 @@ impl<'p> Simulator<'p> {
     }
 
     fn resolve(&mut self, id: u64) {
-        let Some(rec) = self.records.remove(&id) else {
+        let Some(rec) = self.records.take(id) else {
             return; // already freed by an older flush
         };
         debug_assert!(rec.pos.is_some(), "wrong-path records never resolve");
@@ -901,15 +896,8 @@ impl<'p> Simulator<'p> {
                 transferred.then_some(rec.actual_next),
             );
         }
-        // Free every younger record (creation order is id order, so pop
-        // from the back until we reach the flushed record itself).
-        while let Some(&id) = self.rec_order.back() {
-            self.rec_order.pop_back();
-            self.records.remove(&id);
-            if id == rec_id {
-                break;
-            }
-        }
+        // Free the flushed record's slot and every younger record.
+        self.records.truncate_from(rec_id);
         self.ftq.clear();
         self.uopq.clear();
         self.head_delivered = 0;
@@ -947,9 +935,8 @@ impl<'p> Simulator<'p> {
             // notice and raise `SimError::Hang`.
             return;
         }
-        let retired = self.backend.commit(self.now);
-        for e in &retired {
-            debug_assert_eq!(e.pos, self.stream_base, "in-order commit");
+        let retired = self.backend.commit(self.now, self.stream_base);
+        for _ in 0..retired {
             self.last_retired_pc = Some(self.stream[0].pc);
             self.stream.pop_front();
             self.stream_base += 1;
@@ -960,8 +947,8 @@ impl<'p> Simulator<'p> {
                 }
             }
         }
-        if !retired.is_empty() {
-            self.tele.committed.add(retired.len() as u64);
+        if retired > 0 {
+            self.tele.committed.add(retired as u64);
             self.last_commit_cycle = self.now;
         }
     }
@@ -1356,14 +1343,6 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    fn new_record(&mut self, rec: PredRecord) -> u64 {
-        let id = self.next_rec_id;
-        self.next_rec_id += 1;
-        self.records.insert(id, rec);
-        self.rec_order.push_back(id);
-        id
-    }
-
     /// Generates one fetch block along the current (predicted) path.
     fn gen_block(&mut self) -> Option<FetchBlock> {
         let start = self.agen_pc;
@@ -1416,8 +1395,8 @@ impl<'p> Simulator<'p> {
             let btb_missed = btb_entry.is_none();
 
             // Checkpoints before any speculative update for this branch.
-            let cp_bp = self.bp_hist.checkpoint();
-            let cp_it = self.it_hist.checkpoint();
+            let cp_bp = self.bp_hist.checkpoint_sized();
+            let cp_it = self.it_hist.checkpoint_sized();
             let cp_ras = self.ras.checkpoint();
             let cp_alt = self.ucp.as_ref().map(|u| u.checkpoints());
 
@@ -1597,7 +1576,7 @@ impl<'p> Simulator<'p> {
                 None => (predicted_taken, predicted_next, false),
             };
 
-            let id = self.new_record(PredRecord {
+            let id = self.records.push(PredRecord {
                 pc,
                 kind,
                 pos: cur_pos,
@@ -1693,9 +1672,8 @@ impl<'p> Simulator<'p> {
     // ------------------------------------------------------------------
 
     fn l1i_prefetch_stage(&mut self) {
-        let mut buf = Vec::new();
-        self.prefetcher.drain(&mut buf);
-        for line in buf {
+        self.prefetcher.drain(&mut self.prefetch_drain);
+        for line in self.prefetch_drain.drain(..) {
             let _ = self.prefetch_pq.push(line);
         }
         if let Some(&line) = self.prefetch_pq.front() {
@@ -2063,8 +2041,10 @@ impl<'p> Simulator<'p> {
     /// declaration order. Geometry and configuration are never written —
     /// a restore target must be built from the same `SimConfig` and
     /// workload (asserted where cheap). Container iteration is forced
-    /// into a deterministic order (records sorted by id, the resolution
-    /// heap sorted) so identical machines always produce identical bytes.
+    /// into a deterministic order (the resolution heap sorted) so
+    /// identical machines always produce identical bytes. The layout is
+    /// part of `CKPT_VERSION`: a change that only makes the simulator
+    /// faster must leave these bytes unchanged.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.mark(0x5349_4d30);
         // Workload state: the oracle RNG and the materialized stream
@@ -2137,20 +2117,9 @@ impl<'p> Simulator<'p> {
         w.put_u32(self.consec_uop_hits);
         w.put_u8(self.head_delivered);
         w.put_u32(self.ideal_brcond_left);
-        // In-flight prediction records, sorted by id — HashMap iteration
-        // order must never leak into the checkpoint bytes.
-        let mut ids: Vec<u64> = self.records.keys().copied().collect();
-        ids.sort_unstable();
-        w.put_usize(ids.len());
-        for id in ids {
-            w.put_u64(id);
-            Self::save_record(w, &self.records[&id]);
-        }
-        w.put_usize(self.rec_order.len());
-        for &id in &self.rec_order {
-            w.put_u64(id);
-        }
-        w.put_u64(self.next_rec_id);
+        // In-flight prediction records (sorted by id), then the id order
+        // including resolved records not yet popped.
+        self.records.save_state(w, Self::save_record);
         // Backend and the resolution calendar (heap iteration order is
         // arbitrary for equal keys; serialize sorted).
         self.backend.save_state(w);
@@ -2310,19 +2279,7 @@ impl<'p> Simulator<'p> {
         self.consec_uop_hits = r.get_u32();
         self.head_delivered = r.get_u8();
         self.ideal_brcond_left = r.get_u32();
-        let n = r.get_usize();
-        self.records.clear();
-        for _ in 0..n {
-            let id = r.get_u64();
-            let rec = Self::load_record(r);
-            self.records.insert(id, rec);
-        }
-        let n = r.get_usize();
-        self.rec_order.clear();
-        for _ in 0..n {
-            self.rec_order.push_back(r.get_u64());
-        }
-        self.next_rec_id = r.get_u64();
+        self.records.restore_state(r, Self::load_record);
         self.backend.restore_state(r);
         let n = r.get_usize();
         self.resolve_q.clear();

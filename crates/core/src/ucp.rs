@@ -20,11 +20,16 @@ use sim_isa::{Addr, BranchClass};
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
     IttagePrediction, Provider, SclPrediction, SclPreset, TageConf, TageScL, UcpConf,
+    ALT_ITT_FOLDS, ALT_SCL_FOLDS,
 };
 use ucp_frontend::{BoundedQueue, Btb, Ras, UopCache};
 use ucp_mem::Hierarchy;
 use ucp_telemetry::{Category, Counter, Telemetry, Tracer};
 use ucp_workloads::Program;
+
+/// Checkpoints of the engine's predicted-path mirror histories (Alt-BP,
+/// Alt-Ind), kept in each in-flight branch record.
+pub type AltCheckpoints = (HistCheckpoint<ALT_SCL_FOLDS>, HistCheckpoint<ALT_ITT_FOLDS>);
 
 /// A fetch block generated on the alternate path.
 #[derive(Clone, Copy, Debug)]
@@ -43,12 +48,12 @@ struct PendingPf {
     ready: u64,
 }
 
-/// The active alternate-path walk.
+/// The active alternate-path walk. Its histories live on the engine
+/// (`walk_hist`, `walk_path_hist`) so a new walk copies into them instead
+/// of allocating.
 #[derive(Debug)]
 struct AltWalk {
     pc: Addr,
-    hist: HistoryState,
-    path_hist: HistoryState,
     weight: u32,
     threshold: u32,
     insts_since_branch: u32,
@@ -120,6 +125,10 @@ pub struct UcpEngine {
     alt_ind_mirror: HistoryState,
     alt_ras: Ras,
     walk: Option<AltWalk>,
+    /// The walk's conditional history (meaningful while `walk` is set).
+    walk_hist: HistoryState,
+    /// The walk's path history (meaningful while `walk` is set).
+    walk_path_hist: HistoryState,
     alt_ftq: BoundedQueue<AltBlock>,
     l1i_pq: BoundedQueue<AltBlock>,
     pending: Vec<PendingPf>,
@@ -147,6 +156,8 @@ impl UcpEngine {
             None => Ittage::new(IttageParams::alt_4k()).new_history(),
         };
         UcpEngine {
+            walk_hist: alt_bp_mirror.clone(),
+            walk_path_hist: alt_ind_mirror.clone(),
             alt_bp_mirror,
             alt_bp,
             alt_ind,
@@ -207,10 +218,10 @@ impl UcpEngine {
     }
 
     /// Checkpoints the mirror histories (stored in the branch record).
-    pub fn checkpoints(&self) -> (HistCheckpoint, HistCheckpoint) {
+    pub fn checkpoints(&self) -> AltCheckpoints {
         (
-            self.alt_bp_mirror.checkpoint(),
-            self.alt_ind_mirror.checkpoint(),
+            self.alt_bp_mirror.checkpoint_sized(),
+            self.alt_ind_mirror.checkpoint_sized(),
         )
     }
 
@@ -219,7 +230,7 @@ impl UcpEngine {
     /// terminating the alternate path only requires flushing the Alt-FTQ).
     pub fn on_flush(
         &mut self,
-        cps: (HistCheckpoint, HistCheckpoint),
+        cps: AltCheckpoints,
         actual_cond: Option<bool>,
         actual_target: Option<Addr>,
     ) {
@@ -292,15 +303,13 @@ impl UcpEngine {
         // we instead clone the mirror and push the *opposite* outcome on
         // top of the pre-branch state, which the caller guarantees by
         // triggering before mirroring the predicted outcome.
-        let mut hist = self.alt_bp_mirror.clone();
-        hist.push(!h2p_predicted_taken);
-        let mut path_hist = self.alt_ind_mirror.clone();
-        push_target_history(&mut path_hist, alt_target);
+        self.walk_hist.clone_from(&self.alt_bp_mirror);
+        self.walk_hist.push(!h2p_predicted_taken);
+        self.walk_path_hist.clone_from(&self.alt_ind_mirror);
+        push_target_history(&mut self.walk_path_hist, alt_target);
         self.alt_ras.copy_from(main_ras);
         self.walk = Some(AltWalk {
             pc: alt_target,
-            hist,
-            path_hist,
             weight: 0,
             threshold: self.cfg.stop_threshold,
             insts_since_branch: 0,
@@ -428,28 +437,28 @@ impl UcpEngine {
                 walk.insts_since_branch = 0;
                 match entry.class {
                     BranchClass::CondDirect => {
-                        let pred = self.alt_bp.predict(&walk.hist, pc);
+                        let pred = self.alt_bp.predict(&self.walk_hist, pc);
                         let w = cond_stop_weight(&pred);
                         walk.weight = walk.weight.saturating_add(w);
                         if w == 1 {
                             // High-confidence branches extend the allowance.
                             walk.threshold = walk.threshold.saturating_add(1);
                         }
-                        walk.hist.push(pred.taken);
+                        self.walk_hist.push(pred.taken);
                         if pred.taken {
-                            push_target_history(&mut walk.path_hist, entry.target);
+                            push_target_history(&mut self.walk_path_hist, entry.target);
                             next = entry.target;
                             break;
                         }
                     }
                     BranchClass::UncondDirect => {
-                        push_target_history(&mut walk.path_hist, entry.target);
+                        push_target_history(&mut self.walk_path_hist, entry.target);
                         next = entry.target;
                         break;
                     }
                     BranchClass::Call => {
                         self.alt_ras.push(pc.next_inst());
-                        push_target_history(&mut walk.path_hist, entry.target);
+                        push_target_history(&mut self.walk_path_hist, entry.target);
                         next = entry.target;
                         break;
                     }
@@ -457,7 +466,7 @@ impl UcpEngine {
                         walk.weight = walk.weight.saturating_add(1);
                         match self.alt_ras.pop() {
                             Some(ra) => {
-                                push_target_history(&mut walk.path_hist, ra);
+                                push_target_history(&mut self.walk_path_hist, ra);
                                 next = ra;
                             }
                             None => stop = Some(StopReason::BtbMiss),
@@ -468,13 +477,13 @@ impl UcpEngine {
                         match &self.alt_ind {
                             Some(ind) => {
                                 walk.weight = walk.weight.saturating_add(1);
-                                let p = ind.predict(&walk.path_hist, pc);
+                                let p = ind.predict(&self.walk_path_hist, pc);
                                 match p.target.or(Some(entry.target)).filter(|t| !t.is_null()) {
                                     Some(t) => {
                                         if entry.class == BranchClass::IndirectCall {
                                             self.alt_ras.push(pc.next_inst());
                                         }
-                                        push_target_history(&mut walk.path_hist, t);
+                                        push_target_history(&mut self.walk_path_hist, t);
                                         next = t;
                                     }
                                     None => stop = Some(StopReason::Indirect),
@@ -687,8 +696,8 @@ impl UcpEngine {
         w.put_bool(self.walk.is_some());
         if let Some(walk) = &self.walk {
             w.put_addr(walk.pc);
-            walk.hist.save_state(w);
-            walk.path_hist.save_state(w);
+            self.walk_hist.save_state(w);
+            self.walk_path_hist.save_state(w);
             w.put_u32(walk.weight);
             w.put_u32(walk.threshold);
             w.put_u32(walk.insts_since_branch);
@@ -731,16 +740,10 @@ impl UcpEngine {
         self.alt_ras.restore_state(r);
         self.walk = if r.get_bool() {
             let pc = r.get_addr();
-            // HistoryState carries geometry; clone the same-geometry
-            // mirrors and overwrite their contents.
-            let mut hist = self.alt_bp_mirror.clone();
-            hist.restore_state(r);
-            let mut path_hist = self.alt_ind_mirror.clone();
-            path_hist.restore_state(r);
+            self.walk_hist.restore_state(r);
+            self.walk_path_hist.restore_state(r);
             Some(AltWalk {
                 pc,
-                hist,
-                path_hist,
                 weight: r.get_u32(),
                 threshold: r.get_u32(),
                 insts_since_branch: r.get_u32(),

@@ -74,6 +74,8 @@ impl Default for Slot {
 pub struct Btb {
     cfg: BtbConfig,
     sets: usize,
+    /// `banks - 1` when the bank count is a power of two.
+    bank_mask: Option<usize>,
     slots: Vec<Slot>,
     stamp: u64,
     lookups: u64,
@@ -93,6 +95,7 @@ impl Btb {
         assert!(sets.is_power_of_two(), "BTB sets must be a power of two");
         Btb {
             sets,
+            bank_mask: cfg.banks.is_power_of_two().then(|| cfg.banks - 1),
             slots: vec![Slot::default(); cfg.total_entries],
             stamp: 0,
             lookups: 0,
@@ -119,7 +122,11 @@ impl Btb {
     /// The bank an access to `pc` uses (for conflict modelling).
     #[inline]
     pub fn bank_of(&self, pc: Addr) -> usize {
-        ((pc.raw() >> 2) as usize) % self.cfg.banks
+        let i = (pc.raw() >> 2) as usize;
+        match self.bank_mask {
+            Some(mask) => i & mask,
+            None => i % self.cfg.banks,
+        }
     }
 
     /// Looks up `pc`, updating LRU and statistics.
@@ -290,6 +297,20 @@ mod tests {
             b.bank_of(Addr::new(0x1000)),
             b.bank_of(Addr::new(0x1000 + 8 * 4))
         );
+    }
+
+    #[test]
+    fn bank_of_handles_any_bank_count() {
+        for banks in [1, 6, 16, 32] {
+            let b = Btb::new(BtbConfig {
+                total_entries: 64,
+                ways: 4,
+                banks,
+            });
+            for i in 0..200u64 {
+                assert_eq!(b.bank_of(Addr::new(i * 4)), i as usize % banks);
+            }
+        }
     }
 
     #[test]
