@@ -1,13 +1,15 @@
 //! Behaviour lock: pins the serialized machine state and the canonical
-//! statistics of three short runs, so a change meant only to make the
+//! statistics of eight short runs, so a change meant only to make the
 //! simulator faster or smaller cannot silently change what it simulates.
 //!
 //! Each case records the state digest halfway through the measured window
 //! (when branch records, checkpoints and queues are all in flight), the
 //! final state digest, and an FNV-1a hash of the canonical `SimStats`
-//! JSON. The EP++ case also moves the machine through a
+//! JSON. The `round-trip` cases also move the machine through a
 //! `save_state`/`restore_from_bytes` round trip at the halfway point and
-//! finishes the run on the restored copy.
+//! finish the run on the restored copy, so between them they cover the
+//! state codec of every prefetcher, the MRC, UCP without its alternate
+//! indirect predictor and the machine without a µ-op cache.
 //!
 //! After an intended model change, regenerate with
 //! `UCP_UPDATE_GOLDEN=1 cargo test --test behaviour_lock`.
@@ -70,12 +72,16 @@ fn run_case(label: &str, spec_name: &str, cfg: &SimConfig, round_trip: bool) -> 
     )
 }
 
+fn with_prefetcher(prefetcher: PrefetcherKind) -> SimConfig {
+    SimConfig {
+        prefetcher,
+        ..SimConfig::baseline()
+    }
+}
+
 #[test]
 fn short_runs_match_their_golden_fingerprints() {
-    let ep = SimConfig {
-        prefetcher: PrefetcherKind::EpPlusPlus,
-        ..SimConfig::baseline()
-    };
+    let ep = with_prefetcher(PrefetcherKind::EpPlusPlus);
     let lines = [
         run_case(
             "crypto02/baseline",
@@ -85,6 +91,39 @@ fn short_runs_match_their_golden_fingerprints() {
         ),
         run_case("srv04/ucp", "srv04", &SimConfig::ucp(), false),
         run_case("srv04/ep++/round-trip", "srv04", &ep, true),
+        run_case(
+            "srv04/fnl-mma++/round-trip",
+            "srv04",
+            &with_prefetcher(PrefetcherKind::FnlMmaPlusPlus),
+            true,
+        ),
+        run_case(
+            "srv04/d-jolt/round-trip",
+            "srv04",
+            &with_prefetcher(PrefetcherKind::DJolt),
+            true,
+        ),
+        run_case(
+            "srv04/mrc-256e/round-trip",
+            "srv04",
+            &SimConfig {
+                mrc_entries: Some(256),
+                ..SimConfig::baseline()
+            },
+            true,
+        ),
+        run_case(
+            "srv04/ucp-no-ind/round-trip",
+            "srv04",
+            &SimConfig::ucp_no_ind(),
+            true,
+        ),
+        run_case(
+            "crypto02/no-uop-cache/round-trip",
+            "crypto02",
+            &SimConfig::no_uop_cache(),
+            true,
+        ),
     ];
     let rendered = format!("{{\n{}\n}}\n", lines.join(",\n"));
     if std::env::var("UCP_UPDATE_GOLDEN").is_ok() {
