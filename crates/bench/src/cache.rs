@@ -9,6 +9,6 @@
 //! unaffected.
 
 pub use ucp_telemetry::envelope::{
-    fnv1a, quarantine, read_envelope, read_envelope_bytes, write_atomic, write_atomic_bytes,
+    quarantine, read_envelope, read_envelope_bytes, write_atomic, write_atomic_bytes,
     write_envelope, write_envelope_bytes, CacheReadError, CACHE_SCHEMA,
 };

@@ -2,6 +2,7 @@
 //! result cache, host-side self-profiling, and formatting.
 
 use crate::cache::{quarantine, read_envelope, write_envelope, CacheReadError};
+use sim_isa::fnv1a64;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -98,8 +99,6 @@ fn cache_dir() -> PathBuf {
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("target/ucp-results"))
 }
-
-use crate::cache::fnv1a;
 
 /// A suite's results plus how the run got them: complete or degraded,
 /// fresh or resumed. Derefs to the *successful* results (in suite order),
@@ -256,7 +255,7 @@ pub fn suite_run_with_cache(
     let cfg_json = serde_json::to_string(cfg).expect("config serializes");
     let names: Vec<&str> = suite.iter().map(|s| s.name.as_str()).collect();
     let key = format!("{cfg_json}|{names:?}|{warmup}|{measure}|iv{interval}");
-    let key = format!("{:016x}", fnv1a(key.as_bytes()));
+    let key = format!("{:016x}", fnv1a64(key.as_bytes()));
     let combined = dir.join(format!("{key}.json"));
     let partial_dir = dir.join(format!("partial-{key}"));
 
@@ -638,8 +637,8 @@ mod tests {
 
     #[test]
     fn fnv_distinguishes() {
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
-        assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
+        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+        assert_eq!(fnv1a64(b"abc"), fnv1a64(b"abc"));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use sim_isa::Addr;
 /// reports for the TAGE base predictor.
 #[derive(Clone, Debug)]
 pub struct Bimodal {
-    ctrs: Vec<i8>,
+    ctrs: Box<[i8]>,
     mask: u64,
 }
 
@@ -21,7 +21,7 @@ impl Bimodal {
         assert!((1..=24).contains(&log_entries));
         let n = 1usize << log_entries;
         Bimodal {
-            ctrs: vec![0; n],
+            ctrs: vec![0; n].into_boxed_slice(),
             mask: (n - 1) as u64,
         }
     }
@@ -65,24 +65,9 @@ impl Bimodal {
     pub fn storage_bits(&self) -> u64 {
         self.ctrs.len() as u64 * 2
     }
-
-    /// Serializes the counter table (checkpoint path).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.ctrs.len());
-        for &c in &self.ctrs {
-            w.put_i8(c);
-        }
-    }
-
-    /// Restores counters written by [`Bimodal::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.ctrs.len(), "bimodal geometry mismatch");
-        for c in &mut self.ctrs {
-            *c = r.get_i8();
-        }
-    }
 }
+
+sim_isa::state_fields!(Bimodal { ctrs } skip { mask });
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,7 @@
 //! pointer are rewritten before they are ever read back.
 
 use serde::Serialize;
+use sim_isa::State;
 
 /// Capacity of the circular history buffer in bits. Must exceed the longest
 /// history length plus the deepest speculative run-ahead.
@@ -327,78 +328,75 @@ impl HistoryState {
     }
 }
 
-impl<const N: usize> HistCheckpoint<N> {
-    /// Serializes the checkpoint (whole-simulation checkpoint path; the
-    /// pipeline keeps checkpoints inside in-flight branch records). The
-    /// fold slots are zero-padded to [`MAX_FOLDS`], so the bytes do not
-    /// depend on `N`.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_u64(self.ptr);
-        w.put_u8(self.n);
-        for &c in &self.comps {
-            w.put_u32(c);
-        }
-        for _ in N..MAX_FOLDS {
-            w.put_u32(0);
-        }
+/// The serialized form always carries [`MAX_FOLDS`] fold slots, the
+/// ones past `N` zero, so the bytes do not depend on how many slots a
+/// record keeps in memory.
+impl<const N: usize> State for HistCheckpoint<N> {
+    fn save_state(&self, w: &mut sim_isa::StateWriter) {
+        let HistCheckpoint { ptr, n, comps } = self;
+        ptr.save_state(w);
+        n.save_state(w);
+        comps.save_state(w);
+        [0u32; MAX_FOLDS][N..].save_state(w);
     }
 
-    /// Decodes a checkpoint written by [`HistCheckpoint::save_state`].
-    ///
     /// # Panics
     ///
-    /// Panics if the checkpoint holds more live folds than `N`.
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
+    /// Panics if the checkpoint holds more live folds than `N`, or if a
+    /// padding slot is non-zero.
+    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
         const { assert!(N <= MAX_FOLDS, "checkpoint wider than MAX_FOLDS") };
-        let ptr = r.get_u64();
-        let n = r.get_u8();
+        let HistCheckpoint { ptr, n, comps } = self;
+        ptr.restore_state(r);
+        n.restore_state(r);
         assert!(
-            usize::from(n) <= N,
+            usize::from(*n) <= N,
             "checkpoint state corrupt: {n} folds in a {N}-slot checkpoint"
         );
-        let mut comps = [0u32; N];
-        for c in &mut comps {
-            *c = r.get_u32();
-        }
+        comps.restore_state(r);
         for _ in N..MAX_FOLDS {
             let pad = r.get_u32();
-            debug_assert_eq!(pad, 0, "checkpoint fold padding must be zero");
+            assert_eq!(pad, 0, "checkpoint state corrupt: non-zero fold padding");
         }
-        HistCheckpoint { ptr, n, comps }
     }
 }
 
-impl HistoryState {
-    /// Serializes the mutable state (bit buffer, write pointer, folded
-    /// registers). Geometry (fold specs) is not written: a restore target
-    /// must be constructed with the same specs, which the fold-count
-    /// assertion below cross-checks.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_u64(self.ptr);
-        w.put_usize(self.bits.len());
-        for &word in self.bits.iter() {
-            w.put_u64(word);
-        }
-        w.put_usize(self.n);
-        for &c in &self.comps[..self.n] {
-            w.put_u32(c);
-        }
+/// The write pointer, the bit buffer as a fixed table, then the live
+/// folds as a length-prefixed table: only the first `n` slots of the
+/// fold array. Fold specs are geometry, rebuilt from the config.
+impl State for HistoryState {
+    fn save_state(&self, w: &mut sim_isa::StateWriter) {
+        let HistoryState {
+            bits,
+            ptr,
+            n,
+            comps,
+            shapes: _,
+            groups: _,
+            max_olen: _,
+        } = self;
+        ptr.save_state(w);
+        bits.len().save_state(w);
+        bits.save_state(w);
+        n.save_state(w);
+        comps[..*n].save_state(w);
     }
 
-    /// Restores state written by [`HistoryState::save_state`] into a
-    /// same-geometry history.
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        self.ptr = r.get_u64();
-        let nb = r.get_usize();
-        assert_eq!(nb, self.bits.len(), "history buffer geometry mismatch");
-        for word in self.bits.iter_mut() {
-            *word = r.get_u64();
-        }
-        let nf = r.get_usize();
-        assert_eq!(nf, self.n, "history fold-count mismatch");
-        for c in &mut self.comps[..nf] {
-            *c = r.get_u32();
-        }
+    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
+        let HistoryState {
+            bits,
+            ptr,
+            n,
+            comps,
+            shapes: _,
+            groups: _,
+            max_olen: _,
+        } = self;
+        ptr.restore_state(r);
+        sim_isa::state::restore_geometry(&bits.len(), r, "history buffer words");
+        bits.restore_state(r);
+        sim_isa::state::restore_geometry(n, r, "history fold count");
+        comps[..*n].restore_state(r);
     }
 }
 
@@ -541,7 +539,8 @@ mod tests {
         h.checkpoint_sized::<3>().save_state(&mut sized);
         assert_eq!(full.bytes(), sized.bytes());
         let mut r = sim_isa::StateReader::new(full.bytes());
-        let back = HistCheckpoint::<3>::load_state(&mut r);
+        let mut back = HistCheckpoint::<3>::default();
+        back.restore_state(&mut r);
         r.finish();
         for _ in 0..10 {
             h.push(true);
@@ -550,6 +549,19 @@ mod tests {
         let mut again = sim_isa::StateWriter::new();
         h.checkpoint().save_state(&mut again);
         assert_eq!(again.bytes(), full.bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint state corrupt: non-zero fold padding")]
+    fn checkpoint_restore_rejects_nonzero_padding() {
+        let mut w = sim_isa::StateWriter::new();
+        HistoryState::new(&specs()).checkpoint().save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        // The last byte belongs to the final padding slot of a 3-slot
+        // checkpoint.
+        *bytes.last_mut().unwrap() = 1;
+        let mut cp = HistCheckpoint::<3>::default();
+        cp.restore_state(&mut sim_isa::StateReader::new(&bytes));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! at 4 KB as UCP's alternate-path indirect predictor (Alt-Ind).
 
 use crate::history::{FoldSpec, HistoryState};
+use sim_isa::state::Tables;
 use sim_isa::Addr;
 
 /// Upper bound on tagged tables.
@@ -88,7 +89,7 @@ struct BaseEntry {
 }
 
 /// One ITTAGE prediction, kept for the update.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct IttagePrediction {
     /// Predicted target, if any component has one.
     pub target: Option<Addr>,
@@ -108,8 +109,8 @@ pub struct IttagePrediction {
 pub struct Ittage {
     params: IttageParams,
     /// All tagged tables back to back, `1 << log_entries` entries each.
-    tables: Vec<IttEntry>,
-    base: Vec<BaseEntry>,
+    tables: Tables<IttEntry>,
+    base: Box<[BaseEntry]>,
     lfsr: u32,
     updates: u64,
 }
@@ -133,8 +134,12 @@ impl Ittage {
         assert_eq!(params.hist_len.len(), params.num_tables);
         assert!(params.num_tables <= MAX_ITT_TABLES);
         Ittage {
-            tables: vec![IttEntry::default(); params.num_tables << params.log_entries],
-            base: vec![BaseEntry::default(); 1 << params.log_base],
+            tables: Tables::new(
+                params.num_tables,
+                1 << params.log_entries,
+                IttEntry::default(),
+            ),
+            base: vec![BaseEntry::default(); 1 << params.log_base].into_boxed_slice(),
             lfsr: 0xBEEF_5678,
             updates: 0,
             params,
@@ -237,7 +242,7 @@ impl Ittage {
     pub fn update(&mut self, _pc: Addr, pred: &IttagePrediction, actual: Addr) {
         self.updates += 1;
         if self.updates.is_multiple_of(64 * 1024) {
-            for e in &mut self.tables {
+            for e in self.tables.iter_mut() {
                 e.u >>= 1;
             }
         }
@@ -318,101 +323,12 @@ impl Ittage {
     pub fn storage_kb(&self) -> f64 {
         self.storage_bits() as f64 / 8192.0
     }
-
-    /// Serializes the mutable state (tagged tables, base table, allocator
-    /// LFSR, update counter).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        let per_table = 1usize << self.params.log_entries;
-        w.put_usize(self.params.num_tables);
-        for t in self.tables.chunks(per_table) {
-            w.put_usize(t.len());
-            for e in t {
-                w.put_u16(e.tag);
-                w.put_addr(e.target);
-                w.put_u8(e.ctr);
-                w.put_u8(e.u);
-            }
-        }
-        w.put_usize(self.base.len());
-        for b in &self.base {
-            w.put_addr(b.target);
-            w.put_u8(b.ctr);
-        }
-        w.put_u32(self.lfsr);
-        w.put_u64(self.updates);
-    }
-
-    /// Restores state written by [`Ittage::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let per_table = 1usize << self.params.log_entries;
-        let nt = r.get_usize();
-        assert_eq!(nt, self.params.num_tables, "ITTAGE table-count mismatch");
-        for t in self.tables.chunks_mut(per_table) {
-            let ne = r.get_usize();
-            assert_eq!(ne, t.len(), "ITTAGE table geometry mismatch");
-            for e in t.iter_mut() {
-                e.tag = r.get_u16();
-                e.target = r.get_addr();
-                e.ctr = r.get_u8();
-                e.u = r.get_u8();
-            }
-        }
-        let nb = r.get_usize();
-        assert_eq!(nb, self.base.len(), "ITTAGE base geometry mismatch");
-        for b in &mut self.base {
-            b.target = r.get_addr();
-            b.ctr = r.get_u8();
-        }
-        self.lfsr = r.get_u32();
-        self.updates = r.get_u64();
-    }
 }
 
-impl IttagePrediction {
-    /// Serializes a prediction held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        match self.target {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_addr(t);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_i8(self.provider);
-        w.put_u8(self.ctr);
-        for i in self.indices {
-            w.put_u16(i);
-        }
-        for t in self.tags {
-            w.put_u16(t);
-        }
-        w.put_u32(self.base_idx);
-    }
-
-    /// Decodes a prediction written by [`IttagePrediction::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        let target = r.get_bool().then(|| r.get_addr());
-        let provider = r.get_i8();
-        let ctr = r.get_u8();
-        let mut indices = [0u16; MAX_ITT_TABLES];
-        for i in &mut indices {
-            *i = r.get_u16();
-        }
-        let mut tags = [0u16; MAX_ITT_TABLES];
-        for t in &mut tags {
-            *t = r.get_u16();
-        }
-        let base_idx = r.get_u32();
-        IttagePrediction {
-            target,
-            provider,
-            ctr,
-            indices,
-            tags,
-            base_idx,
-        }
-    }
-}
+sim_isa::state_fields!(Ittage { tables, base, lfsr, updates } skip { params });
+sim_isa::state_fields!(IttEntry { tag, target, ctr, u } skip {});
+sim_isa::state_fields!(BaseEntry { target, ctr } skip {});
+sim_isa::state_fields!(IttagePrediction { target, provider, ctr, indices, tags, base_idx } skip {});
 
 #[cfg(test)]
 mod tests {

@@ -28,7 +28,7 @@ struct LoopEntry {
 }
 
 /// A loop-prediction result, kept for the update.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoopPrediction {
     /// A confident entry produced a prediction.
     pub hit: bool,
@@ -46,7 +46,7 @@ pub struct LoopPrediction {
 /// speculative-iteration simplification.
 #[derive(Clone, Debug)]
 pub struct LoopPredictor {
-    entries: Vec<LoopEntry>,
+    entries: Box<[LoopEntry]>,
     sets: usize,
     ways: usize,
     /// Usefulness of the loop predictor vs TAGE (`WITHLOOP`).
@@ -63,7 +63,7 @@ impl LoopPredictor {
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets.is_power_of_two() && sets > 0 && ways > 0);
         LoopPredictor {
-            entries: vec![LoopEntry::default(); sets * ways],
+            entries: vec![LoopEntry::default(); sets * ways].into_boxed_slice(),
             sets,
             ways,
             with_loop: -1,
@@ -204,62 +204,11 @@ impl LoopPredictor {
     pub fn storage_bits(&self) -> u64 {
         (self.sets * self.ways) as u64 * 54 + 4
     }
-
-    /// Serializes the mutable state (entries, `WITHLOOP`, allocation tick).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.entries.len());
-        for e in &self.entries {
-            w.put_u16(e.tag);
-            w.put_bool(e.valid);
-            w.put_u16(e.past_iter);
-            w.put_u16(e.curr_iter);
-            w.put_u8(e.conf);
-            w.put_u8(e.age);
-            w.put_bool(e.dir);
-        }
-        w.put_i8(self.with_loop);
-        w.put_u8(self.tick);
-    }
-
-    /// Restores state written by [`LoopPredictor::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.entries.len(), "loop-predictor geometry mismatch");
-        for e in &mut self.entries {
-            e.tag = r.get_u16();
-            e.valid = r.get_bool();
-            e.past_iter = r.get_u16();
-            e.curr_iter = r.get_u16();
-            e.conf = r.get_u8();
-            e.age = r.get_u8();
-            e.dir = r.get_bool();
-        }
-        self.with_loop = r.get_i8();
-        self.tick = r.get_u8();
-    }
 }
 
-impl LoopPrediction {
-    /// Serializes a prediction held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_bool(self.hit);
-        w.put_bool(self.taken);
-        w.put_u8(self.conf);
-        w.put_u16(self.set);
-        w.put_u8(self.way);
-    }
-
-    /// Decodes a prediction written by [`LoopPrediction::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        LoopPrediction {
-            hit: r.get_bool(),
-            taken: r.get_bool(),
-            conf: r.get_u8(),
-            set: r.get_u16(),
-            way: r.get_u8(),
-        }
-    }
-}
+sim_isa::state_fields!(LoopPredictor { entries, with_loop, tick } skip { sets, ways });
+sim_isa::state_fields!(LoopEntry { tag, valid, past_iter, curr_iter, conf, age, dir } skip {});
+sim_isa::state_fields!(LoopPrediction { hit, taken, conf, set, way } skip {});
 
 #[cfg(test)]
 mod tests {

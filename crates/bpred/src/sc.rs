@@ -3,6 +3,7 @@
 //! it is strong.
 
 use crate::history::{FoldSpec, HistoryState};
+use sim_isa::state::Tables;
 use sim_isa::Addr;
 
 /// Upper bound on SC tables.
@@ -68,7 +69,7 @@ impl ScParams {
 }
 
 /// One SC decision, kept by the pipeline for the update.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ScPrediction {
     /// Signed sum of the adder tree (TAGE-biased); the paper's Fig. 6b
     /// buckets its absolute value.
@@ -87,8 +88,8 @@ pub struct ScPrediction {
 pub struct Sc {
     params: ScParams,
     /// All GEHL tables back to back, `1 << log_entries` counters each.
-    tables: Vec<i8>,
-    bias: Vec<i8>,
+    tables: Tables<i8>,
+    bias: Box<[i8]>,
     /// Dynamic use threshold.
     thr: i32,
     /// Threshold-training counter.
@@ -105,8 +106,8 @@ impl Sc {
         assert_eq!(params.hist_len.len(), params.num_tables);
         assert!(params.num_tables <= MAX_SC_TABLES);
         Sc {
-            tables: vec![0; params.num_tables << params.log_entries],
-            bias: vec![0; 1 << params.log_bias],
+            tables: Tables::new(params.num_tables, 1 << params.log_entries, 0),
+            bias: vec![0; 1 << params.log_bias].into_boxed_slice(),
             thr: 12,
             tc: 0,
             params,
@@ -208,77 +209,8 @@ impl Sc {
     }
 }
 
-impl Sc {
-    /// Serializes the mutable state (GEHL tables, bias table, dynamic
-    /// threshold).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.params.num_tables);
-        for t in self.tables.chunks(1 << self.params.log_entries) {
-            w.put_usize(t.len());
-            for &c in t {
-                w.put_i8(c);
-            }
-        }
-        w.put_usize(self.bias.len());
-        for &b in &self.bias {
-            w.put_i8(b);
-        }
-        w.put_i32(self.thr);
-        w.put_i8(self.tc);
-    }
-
-    /// Restores state written by [`Sc::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let nt = r.get_usize();
-        assert_eq!(nt, self.params.num_tables, "SC table-count mismatch");
-        for t in self.tables.chunks_mut(1 << self.params.log_entries) {
-            let ne = r.get_usize();
-            assert_eq!(ne, t.len(), "SC table geometry mismatch");
-            for c in t.iter_mut() {
-                *c = r.get_i8();
-            }
-        }
-        let nb = r.get_usize();
-        assert_eq!(nb, self.bias.len(), "SC bias geometry mismatch");
-        for b in &mut self.bias {
-            *b = r.get_i8();
-        }
-        self.thr = r.get_i32();
-        self.tc = r.get_i8();
-    }
-}
-
-impl ScPrediction {
-    /// Serializes a prediction held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_i32(self.sum);
-        w.put_bool(self.taken);
-        w.put_bool(self.used);
-        for i in self.indices {
-            w.put_u16(i);
-        }
-        w.put_u32(self.bias_idx);
-    }
-
-    /// Decodes a prediction written by [`ScPrediction::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        let sum = r.get_i32();
-        let taken = r.get_bool();
-        let used = r.get_bool();
-        let mut indices = [0u16; MAX_SC_TABLES];
-        for i in &mut indices {
-            *i = r.get_u16();
-        }
-        let bias_idx = r.get_u32();
-        ScPrediction {
-            sum,
-            taken,
-            used,
-            indices,
-            bias_idx,
-        }
-    }
-}
+sim_isa::state_fields!(Sc { tables, bias, thr, tc } skip { params });
+sim_isa::state_fields!(ScPrediction { sum, taken, used, indices, bias_idx } skip {});
 
 #[inline]
 fn bump6(c: i8, taken: bool) -> i8 {

@@ -9,6 +9,7 @@
 
 use crate::bimodal::Bimodal;
 use crate::history::{FoldSpec, HistoryState};
+use sim_isa::state::Tables;
 use sim_isa::Addr;
 
 /// Upper bound on tagged tables (fixed-size arrays in [`TagePrediction`]).
@@ -102,9 +103,10 @@ struct TageEntry {
 }
 
 /// Which component of TAGE provided the final direction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TageProvider {
     /// No tagged match (or the alternate fell through to bimodal).
+    #[default]
     Bimodal,
     /// Longest tag match provided the prediction.
     Hit,
@@ -114,7 +116,7 @@ pub enum TageProvider {
 
 /// Everything about one TAGE prediction, kept by the pipeline and passed
 /// back to [`Tage::update`] at branch resolution.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TagePrediction {
     /// Final predicted direction.
     pub taken: bool,
@@ -162,7 +164,7 @@ pub struct Tage {
     params: TageParams,
     bimodal: Bimodal,
     /// All tagged tables back to back, `1 << log_entries` entries each.
-    tables: Vec<TageEntry>,
+    tables: Tables<TageEntry>,
     use_alt_on_na: i8,
     lfsr: u32,
     updates: u64,
@@ -180,7 +182,11 @@ impl Tage {
         assert!(params.tag_bits >= 2 && params.tag_bits <= 15);
         Tage {
             bimodal: Bimodal::new(params.log_bimodal),
-            tables: vec![TageEntry::default(); params.num_tables << params.log_entries],
+            tables: Tables::new(
+                params.num_tables,
+                1 << params.log_entries,
+                TageEntry::default(),
+            ),
             use_alt_on_na: 0,
             lfsr: 0xACE1_1234,
             updates: 0,
@@ -308,7 +314,7 @@ impl Tage {
     pub fn update(&mut self, pc: Addr, pred: &TagePrediction, taken: bool) {
         self.updates += 1;
         if self.updates.is_multiple_of(self.params.u_reset_period) {
-            for e in &mut self.tables {
+            for e in self.tables.iter_mut() {
                 e.u >>= 1;
             }
         }
@@ -398,113 +404,13 @@ impl Tage {
     }
 }
 
-impl Tage {
-    /// Serializes the mutable state (tables, bimodal, allocator LFSR,
-    /// update counter). Geometry is reconstructed from params, not stored.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        self.bimodal.save_state(w);
-        w.put_usize(self.params.num_tables);
-        for t in self.tables.chunks(1 << self.params.log_entries) {
-            w.put_usize(t.len());
-            for e in t {
-                w.put_i8(e.ctr);
-                w.put_u16(e.tag);
-                w.put_u8(e.u);
-                w.put_bool(e.valid);
-            }
-        }
-        w.put_i8(self.use_alt_on_na);
-        w.put_u32(self.lfsr);
-        w.put_u64(self.updates);
-    }
-
-    /// Restores state written by [`Tage::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        self.bimodal.restore_state(r);
-        let nt = r.get_usize();
-        assert_eq!(nt, self.params.num_tables, "TAGE table-count mismatch");
-        for t in self.tables.chunks_mut(1 << self.params.log_entries) {
-            let ne = r.get_usize();
-            assert_eq!(ne, t.len(), "TAGE table geometry mismatch");
-            for e in t.iter_mut() {
-                e.ctr = r.get_i8();
-                e.tag = r.get_u16();
-                e.u = r.get_u8();
-                e.valid = r.get_bool();
-            }
-        }
-        self.use_alt_on_na = r.get_i8();
-        self.lfsr = r.get_u32();
-        self.updates = r.get_u64();
-    }
-}
-
-impl TagePrediction {
-    /// Serializes a prediction held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_bool(self.taken);
-        w.put_u8(match self.provider {
-            TageProvider::Bimodal => 0,
-            TageProvider::Hit => 1,
-            TageProvider::Alt => 2,
-        });
-        w.put_i8(self.provider_ctr);
-        w.put_i8(self.hit_bank);
-        w.put_i8(self.alt_bank);
-        w.put_bool(self.hit_taken);
-        w.put_bool(self.alt_taken);
-        w.put_bool(self.bim_taken);
-        w.put_i8(self.bim_ctr);
-        w.put_bool(self.newly_alloc);
-        for i in self.indices {
-            w.put_u16(i);
-        }
-        for t in self.tags {
-            w.put_u16(t);
-        }
-    }
-
-    /// Decodes a prediction written by [`TagePrediction::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        let taken = r.get_bool();
-        let provider = match r.get_u8() {
-            0 => TageProvider::Bimodal,
-            1 => TageProvider::Hit,
-            2 => TageProvider::Alt,
-            b => panic!("checkpoint state corrupt: TAGE provider {b}"),
-        };
-        let provider_ctr = r.get_i8();
-        let hit_bank = r.get_i8();
-        let alt_bank = r.get_i8();
-        let hit_taken = r.get_bool();
-        let alt_taken = r.get_bool();
-        let bim_taken = r.get_bool();
-        let bim_ctr = r.get_i8();
-        let newly_alloc = r.get_bool();
-        let mut indices = [0u16; MAX_TABLES];
-        for i in &mut indices {
-            *i = r.get_u16();
-        }
-        let mut tags = [0u16; MAX_TABLES];
-        for t in &mut tags {
-            *t = r.get_u16();
-        }
-        TagePrediction {
-            taken,
-            provider,
-            provider_ctr,
-            hit_bank,
-            alt_bank,
-            hit_taken,
-            alt_taken,
-            bim_taken,
-            bim_ctr,
-            newly_alloc,
-            indices,
-            tags,
-        }
-    }
-}
+sim_isa::state_fields!(Tage { bimodal, tables, use_alt_on_na, lfsr, updates } skip { params });
+sim_isa::state_fields!(TageEntry { ctr, tag, u, valid } skip {});
+sim_isa::state_enum!(TageProvider { 0 => Bimodal, 1 => Hit, 2 => Alt });
+sim_isa::state_fields!(TagePrediction {
+    taken, provider, provider_ctr, hit_bank, alt_bank, hit_taken, alt_taken, bim_taken, bim_ctr,
+    newly_alloc, indices, tags,
+} skip {});
 
 #[inline]
 fn bump3(c: i8, taken: bool) -> i8 {

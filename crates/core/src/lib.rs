@@ -41,8 +41,7 @@ pub use experiment::{
 };
 pub use pipeline::{RunOutput, Simulator};
 pub use snapshot::{
-    ckpt_from_env, digest_from_env, CheckpointMeta, CheckpointPolicy, Checkpointable, DigestRecord,
-    CKPT_VERSION,
+    ckpt_from_env, digest_from_env, CheckpointMeta, CheckpointPolicy, DigestRecord, CKPT_VERSION,
 };
 pub use stats::{geomean_speedup_pct, BucketCount, H2pCounts, SimStats, UcpStats};
 pub use ucp::UcpEngine;

@@ -10,10 +10,10 @@
 
 use crate::config::BackendConfig;
 use sim_isa::{DynInst, ExecClass, InstKind};
-use std::collections::VecDeque;
+use ucp_frontend::BoundedQueue;
 
 /// One ROB entry.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RobEntry {
     /// Correct-path position of the instruction.
     pub pos: u64,
@@ -27,7 +27,7 @@ pub struct RobEntry {
 #[derive(Clone, Debug)]
 pub struct Backend {
     cfg: BackendConfig,
-    rob: VecDeque<RobEntry>,
+    rob: BoundedQueue<RobEntry>,
     /// Completion cycle of the last writer of each architectural register.
     reg_avail: [u64; 64],
 }
@@ -36,7 +36,7 @@ impl Backend {
     /// Creates an empty backend.
     pub fn new(cfg: BackendConfig) -> Self {
         Backend {
-            rob: VecDeque::with_capacity(cfg.rob_entries),
+            rob: BoundedQueue::new(cfg.rob_entries),
             reg_avail: [0; 64],
             cfg,
         }
@@ -44,7 +44,7 @@ impl Backend {
 
     /// `true` if another µ-op can be dispatched this cycle.
     pub fn has_space(&self) -> bool {
-        self.rob.len() < self.cfg.rob_entries
+        !self.rob.is_full()
     }
 
     /// Current ROB occupancy.
@@ -97,7 +97,9 @@ impl Backend {
         if let Some(dst) = d.inst.dst {
             self.reg_avail[dst.index()] = complete;
         }
-        self.rob.push_back(RobEntry { pos, complete, rec });
+        self.rob
+            .push(RobEntry { pos, complete, rec })
+            .expect("ROB space was checked on entry");
         complete
     }
 
@@ -110,7 +112,7 @@ impl Backend {
             match self.rob.front() {
                 Some(e) if e.complete <= now => {
                     debug_assert_eq!(e.pos, next_pos + retired as u64, "in-order commit");
-                    self.rob.pop_front();
+                    self.rob.pop();
                     retired += 1;
                 }
                 _ => break,
@@ -123,36 +125,10 @@ impl Backend {
     pub fn head_complete(&self) -> Option<u64> {
         self.rob.front().map(|e| e.complete)
     }
-
-    /// Serializes the ROB and the register scoreboard.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.rob.len());
-        for e in &self.rob {
-            w.put_u64(e.pos);
-            w.put_u64(e.complete);
-            w.put_opt_u64(e.rec);
-        }
-        for &r in &self.reg_avail {
-            w.put_u64(r);
-        }
-    }
-
-    /// Restores state written by [`Backend::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert!(n <= self.cfg.rob_entries, "ROB geometry mismatch");
-        self.rob.clear();
-        for _ in 0..n {
-            let pos = r.get_u64();
-            let complete = r.get_u64();
-            let rec = r.get_opt_u64();
-            self.rob.push_back(RobEntry { pos, complete, rec });
-        }
-        for slot in &mut self.reg_avail {
-            *slot = r.get_u64();
-        }
-    }
 }
+
+sim_isa::state_fields!(Backend { rob, reg_avail } skip { cfg });
+sim_isa::state_fields!(RobEntry { pos, complete, rec } skip {});
 
 #[cfg(test)]
 mod tests {

@@ -35,7 +35,9 @@ use crate::stats::{SimStats, UcpStats};
 use crate::ucp::{AltCheckpoints, UcpEngine};
 use backend::Backend;
 use records::RecordRing;
-use sim_isa::{fnv1a64, Addr, BranchClass, DynInst, InstKind, StateReader, StateWriter};
+use serde::{Deserialize, Serialize};
+use sim_isa::state::{restore_configured, save_configured};
+use sim_isa::{fnv1a64, Addr, BranchClass, DynInst, InstKind, State, StateReader, StateWriter};
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -110,16 +112,20 @@ enum Mode {
 }
 
 /// The kind of branch a prediction record tracks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum RecKind {
+    #[default]
     Cond,
-    Indirect { is_call: bool },
+    Indirect {
+        is_call: bool,
+    },
     Return,
 }
 
 /// One in-flight branch prediction. History checkpoints hold only the
 /// live folds of their history; they serialize zero-padded to the full
 /// checkpoint width.
+#[derive(Default)]
 struct PredRecord {
     pc: Addr,
     kind: RecKind,
@@ -145,7 +151,7 @@ struct PredRecord {
 const MAX_BLOCK_RECS: usize = 4;
 
 /// One FTQ fetch block (≤ 8 instructions inside one 32 B window).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct FetchBlock {
     start: Addr,
     n: u8,
@@ -171,7 +177,7 @@ impl FetchBlock {
 }
 
 /// One µ-op waiting to dispatch.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct UopQEntry {
     /// Correct-path position (`None` = wrong path, squashed at dispatch).
     pos: Option<u64>,
@@ -183,6 +189,7 @@ struct UopQEntry {
 /// the simulator (not on `run_full`'s stack) so that a checkpoint taken
 /// mid-window carries them, and a restored run closes the window against
 /// the *original* baselines — bit-identical to an uninterrupted run.
+#[derive(Default)]
 struct MeasureState {
     start_cycle: u64,
     start_committed: u64,
@@ -1740,9 +1747,7 @@ impl<'p> Simulator<'p> {
             // The slug already keys the directory by trajectory; verify
             // anyway — a slug collision must not resume a foreign machine.
             if meta.spec_json == spec_json && meta.cfg_json == cfg_json && meta.seed == spec.seed {
-                let mut r = StateReader::new(&state);
-                self.restore_state(&mut r);
-                r.finish();
+                self.restore_from_bytes(&state);
                 self.last_ckpt_committed = meta.committed;
                 eprintln!(
                     "[ucp-ckpt] resuming {} (seed {}) at {} committed instructions",
@@ -1909,292 +1914,229 @@ impl<'p> Simulator<'p> {
         r.finish();
     }
 
-    fn cause_code(c: CycleCause) -> u8 {
-        CycleCause::ALL
-            .iter()
-            .position(|&x| x == c)
-            .expect("every cause is in ALL") as u8
-    }
-
-    fn cause_from_code(code: u8) -> CycleCause {
-        CycleCause::ALL[code as usize]
-    }
-
-    fn save_rec_kind(w: &mut StateWriter, k: RecKind) {
-        w.put_u8(match k {
-            RecKind::Cond => 0,
-            RecKind::Indirect { is_call: false } => 1,
-            RecKind::Indirect { is_call: true } => 2,
-            RecKind::Return => 3,
-        });
-    }
-
-    fn load_rec_kind(r: &mut StateReader) -> RecKind {
-        match r.get_u8() {
-            0 => RecKind::Cond,
-            1 => RecKind::Indirect { is_call: false },
-            2 => RecKind::Indirect { is_call: true },
-            3 => RecKind::Return,
-            k => panic!("checkpoint state corrupt: record kind {k}"),
-        }
-    }
-
-    fn save_record(w: &mut StateWriter, rec: &PredRecord) {
-        w.put_addr(rec.pc);
-        Self::save_rec_kind(w, rec.kind);
-        w.put_opt_u64(rec.pos);
-        w.put_bool(rec.actual_taken);
-        w.put_addr(rec.actual_next);
-        w.put_bool(rec.mispredicted);
-        w.put_bool(rec.no_target);
-        rec.cp_bp.save_state(w);
-        rec.cp_it.save_state(w);
-        rec.cp_ras.save_state(w);
-        w.put_bool(rec.cp_alt.is_some());
-        if let Some((a, b)) = &rec.cp_alt {
-            a.save_state(w);
-            b.save_state(w);
-        }
-        w.put_bool(rec.scl.is_some());
-        if let Some(p) = &rec.scl {
-            p.save_state(w);
-        }
-        w.put_bool(rec.itt.is_some());
-        if let Some(p) = &rec.itt {
-            p.save_state(w);
-        }
-        w.put_bool(rec.alt_scl.is_some());
-        if let Some(p) = &rec.alt_scl {
-            p.save_state(w);
-        }
-        w.put_bool(rec.alt_itt.is_some());
-        if let Some(p) = &rec.alt_itt {
-            p.save_state(w);
-        }
-        w.put_bool(rec.h2p_tage);
-        w.put_bool(rec.h2p_ucp);
-    }
-
-    fn load_record(r: &mut StateReader) -> PredRecord {
-        PredRecord {
-            pc: r.get_addr(),
-            kind: Self::load_rec_kind(r),
-            pos: r.get_opt_u64(),
-            actual_taken: r.get_bool(),
-            actual_next: r.get_addr(),
-            mispredicted: r.get_bool(),
-            no_target: r.get_bool(),
-            cp_bp: HistCheckpoint::load_state(r),
-            cp_it: HistCheckpoint::load_state(r),
-            cp_ras: RasCheckpoint::load_state(r),
-            cp_alt: r
-                .get_bool()
-                .then(|| (HistCheckpoint::load_state(r), HistCheckpoint::load_state(r))),
-            scl: r.get_bool().then(|| SclPrediction::load_state(r)),
-            itt: r.get_bool().then(|| IttagePrediction::load_state(r)),
-            alt_scl: r.get_bool().then(|| SclPrediction::load_state(r)),
-            alt_itt: r.get_bool().then(|| IttagePrediction::load_state(r)),
-            h2p_tage: r.get_bool(),
-            h2p_ucp: r.get_bool(),
-        }
-    }
-
-    fn save_block(w: &mut StateWriter, b: &FetchBlock) {
-        w.put_addr(b.start);
-        w.put_u8(b.n);
-        w.put_u8(b.n_cond);
-        w.put_opt_u64(b.pos);
-        w.put_u8(b.diverge_at);
-        w.put_opt_u64(b.fetch_ready);
-        w.put_u8(b.n_recs);
-        for &(o, id) in &b.recs {
-            w.put_u8(o);
-            w.put_u64(id);
-        }
-    }
-
-    fn load_block(r: &mut StateReader) -> FetchBlock {
-        let start = r.get_addr();
-        let n = r.get_u8();
-        let n_cond = r.get_u8();
-        let pos = r.get_opt_u64();
-        let diverge_at = r.get_u8();
-        let fetch_ready = r.get_opt_u64();
-        let n_recs = r.get_u8();
-        let mut recs = [(0u8, 0u64); MAX_BLOCK_RECS];
-        for slot in &mut recs {
-            *slot = (r.get_u8(), r.get_u64());
-        }
-        FetchBlock {
-            start,
-            n,
-            n_cond,
-            pos,
-            diverge_at,
-            fetch_ready,
-            recs,
-            n_recs,
-        }
-    }
-
-    /// Serializes the complete mutable machine state, every component in
-    /// declaration order. Geometry and configuration are never written —
-    /// a restore target must be built from the same `SimConfig` and
-    /// workload (asserted where cheap). Container iteration is forced
-    /// into a deterministic order (the resolution heap sorted) so
-    /// identical machines always produce identical bytes. The layout is
-    /// part of `CKPT_VERSION`: a change that only makes the simulator
-    /// faster must leave these bytes unchanged.
+    /// Serializes the complete mutable machine state (the [`State`]
+    /// impl below, callable without importing the trait).
     pub fn save_state(&self, w: &mut StateWriter) {
+        State::save_state(self, w);
+    }
+}
+
+/// A serde value as one length-prefixed JSON string.
+fn save_json<T: Serialize>(v: &T, w: &mut StateWriter) {
+    w.put_str(&serde_json::to_string(v).expect("checkpoint JSON section serializes"));
+}
+
+fn restore_json<T: Deserialize>(r: &mut StateReader, what: &str) -> T {
+    serde_json::from_str(r.get_str())
+        .unwrap_or_else(|e| panic!("checkpoint state corrupt: {what} does not parse: {e:?}"))
+}
+
+sim_isa::state_enum!(Mode { 0 => Stream, 1 => Build });
+sim_isa::state_enum!(RecKind {
+    0 => Cond,
+    1 => Indirect { is_call: false },
+    2 => Indirect { is_call: true },
+    3 => Return,
+});
+sim_isa::state_fields!(PredRecord {
+    pc, kind, pos, actual_taken, actual_next, mispredicted, no_target, cp_bp, cp_it, cp_ras, cp_alt,
+    scl, itt, alt_scl, alt_itt, h2p_tage, h2p_ucp,
+} skip {});
+sim_isa::state_fields!(FetchBlock {
+    start, n, n_cond, pos, diverge_at, fetch_ready, n_recs, recs,
+} skip {});
+sim_isa::state_fields!(UopQEntry { pos, ready, rec } skip {});
+
+/// The registry baseline goes through serde JSON, like the registry.
+impl State for MeasureState {
+    fn save_state(&self, w: &mut StateWriter) {
+        let MeasureState {
+            start_cycle,
+            start_committed,
+            l1i0,
+            ucp0,
+            reg0,
+        } = self;
+        start_cycle.save_state(w);
+        start_committed.save_state(w);
+        l1i0.save_state(w);
+        ucp0.save_state(w);
+        save_json(reg0, w);
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader) {
+        let MeasureState {
+            start_cycle,
+            start_committed,
+            l1i0,
+            ucp0,
+            reg0,
+        } = self;
+        start_cycle.restore_state(r);
+        start_committed.restore_state(r);
+        l1i0.restore_state(r);
+        ucp0.restore_state(r);
+        *reg0 = restore_json(r, "registry baseline");
+    }
+}
+
+/// The whole machine, every component in pipeline order. Hand-written
+/// where the bytes are not the field-list shape: the instruction stream
+/// keeps only the dynamic fields (instructions are rebuilt from the
+/// program), optional components are configuration (asserted, not
+/// created), the resolution heap is written sorted (heap order is
+/// arbitrary for equal keys), and statistics, registry and sampler go
+/// through serde JSON — wide, growing structs whose JSON form already has
+/// a stable field order. Geometry, configuration, checkpoint and watchdog
+/// arming and per-cycle scratch are never written. Save destructures
+/// every field, so a new one does not compile until it is written or
+/// named as skipped; restore mirrors save, and the section marks catch a
+/// drift. The layout is part of `CKPT_VERSION`: a change that only makes
+/// the simulator faster must leave these bytes unchanged.
+impl State for Simulator<'_> {
+    fn save_state(&self, w: &mut StateWriter) {
+        let Simulator {
+            cfg: _,
+            prog: _,
+            oracle,
+            stream,
+            stream_base,
+            now,
+            bp,
+            bp_hist,
+            ittage,
+            it_hist,
+            btb,
+            ras,
+            uop_cache,
+            uop_ideal: _,
+            hier,
+            prefetcher,
+            prefetch_pq,
+            prefetch_drain: _,
+            mrc,
+            mrc_filling,
+            mrc_stream_left,
+            ucp,
+            agen_pc,
+            agen_pos,
+            agen_stall_until,
+            agen_dead,
+            agen_window_penalty,
+            pending_mispredict,
+            demand_btb_banks,
+            ftq,
+            uopq,
+            mode,
+            fetch_stall_until,
+            consec_uop_hits,
+            head_delivered,
+            ideal_brcond_left,
+            demand_uop_banks: _,
+            records,
+            backend,
+            resolve_q,
+            committed,
+            last_commit_cycle,
+            last_retired_pc,
+            measuring,
+            measure_state,
+            stats,
+            tele,
+            sampler,
+            ckpt: _,
+            last_ckpt_committed: _,
+            digest_every: _,
+            last_digest_committed,
+            digests,
+            watchdog: _,
+            hang_injected: _,
+            skew_invariant: _,
+            skew_applied,
+            delivered_uop: _,
+            delivered_decode: _,
+            deliver_blocked: _,
+            agen_stall_kind,
+        } = self;
         w.mark(0x5349_4d30);
-        // Workload state: the oracle RNG and the materialized stream
-        // (instructions are rebuilt from the program on restore).
-        self.oracle.save_state(w);
-        w.put_u64(self.stream_base);
-        w.put_usize(self.stream.len());
-        for d in &self.stream {
-            w.put_addr(d.pc);
-            w.put_addr(d.next_pc);
-            w.put_bool(d.taken);
-            w.put_addr(d.mem_addr);
+        oracle.save_state(w);
+        stream_base.save_state(w);
+        stream.len().save_state(w);
+        for d in stream {
+            d.pc.save_state(w);
+            d.next_pc.save_state(w);
+            d.taken.save_state(w);
+            d.mem_addr.save_state(w);
         }
-        w.put_u64(self.now);
-        // Predictors.
-        self.bp.save_state(w);
-        self.bp_hist.save_state(w);
-        self.ittage.save_state(w);
-        self.it_hist.save_state(w);
-        self.btb.save_state(w);
-        self.ras.save_state(w);
+        now.save_state(w);
+        bp.save_state(w);
+        bp_hist.save_state(w);
+        ittage.save_state(w);
+        it_hist.save_state(w);
+        btb.save_state(w);
+        ras.save_state(w);
         w.mark(0x5349_4d31);
-        // µ-op cache, memory hierarchy, prefetchers, UCP engine.
-        w.put_bool(self.uop_cache.is_some());
-        if let Some(uc) = &self.uop_cache {
-            uc.save_state(w);
-        }
-        self.hier.save_state(w);
-        self.prefetcher.save_state(w);
-        w.put_usize(self.prefetch_pq.len());
-        for &line in self.prefetch_pq.iter() {
-            w.put_addr(line);
-        }
-        w.put_bool(self.mrc.is_some());
-        if let Some(m) = &self.mrc {
-            m.save_state(w);
-        }
-        w.put_bool(self.mrc_filling);
-        w.put_u32(self.mrc_stream_left);
-        w.put_bool(self.ucp.is_some());
-        if let Some(u) = &self.ucp {
-            u.save_state(w);
-        }
+        save_configured(uop_cache.as_ref(), w);
+        hier.save_state(w);
+        prefetcher.save_state(w);
+        prefetch_pq.save_state(w);
+        save_configured(mrc.as_ref(), w);
+        mrc_filling.save_state(w);
+        mrc_stream_left.save_state(w);
+        save_configured(ucp.as_ref(), w);
         w.mark(0x5349_4d32);
-        // Address generation.
-        w.put_addr(self.agen_pc);
-        w.put_opt_u64(self.agen_pos);
-        w.put_u64(self.agen_stall_until);
-        w.put_bool(self.agen_dead);
-        w.put_u32(self.agen_window_penalty);
-        w.put_opt_u64(self.pending_mispredict);
-        w.put_u64(self.demand_btb_banks);
-        w.put_u8(Self::cause_code(self.agen_stall_kind));
-        // FTQ, µ-op queue and delivery state.
-        w.put_usize(self.ftq.len());
-        for b in self.ftq.iter() {
-            Self::save_block(w, b);
-        }
-        w.put_usize(self.uopq.len());
-        for e in self.uopq.iter() {
-            w.put_opt_u64(e.pos);
-            w.put_u64(e.ready);
-            w.put_opt_u64(e.rec);
-        }
-        w.put_u8(match self.mode {
-            Mode::Stream => 0,
-            Mode::Build => 1,
-        });
-        w.put_u64(self.fetch_stall_until);
-        w.put_u32(self.consec_uop_hits);
-        w.put_u8(self.head_delivered);
-        w.put_u32(self.ideal_brcond_left);
-        // In-flight prediction records (sorted by id), then the id order
-        // including resolved records not yet popped.
-        self.records.save_state(w, Self::save_record);
-        // Backend and the resolution calendar (heap iteration order is
-        // arbitrary for equal keys; serialize sorted).
-        self.backend.save_state(w);
-        let mut rq: Vec<(u64, u64)> = self.resolve_q.iter().map(|x| x.0).collect();
+        agen_pc.save_state(w);
+        agen_pos.save_state(w);
+        agen_stall_until.save_state(w);
+        agen_dead.save_state(w);
+        agen_window_penalty.save_state(w);
+        pending_mispredict.save_state(w);
+        demand_btb_banks.save_state(w);
+        agen_stall_kind.save_state(w);
+        ftq.save_state(w);
+        uopq.save_state(w);
+        mode.save_state(w);
+        fetch_stall_until.save_state(w);
+        consec_uop_hits.save_state(w);
+        head_delivered.save_state(w);
+        ideal_brcond_left.save_state(w);
+        records.save_state(w);
+        backend.save_state(w);
+        let mut rq: Vec<(u64, u64)> = resolve_q.iter().map(|x| x.0).collect();
         rq.sort_unstable();
-        w.put_usize(rq.len());
-        for (t, id) in rq {
-            w.put_u64(t);
-            w.put_u64(id);
-        }
+        rq.save_state(w);
         w.mark(0x5349_4d33);
-        // Commit bookkeeping and the measurement window.
-        w.put_u64(self.committed);
-        w.put_u64(self.last_commit_cycle);
-        w.put_opt_u64(self.last_retired_pc.map(Addr::raw));
-        w.put_bool(self.measuring);
-        w.put_bool(self.measure_state.is_some());
-        if let Some(ms) = &self.measure_state {
-            w.put_u64(ms.start_cycle);
-            w.put_u64(ms.start_committed);
-            w.put_u64(ms.l1i0.hits);
-            w.put_u64(ms.l1i0.misses);
-            w.put_u64(ms.l1i0.fills);
-            w.put_u64(ms.l1i0.prefetch_fills);
-            w.put_u64(ms.l1i0.prefetch_useful);
-            w.put_bool(ms.ucp0.is_some());
-            if let Some(u0) = &ms.ucp0 {
-                u0.save_state(w);
-            }
-            w.put_str(&serde_json::to_string(&ms.reg0).expect("snapshot serializes"));
+        committed.save_state(w);
+        last_commit_cycle.save_state(w);
+        last_retired_pc.save_state(w);
+        measuring.save_state(w);
+        measure_state.save_state(w);
+        save_json(stats, w);
+        save_json(&tele.handle.registry.snapshot(), w);
+        w.put_bool(sampler.is_some());
+        if let Some(s) = sampler {
+            save_json(&s.export_state(), w);
         }
-        // Aggregate statistics and the registry contents go through serde
-        // — both are wide, growing structs whose JSON form already has a
-        // stable field order.
-        w.put_str(&serde_json::to_string(&self.stats).expect("stats serialize"));
-        w.put_str(
-            &serde_json::to_string(&self.tele.handle.registry.snapshot())
-                .expect("registry snapshot serializes"),
-        );
-        w.put_bool(self.sampler.is_some());
-        if let Some(s) = &self.sampler {
-            w.put_str(&serde_json::to_string(&s.export_state()).expect("sampler state serializes"));
-        }
-        // Fault-injection progress and the determinism auditor.
-        w.put_bool(self.skew_applied);
-        w.put_u64(self.last_digest_committed);
-        w.put_usize(self.digests.len());
-        for d in &self.digests {
-            w.put_u64(d.committed);
-            w.put_u64(d.cycle);
-            w.put_u64(d.digest);
-        }
+        skew_applied.save_state(w);
+        last_digest_committed.save_state(w);
+        digests.save_state(w);
         w.mark(0x5349_4d34);
     }
 
-    /// Restores state written by [`Simulator::save_state`]. The receiver
-    /// must have been built from the same program, seed and `SimConfig`.
-    ///
     /// # Panics
     ///
     /// Panics on any geometry or configuration mismatch, and on corrupt
     /// or truncated state (the integrity envelope rejects those before
     /// this runs; the suite layer catches the rest at its unwind
     /// boundary).
-    pub fn restore_state(&mut self, r: &mut StateReader) {
+    fn restore_state(&mut self, r: &mut StateReader) {
         r.check(0x5349_4d30);
         self.oracle.restore_state(r);
-        self.stream_base = r.get_u64();
-        let n = r.get_usize();
+        self.stream_base.restore_state(r);
         self.stream.clear();
-        for _ in 0..n {
+        for _ in 0..r.get_usize() {
             let pc = r.get_addr();
-            let next_pc = r.get_addr();
-            let taken = r.get_bool();
-            let mem_addr = r.get_addr();
+            let (next_pc, taken, mem_addr) = (r.get_addr(), r.get_bool(), r.get_addr());
             let inst = *self
                 .prog
                 .inst_at(pc)
@@ -2207,7 +2149,7 @@ impl<'p> Simulator<'p> {
                 mem_addr,
             });
         }
-        self.now = r.get_u64();
+        self.now.restore_state(r);
         self.bp.restore_state(r);
         self.bp_hist.restore_state(r);
         self.ittage.restore_state(r);
@@ -2215,112 +2157,43 @@ impl<'p> Simulator<'p> {
         self.btb.restore_state(r);
         self.ras.restore_state(r);
         r.check(0x5349_4d31);
-        let has_uc = r.get_bool();
-        assert_eq!(
-            has_uc,
-            self.uop_cache.is_some(),
-            "µ-op cache configuration mismatch"
-        );
-        if let Some(uc) = self.uop_cache.as_mut() {
-            uc.restore_state(r);
-        }
+        restore_configured(self.uop_cache.as_mut(), r, "µ-op cache");
         self.hier.restore_state(r);
         self.prefetcher.restore_state(r);
-        let n = r.get_usize();
-        self.prefetch_pq.clear();
-        for _ in 0..n {
-            self.prefetch_pq
-                .push(r.get_addr())
-                .expect("prefetch queue geometry mismatch");
-        }
-        let has_mrc = r.get_bool();
-        assert_eq!(has_mrc, self.mrc.is_some(), "MRC configuration mismatch");
-        if let Some(m) = self.mrc.as_mut() {
-            m.restore_state(r);
-        }
-        self.mrc_filling = r.get_bool();
-        self.mrc_stream_left = r.get_u32();
-        let has_ucp = r.get_bool();
-        assert_eq!(has_ucp, self.ucp.is_some(), "UCP configuration mismatch");
-        if let Some(u) = self.ucp.as_mut() {
-            u.restore_state(r);
-        }
+        self.prefetch_pq.restore_state(r);
+        restore_configured(self.mrc.as_mut(), r, "MRC");
+        self.mrc_filling.restore_state(r);
+        self.mrc_stream_left.restore_state(r);
+        restore_configured(self.ucp.as_mut(), r, "UCP");
         r.check(0x5349_4d32);
-        self.agen_pc = r.get_addr();
-        self.agen_pos = r.get_opt_u64();
-        self.agen_stall_until = r.get_u64();
-        self.agen_dead = r.get_bool();
-        self.agen_window_penalty = r.get_u32();
-        self.pending_mispredict = r.get_opt_u64();
-        self.demand_btb_banks = r.get_u64();
-        self.agen_stall_kind = Self::cause_from_code(r.get_u8());
-        let n = r.get_usize();
-        self.ftq.clear();
-        for _ in 0..n {
-            let b = Self::load_block(r);
-            self.ftq.push(b).expect("FTQ geometry mismatch");
-        }
-        let n = r.get_usize();
-        self.uopq.clear();
-        for _ in 0..n {
-            let e = UopQEntry {
-                pos: r.get_opt_u64(),
-                ready: r.get_u64(),
-                rec: r.get_opt_u64(),
-            };
-            self.uopq.push(e).expect("µ-op queue geometry mismatch");
-        }
-        self.mode = match r.get_u8() {
-            0 => Mode::Stream,
-            1 => Mode::Build,
-            m => panic!("checkpoint state corrupt: mode {m}"),
-        };
-        self.fetch_stall_until = r.get_u64();
-        self.consec_uop_hits = r.get_u32();
-        self.head_delivered = r.get_u8();
-        self.ideal_brcond_left = r.get_u32();
-        self.records.restore_state(r, Self::load_record);
+        self.agen_pc.restore_state(r);
+        self.agen_pos.restore_state(r);
+        self.agen_stall_until.restore_state(r);
+        self.agen_dead.restore_state(r);
+        self.agen_window_penalty.restore_state(r);
+        self.pending_mispredict.restore_state(r);
+        self.demand_btb_banks.restore_state(r);
+        self.agen_stall_kind.restore_state(r);
+        self.ftq.restore_state(r);
+        self.uopq.restore_state(r);
+        self.mode.restore_state(r);
+        self.fetch_stall_until.restore_state(r);
+        self.consec_uop_hits.restore_state(r);
+        self.head_delivered.restore_state(r);
+        self.ideal_brcond_left.restore_state(r);
+        self.records.restore_state(r);
         self.backend.restore_state(r);
-        let n = r.get_usize();
-        self.resolve_q.clear();
-        for _ in 0..n {
-            let t = r.get_u64();
-            let id = r.get_u64();
-            self.resolve_q.push(std::cmp::Reverse((t, id)));
-        }
+        let mut rq: Vec<(u64, u64)> = Vec::new();
+        rq.restore_state(r);
+        self.resolve_q = rq.into_iter().map(std::cmp::Reverse).collect();
         r.check(0x5349_4d33);
-        self.committed = r.get_u64();
-        self.last_commit_cycle = r.get_u64();
-        self.last_retired_pc = r.get_opt_u64().map(Addr::new);
-        self.measuring = r.get_bool();
-        self.measure_state = r.get_bool().then(|| {
-            let start_cycle = r.get_u64();
-            let start_committed = r.get_u64();
-            let l1i0 = CacheStats {
-                hits: r.get_u64(),
-                misses: r.get_u64(),
-                fills: r.get_u64(),
-                prefetch_fills: r.get_u64(),
-                prefetch_useful: r.get_u64(),
-            };
-            let ucp0 = r.get_bool().then(|| {
-                let mut u = UcpStats::default();
-                u.restore_state(r);
-                u
-            });
-            let reg0: RegistrySnapshot =
-                serde_json::from_str(r.get_str()).expect("checkpoint registry baseline parses");
-            MeasureState {
-                start_cycle,
-                start_committed,
-                l1i0,
-                ucp0,
-                reg0,
-            }
-        });
-        self.stats = serde_json::from_str(r.get_str()).expect("checkpoint stats parse");
-        let snap: RegistrySnapshot =
-            serde_json::from_str(r.get_str()).expect("checkpoint registry snapshot parses");
+        self.committed.restore_state(r);
+        self.last_commit_cycle.restore_state(r);
+        self.last_retired_pc.restore_state(r);
+        self.measuring.restore_state(r);
+        self.measure_state.restore_state(r);
+        self.stats = restore_json(r, "stats");
+        let snap: RegistrySnapshot = restore_json(r, "registry snapshot");
         self.tele.handle.registry.restore(&snap);
         let has_sampler = r.get_bool();
         assert_eq!(
@@ -2330,40 +2203,17 @@ impl<'p> Simulator<'p> {
              (UCP_INTERVAL must match the checkpointed run)"
         );
         if let Some(s) = self.sampler.as_mut() {
-            let st = serde_json::from_str(r.get_str()).expect("checkpoint sampler state parses");
-            s.import_state(st);
+            s.import_state(restore_json(r, "sampler state"));
         }
-        self.skew_applied = r.get_bool();
-        self.last_digest_committed = r.get_u64();
-        let n = r.get_usize();
-        self.digests.clear();
-        for _ in 0..n {
-            self.digests.push(DigestRecord {
-                committed: r.get_u64(),
-                cycle: r.get_u64(),
-                digest: r.get_u64(),
-            });
-        }
+        self.skew_applied.restore_state(r);
+        self.last_digest_committed.restore_state(r);
+        self.digests.restore_state(r);
         r.check(0x5349_4d34);
-        // Per-cycle scratch is not serialized (it is dead between cycles
-        // and reset at the top of `cycle()`); clear it defensively.
+        // Per-cycle scratch is dead between cycles and reset at the top of
+        // `cycle()`; clear it defensively.
         self.demand_uop_banks = [false; 2];
         self.delivered_uop = false;
         self.delivered_decode = false;
         self.deliver_blocked = None;
-    }
-}
-
-impl crate::snapshot::Checkpointable for Simulator<'_> {
-    fn component_id(&self) -> &'static str {
-        "simulator"
-    }
-
-    fn save_state(&self, w: &mut StateWriter) {
-        Simulator::save_state(self, w);
-    }
-
-    fn restore_state(&mut self, r: &mut StateReader) {
-        Simulator::restore_state(self, r);
     }
 }

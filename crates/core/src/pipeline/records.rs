@@ -9,7 +9,7 @@
 //! reused, so ids are strictly increasing but not contiguous, and lookups
 //! binary-search.
 
-use sim_isa::{StateReader, StateWriter};
+use sim_isa::{State, StateReader, StateWriter};
 use std::collections::VecDeque;
 
 /// Id-ordered in-flight records: `Some` until resolved, `None` until
@@ -54,50 +54,52 @@ impl<T> RecordRing<T> {
         let keep = self.slots.partition_point(|s| s.0 < id);
         self.slots.truncate(keep);
     }
+}
 
-    /// Serializes the live records sorted by id, then every slot id
-    /// (resolved ones included) oldest first, then the next id.
-    pub(crate) fn save_state(&self, w: &mut StateWriter, save: impl Fn(&mut StateWriter, &T)) {
-        w.put_usize(self.slots.iter().filter(|s| s.1.is_some()).count());
-        for (id, rec) in &self.slots {
-            if let Some(rec) = rec {
-                w.put_u64(*id);
-                save(w, rec);
-            }
+/// The live records with their ids, oldest first, then every slot id
+/// (resolved ones included) oldest first, then the next id — the bytes of
+/// the id-keyed record map and id-order list this ring replaced.
+impl<T: State + Default> State for RecordRing<T> {
+    fn save_state(&self, w: &mut StateWriter) {
+        let RecordRing { slots, next_id } = self;
+        let live = || {
+            slots
+                .iter()
+                .filter_map(|(id, rec)| Some((*id, rec.as_ref()?)))
+        };
+        live().count().save_state(w);
+        for (id, rec) in live() {
+            id.save_state(w);
+            rec.save_state(w);
         }
-        w.put_usize(self.slots.len());
-        for (id, _) in &self.slots {
-            w.put_u64(*id);
+        slots.len().save_state(w);
+        for (id, _) in slots {
+            id.save_state(w);
         }
-        w.put_u64(self.next_id);
+        next_id.save_state(w);
     }
 
-    /// Restores state written by [`RecordRing::save_state`].
-    ///
     /// # Panics
     ///
     /// Panics if a live record's id is missing from the slot order.
-    pub(crate) fn restore_state(
-        &mut self,
-        r: &mut StateReader,
-        load: impl Fn(&mut StateReader) -> T,
-    ) {
-        let n = r.get_usize();
-        let mut live: VecDeque<(u64, T)> = (0..n).map(|_| (r.get_u64(), load(r))).collect();
-        self.slots.clear();
+    fn restore_state(&mut self, r: &mut StateReader) {
+        let RecordRing { slots, next_id } = self;
+        let mut live: VecDeque<(u64, T)> = VecDeque::new();
+        live.restore_state(r);
+        slots.clear();
         for _ in 0..r.get_usize() {
             let id = r.get_u64();
             let rec = match live.front() {
                 Some(&(live_id, _)) if live_id == id => live.pop_front().map(|(_, rec)| rec),
                 _ => None,
             };
-            self.slots.push_back((id, rec));
+            slots.push_back((id, rec));
         }
         assert!(
             live.is_empty(),
             "checkpoint state corrupt: a live branch record is missing from the record order"
         );
-        self.next_id = r.get_u64();
+        next_id.restore_state(r);
     }
 }
 
@@ -147,7 +149,7 @@ mod tests {
             }
         }
 
-        fn save_state(&self, w: &mut StateWriter) {
+        fn encode(&self, w: &mut StateWriter) {
             let mut ids: Vec<u64> = self.records.keys().copied().collect();
             ids.sort_unstable();
             w.put_usize(ids.len());
@@ -165,13 +167,13 @@ mod tests {
 
     fn ring_bytes(ring: &RecordRing<u32>) -> Vec<u8> {
         let mut w = StateWriter::new();
-        ring.save_state(&mut w, |w, &rec| w.put_u32(rec));
+        ring.save_state(&mut w);
         w.into_bytes()
     }
 
     fn model_bytes(model: &MapAndOrder) -> Vec<u8> {
         let mut w = StateWriter::new();
-        model.save_state(&mut w);
+        model.encode(&mut w);
         w.into_bytes()
     }
 
@@ -213,7 +215,7 @@ mod tests {
         let bytes = ring_bytes(&ring);
         let mut back = RecordRing::with_capacity(0);
         let mut r = StateReader::new(&bytes);
-        back.restore_state(&mut r, |r| r.get_u32());
+        back.restore_state(&mut r);
         r.finish();
         assert_eq!(ring_bytes(&back), bytes);
         assert_eq!(back.take(2), Some(1));

@@ -129,51 +129,13 @@ impl UcpStats {
             100.0 * self.late_used as f64 / self.entries_inserted as f64
         }
     }
-
-    /// Serializes every counter, in declaration order.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        for v in [
-            self.walks_started,
-            self.stopped_threshold,
-            self.stopped_btb_miss,
-            self.stopped_indirect,
-            self.stopped_no_branch,
-            self.preempted,
-            self.lines_prefetched,
-            self.entries_inserted,
-            self.timely_used,
-            self.late_used,
-            self.filtered_present,
-            self.btb_conflicts,
-            self.demand_steals,
-            self.alt_decoded_uops,
-        ] {
-            w.put_u64(v);
-        }
-    }
-
-    /// Restores state written by [`UcpStats::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        for slot in [
-            &mut self.walks_started,
-            &mut self.stopped_threshold,
-            &mut self.stopped_btb_miss,
-            &mut self.stopped_indirect,
-            &mut self.stopped_no_branch,
-            &mut self.preempted,
-            &mut self.lines_prefetched,
-            &mut self.entries_inserted,
-            &mut self.timely_used,
-            &mut self.late_used,
-            &mut self.filtered_present,
-            &mut self.btb_conflicts,
-            &mut self.demand_steals,
-            &mut self.alt_decoded_uops,
-        ] {
-            *slot = r.get_u64();
-        }
-    }
 }
+
+sim_isa::state_fields!(UcpStats {
+    walks_started, stopped_threshold, stopped_btb_miss, stopped_indirect, stopped_no_branch,
+    preempted, lines_prefetched, entries_inserted, timely_used, late_used, filtered_present,
+    btb_conflicts, demand_steals, alt_decoded_uops,
+} skip {});
 
 /// Full per-run statistics.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]

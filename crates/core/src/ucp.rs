@@ -16,7 +16,7 @@
 
 use crate::config::{ConfKind, UcpConfig};
 use crate::stats::UcpStats;
-use sim_isa::{Addr, BranchClass};
+use sim_isa::{Addr, BranchClass, State, StateReader, StateWriter};
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
     IttagePrediction, Provider, SclPrediction, SclPreset, TageConf, TageScL, UcpConf,
@@ -32,7 +32,7 @@ use ucp_workloads::Program;
 pub type AltCheckpoints = (HistCheckpoint<ALT_SCL_FOLDS>, HistCheckpoint<ALT_ITT_FOLDS>);
 
 /// A fetch block generated on the alternate path.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AltBlock {
     /// First instruction address.
     pub start: Addr,
@@ -42,16 +42,14 @@ pub struct AltBlock {
     pub trigger: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct PendingPf {
     block: AltBlock,
     ready: u64,
 }
 
-/// The active alternate-path walk. Its histories live on the engine
-/// (`walk_hist`, `walk_path_hist`) so a new walk copies into them instead
-/// of allocating.
-#[derive(Debug)]
+/// An alternate-path walk in progress. Its histories live in [`Walk`].
+#[derive(Debug, Default)]
 struct AltWalk {
     pc: Addr,
     weight: u32,
@@ -60,6 +58,18 @@ struct AltWalk {
     trigger: u64,
     /// 3-bit saturating BTB-conflict delay counter (§IV-C).
     conflict_ctr: u8,
+}
+
+/// The alternate-path walk state. The histories outlive walks, so a new
+/// walk copies into them instead of allocating.
+#[derive(Debug)]
+struct Walk {
+    /// The walk in progress, if any.
+    cur: Option<AltWalk>,
+    /// The walk's conditional history (meaningful while `cur` is set).
+    hist: HistoryState,
+    /// The walk's path history (meaningful while `cur` is set).
+    path_hist: HistoryState,
 }
 
 /// Why a walk ended (maps to [`UcpStats`] counters).
@@ -124,11 +134,7 @@ pub struct UcpEngine {
     alt_ind: Option<Ittage>,
     alt_ind_mirror: HistoryState,
     alt_ras: Ras,
-    walk: Option<AltWalk>,
-    /// The walk's conditional history (meaningful while `walk` is set).
-    walk_hist: HistoryState,
-    /// The walk's path history (meaningful while `walk` is set).
-    walk_path_hist: HistoryState,
+    walk: Walk,
     alt_ftq: BoundedQueue<AltBlock>,
     l1i_pq: BoundedQueue<AltBlock>,
     pending: Vec<PendingPf>,
@@ -156,14 +162,16 @@ impl UcpEngine {
             None => Ittage::new(IttageParams::alt_4k()).new_history(),
         };
         UcpEngine {
-            walk_hist: alt_bp_mirror.clone(),
-            walk_path_hist: alt_ind_mirror.clone(),
+            walk: Walk {
+                cur: None,
+                hist: alt_bp_mirror.clone(),
+                path_hist: alt_ind_mirror.clone(),
+            },
             alt_bp_mirror,
             alt_bp,
             alt_ind,
             alt_ind_mirror,
             alt_ras: Ras::new(16),
-            walk: None,
             alt_ftq: BoundedQueue::new(cfg.alt_ftq_entries),
             l1i_pq: BoundedQueue::new(8),
             pending: Vec::with_capacity(cfg.uop_mshr_entries),
@@ -242,7 +250,7 @@ impl UcpEngine {
         if let Some(t) = actual_target {
             push_target_history(&mut self.alt_ind_mirror, t);
         }
-        self.walk = None;
+        self.walk.cur = None;
         self.alt_ftq.clear();
         // In-flight memory requests complete into the µ-op cache (the
         // lines were requested; fills proceed), mirroring real hardware
@@ -278,7 +286,7 @@ impl UcpEngine {
     /// opposite to the predicted direction of the H2P branch. The current
     /// walk, if any, is preempted (§IV-E case 1).
     pub fn trigger(&mut self, alt_target: Addr, h2p_predicted_taken: bool, main_ras: &Ras) {
-        if self.walk.is_some() {
+        if self.walk.cur.is_some() {
             self.stats.preempted += 1;
             self.tele.walks_preempted.inc();
         }
@@ -303,12 +311,12 @@ impl UcpEngine {
         // we instead clone the mirror and push the *opposite* outcome on
         // top of the pre-branch state, which the caller guarantees by
         // triggering before mirroring the predicted outcome.
-        self.walk_hist.clone_from(&self.alt_bp_mirror);
-        self.walk_hist.push(!h2p_predicted_taken);
-        self.walk_path_hist.clone_from(&self.alt_ind_mirror);
-        push_target_history(&mut self.walk_path_hist, alt_target);
+        self.walk.hist.clone_from(&self.alt_bp_mirror);
+        self.walk.hist.push(!h2p_predicted_taken);
+        self.walk.path_hist.clone_from(&self.alt_ind_mirror);
+        push_target_history(&mut self.walk.path_hist, alt_target);
         self.alt_ras.copy_from(main_ras);
-        self.walk = Some(AltWalk {
+        self.walk.cur = Some(AltWalk {
             pc: alt_target,
             weight: 0,
             threshold: self.cfg.stop_threshold,
@@ -329,7 +337,7 @@ impl UcpEngine {
 
     /// `true` while a walk is generating addresses.
     pub fn walking(&self) -> bool {
-        self.walk.is_some()
+        self.walk.cur.is_some()
     }
 
     fn stop_walk(&mut self, reason: StopReason) {
@@ -343,7 +351,7 @@ impl UcpEngine {
             StopReason::Indirect => self.stats.stopped_indirect += 1,
             StopReason::NoBranch => self.stats.stopped_no_branch += 1,
         }
-        self.walk = None;
+        self.walk.cur = None;
     }
 
     /// One engine cycle: advance the walk by one block, run the tag-check /
@@ -381,11 +389,11 @@ impl UcpEngine {
         demand_btb_banks: u64,
         out: &mut UcpCycleOut,
     ) {
-        let Some(mut walk) = self.walk.take() else {
+        let Some(mut walk) = self.walk.cur.take() else {
             return;
         };
         if self.alt_ftq.is_full() {
-            self.walk = Some(walk);
+            self.walk.cur = Some(walk);
             return;
         }
         // BTB bank arbitration at block granularity: the walk needs the
@@ -408,7 +416,7 @@ impl UcpEngine {
                     walk.conflict_ctr += 1;
                     self.stats.btb_conflicts += 1;
                     self.tele.btb_conflicts.inc();
-                    self.walk = Some(walk);
+                    self.walk.cur = Some(walk);
                     return;
                 }
             }
@@ -437,28 +445,28 @@ impl UcpEngine {
                 walk.insts_since_branch = 0;
                 match entry.class {
                     BranchClass::CondDirect => {
-                        let pred = self.alt_bp.predict(&self.walk_hist, pc);
+                        let pred = self.alt_bp.predict(&self.walk.hist, pc);
                         let w = cond_stop_weight(&pred);
                         walk.weight = walk.weight.saturating_add(w);
                         if w == 1 {
                             // High-confidence branches extend the allowance.
                             walk.threshold = walk.threshold.saturating_add(1);
                         }
-                        self.walk_hist.push(pred.taken);
+                        self.walk.hist.push(pred.taken);
                         if pred.taken {
-                            push_target_history(&mut self.walk_path_hist, entry.target);
+                            push_target_history(&mut self.walk.path_hist, entry.target);
                             next = entry.target;
                             break;
                         }
                     }
                     BranchClass::UncondDirect => {
-                        push_target_history(&mut self.walk_path_hist, entry.target);
+                        push_target_history(&mut self.walk.path_hist, entry.target);
                         next = entry.target;
                         break;
                     }
                     BranchClass::Call => {
                         self.alt_ras.push(pc.next_inst());
-                        push_target_history(&mut self.walk_path_hist, entry.target);
+                        push_target_history(&mut self.walk.path_hist, entry.target);
                         next = entry.target;
                         break;
                     }
@@ -466,7 +474,7 @@ impl UcpEngine {
                         walk.weight = walk.weight.saturating_add(1);
                         match self.alt_ras.pop() {
                             Some(ra) => {
-                                push_target_history(&mut self.walk_path_hist, ra);
+                                push_target_history(&mut self.walk.path_hist, ra);
                                 next = ra;
                             }
                             None => stop = Some(StopReason::BtbMiss),
@@ -477,13 +485,13 @@ impl UcpEngine {
                         match &self.alt_ind {
                             Some(ind) => {
                                 walk.weight = walk.weight.saturating_add(1);
-                                let p = ind.predict(&self.walk_path_hist, pc);
+                                let p = ind.predict(&self.walk.path_hist, pc);
                                 match p.target.or(Some(entry.target)).filter(|t| !t.is_null()) {
                                     Some(t) => {
                                         if entry.class == BranchClass::IndirectCall {
                                             self.alt_ras.push(pc.next_inst());
                                         }
-                                        push_target_history(&mut self.walk_path_hist, t);
+                                        push_target_history(&mut self.walk.path_hist, t);
                                         next = t;
                                     }
                                     None => stop = Some(StopReason::Indirect),
@@ -517,7 +525,7 @@ impl UcpEngine {
         }
         match stop {
             Some(r) => self.stop_walk(r),
-            None => self.walk = Some(walk),
+            None => self.walk.cur = Some(walk),
         }
     }
 
@@ -648,130 +656,56 @@ impl UcpEngine {
             }
         }
     }
+}
 
-    // ---- checkpointing ----
+// Telemetry handles are rebound on attach, not checkpointed.
+sim_isa::state_fields!(UcpEngine {
+    mark(0x7cb0), alt_bp, alt_bp_mirror, configured(alt_ind), alt_ind_mirror, alt_ras, walk,
+    alt_ftq, l1i_pq, pending, decode_q, decode_progress, trigger_seq, recent_triggers, stats,
+    mark(0x7cb1),
+} skip { cfg, tele });
 
-    fn save_block(w: &mut sim_isa::StateWriter, b: &AltBlock) {
-        w.put_addr(b.start);
-        w.put_u8(b.n);
-        w.put_u64(b.trigger);
-    }
-
-    fn load_block(r: &mut sim_isa::StateReader) -> AltBlock {
-        AltBlock {
-            start: r.get_addr(),
-            n: r.get_u8(),
-            trigger: r.get_u64(),
-        }
-    }
-
-    fn save_queue(w: &mut sim_isa::StateWriter, q: &BoundedQueue<AltBlock>) {
-        w.put_usize(q.len());
-        for b in q.iter() {
-            Self::save_block(w, b);
-        }
-    }
-
-    fn restore_queue(r: &mut sim_isa::StateReader, q: &mut BoundedQueue<AltBlock>) {
-        q.clear();
-        for _ in 0..r.get_usize() {
-            let b = Self::load_block(r);
-            q.push(b).expect("alt queue geometry mismatch");
+/// Hand-written: the histories are written only while a walk is in
+/// progress, inside its presence block between its pc and its counters.
+impl State for Walk {
+    fn save_state(&self, w: &mut StateWriter) {
+        let Walk {
+            cur,
+            hist,
+            path_hist,
+        } = self;
+        cur.is_some().save_state(w);
+        if let Some(walk) = cur {
+            walk.pc.save_state(w);
+            hist.save_state(w);
+            path_hist.save_state(w);
+            walk.save_state(w);
         }
     }
 
-    /// Serializes the engine's mutable state: both alternate predictors,
-    /// the predicted-path mirrors, the Alt-RAS, the in-flight walk, and all
-    /// queues. Telemetry handles are rebound on attach, not checkpointed.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.mark(0x7cb0);
-        self.alt_bp.save_state(w);
-        self.alt_bp_mirror.save_state(w);
-        w.put_bool(self.alt_ind.is_some());
-        if let Some(ind) = &self.alt_ind {
-            ind.save_state(w);
-        }
-        self.alt_ind_mirror.save_state(w);
-        self.alt_ras.save_state(w);
-        w.put_bool(self.walk.is_some());
-        if let Some(walk) = &self.walk {
-            w.put_addr(walk.pc);
-            self.walk_hist.save_state(w);
-            self.walk_path_hist.save_state(w);
-            w.put_u32(walk.weight);
-            w.put_u32(walk.threshold);
-            w.put_u32(walk.insts_since_branch);
-            w.put_u64(walk.trigger);
-            w.put_u8(walk.conflict_ctr);
-        }
-        Self::save_queue(w, &self.alt_ftq);
-        Self::save_queue(w, &self.l1i_pq);
-        w.put_usize(self.pending.len());
-        for p in &self.pending {
-            Self::save_block(w, &p.block);
-            w.put_u64(p.ready);
-        }
-        Self::save_queue(w, &self.decode_q);
-        w.put_u32(self.decode_progress);
-        w.put_u64(self.trigger_seq);
-        w.put_usize(self.recent_triggers.len());
-        for &t in &self.recent_triggers {
-            w.put_u64(t);
-        }
-        self.stats.save_state(w);
-        w.mark(0x7cb1);
-    }
-
-    /// Restores state written by [`UcpEngine::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        r.check(0x7cb0);
-        self.alt_bp.restore_state(r);
-        self.alt_bp_mirror.restore_state(r);
-        let has_ind = r.get_bool();
-        assert_eq!(
-            has_ind,
-            self.alt_ind.is_some(),
-            "UCP Alt-Ind configuration mismatch"
-        );
-        if let Some(ind) = self.alt_ind.as_mut() {
-            ind.restore_state(r);
-        }
-        self.alt_ind_mirror.restore_state(r);
-        self.alt_ras.restore_state(r);
-        self.walk = if r.get_bool() {
-            let pc = r.get_addr();
-            self.walk_hist.restore_state(r);
-            self.walk_path_hist.restore_state(r);
-            Some(AltWalk {
-                pc,
-                weight: r.get_u32(),
-                threshold: r.get_u32(),
-                insts_since_branch: r.get_u32(),
-                trigger: r.get_u64(),
-                conflict_ctr: r.get_u8(),
-            })
-        } else {
-            None
-        };
-        Self::restore_queue(r, &mut self.alt_ftq);
-        Self::restore_queue(r, &mut self.l1i_pq);
-        self.pending.clear();
-        for _ in 0..r.get_usize() {
-            let block = Self::load_block(r);
-            let ready = r.get_u64();
-            self.pending.push(PendingPf { block, ready });
-        }
-        Self::restore_queue(r, &mut self.decode_q);
-        self.decode_progress = r.get_u32();
-        self.trigger_seq = r.get_u64();
-        self.recent_triggers.clear();
-        for _ in 0..r.get_usize() {
-            self.recent_triggers.push_back(r.get_u64());
-        }
-        self.stats.restore_state(r);
-        r.check(0x7cb1);
+    fn restore_state(&mut self, r: &mut StateReader) {
+        let Walk {
+            cur,
+            hist,
+            path_hist,
+        } = self;
+        *cur = r.get_bool().then(|| {
+            let mut walk = AltWalk::default();
+            walk.pc.restore_state(r);
+            hist.restore_state(r);
+            path_hist.restore_state(r);
+            walk.restore_state(r);
+            walk
+        });
     }
 }
+
+// The walk's own state, written after its pc and the walk histories.
+sim_isa::state_fields!(AltWalk {
+    weight, threshold, insts_since_branch, trigger, conflict_ctr,
+} skip { pc });
+sim_isa::state_fields!(AltBlock { start, n, trigger } skip {});
+sim_isa::state_fields!(PendingPf { block, ready } skip {});
 
 /// The paper's Table I stopping weights for conditional predictions on the
 /// alternate path.

@@ -76,7 +76,7 @@ pub struct Btb {
     sets: usize,
     /// `banks - 1` when the bank count is a power of two.
     bank_mask: Option<usize>,
-    slots: Vec<Slot>,
+    slots: Box<[Slot]>,
     stamp: u64,
     lookups: u64,
     hits: u64,
@@ -96,7 +96,7 @@ impl Btb {
         Btb {
             sets,
             bank_mask: cfg.banks.is_power_of_two().then(|| cfg.banks - 1),
-            slots: vec![Slot::default(); cfg.total_entries],
+            slots: vec![Slot::default(); cfg.total_entries].into_boxed_slice(),
             stamp: 0,
             lookups: 0,
             hits: 0,
@@ -206,38 +206,10 @@ impl Btb {
     pub fn storage_bits(&self) -> u64 {
         self.cfg.total_entries as u64 * 54
     }
-
-    /// Serializes the mutable state (slots, LRU stamp, hit statistics).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.slots.len());
-        for s in &self.slots {
-            w.put_bool(s.valid);
-            w.put_u32(s.tag);
-            w.put_addr(s.target);
-            w.put_u8(s.class.code());
-            w.put_u64(s.lru);
-        }
-        w.put_u64(self.stamp);
-        w.put_u64(self.lookups);
-        w.put_u64(self.hits);
-    }
-
-    /// Restores state written by [`Btb::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.slots.len(), "BTB geometry mismatch");
-        for s in &mut self.slots {
-            s.valid = r.get_bool();
-            s.tag = r.get_u32();
-            s.target = r.get_addr();
-            s.class = BranchClass::from_code(r.get_u8());
-            s.lru = r.get_u64();
-        }
-        self.stamp = r.get_u64();
-        self.lookups = r.get_u64();
-        self.hits = r.get_u64();
-    }
 }
+
+sim_isa::state_fields!(Btb { slots, stamp, lookups, hits } skip { cfg, sets, bank_mask });
+sim_isa::state_fields!(Slot { valid, tag, target, class, lru } skip {});
 
 #[cfg(test)]
 mod tests {

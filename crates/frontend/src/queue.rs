@@ -1,6 +1,7 @@
 //! Bounded FIFO queues: FTQ, Alt-FTQ, decode and dispatch buffers all share
 //! this shape.
 
+use sim_isa::{State, StateReader, StateWriter};
 use std::collections::VecDeque;
 
 /// A bounded FIFO. Pushing into a full queue is rejected (backpressure),
@@ -97,6 +98,27 @@ impl<T> BoundedQueue<T> {
     }
 }
 
+/// The occupancy, then the items oldest first. The capacity is geometry:
+/// restore clears the queue, and an item past the capacity panics.
+impl<T: State + Default> State for BoundedQueue<T> {
+    fn save_state(&self, w: &mut StateWriter) {
+        self.q.save_state(w);
+    }
+
+    fn restore_state(&mut self, r: &mut StateReader) {
+        self.q.clear();
+        for _ in 0..r.get_usize() {
+            let mut item = T::default();
+            item.restore_state(r);
+            assert!(
+                self.push(item).is_ok(),
+                "checkpoint geometry mismatch: more than {} queued items",
+                self.cap
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,5 +165,30 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_capacity_rejected() {
         let _: BoundedQueue<u8> = BoundedQueue::new(0);
+    }
+
+    #[test]
+    fn state_round_trips_and_restore_clears() {
+        let mut q = BoundedQueue::new(3);
+        q.push(7u64).unwrap();
+        q.push(8).unwrap();
+        let mut w = StateWriter::new();
+        q.save_state(&mut w);
+        let mut back = BoundedQueue::new(3);
+        back.push(1u64).unwrap();
+        back.restore_state(&mut StateReader::new(w.bytes()));
+        assert_eq!(back.iter().copied().collect::<Vec<_>>(), vec![7, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "geometry mismatch")]
+    fn state_restore_rejects_more_items_than_capacity() {
+        let mut q = BoundedQueue::new(3);
+        for i in 0..3u64 {
+            q.push(i).unwrap();
+        }
+        let mut w = StateWriter::new();
+        q.save_state(&mut w);
+        BoundedQueue::<u64>::new(2).restore_state(&mut StateReader::new(w.bytes()));
     }
 }

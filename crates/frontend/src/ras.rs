@@ -10,14 +10,14 @@ use sim_isa::Addr;
 /// which repairs the common single-call/return speculation case.
 #[derive(Clone, Debug)]
 pub struct Ras {
-    entries: Vec<Addr>,
+    entries: Box<[Addr]>,
     /// Index one past the top (number of pushes mod capacity semantics).
     sp: usize,
     depth: usize,
 }
 
 /// A RAS checkpoint (pointer + top entry).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RasCheckpoint {
     sp: usize,
     depth: usize,
@@ -33,7 +33,7 @@ impl Ras {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Ras {
-            entries: vec![Addr::NULL; capacity],
+            entries: vec![Addr::NULL; capacity].into_boxed_slice(),
             sp: 0,
             depth: 0,
         }
@@ -118,46 +118,10 @@ impl Ras {
     pub fn storage_bits(&self) -> u64 {
         self.entries.len() as u64 * 32
     }
-
-    /// Serializes the full stack contents and pointers.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.entries.len());
-        for &a in &self.entries {
-            w.put_addr(a);
-        }
-        w.put_usize(self.sp);
-        w.put_usize(self.depth);
-    }
-
-    /// Restores state written by [`Ras::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.entries.len(), "RAS capacity mismatch");
-        for a in &mut self.entries {
-            *a = r.get_addr();
-        }
-        self.sp = r.get_usize();
-        self.depth = r.get_usize();
-    }
 }
 
-impl RasCheckpoint {
-    /// Serializes a checkpoint held by an in-flight branch record.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.sp);
-        w.put_usize(self.depth);
-        w.put_addr(self.top);
-    }
-
-    /// Decodes a checkpoint written by [`RasCheckpoint::save_state`].
-    pub fn load_state(r: &mut sim_isa::StateReader) -> Self {
-        RasCheckpoint {
-            sp: r.get_usize(),
-            depth: r.get_usize(),
-            top: r.get_addr(),
-        }
-    }
-}
+sim_isa::state_fields!(Ras { entries, sp, depth } skip {});
+sim_isa::state_fields!(RasCheckpoint { sp, depth, top } skip {});
 
 #[cfg(test)]
 mod tests {

@@ -187,7 +187,7 @@ impl UopcTelemetry {
 #[derive(Clone, Debug)]
 pub struct UopCache {
     cfg: UopCacheConfig,
-    slots: Vec<Slot>,
+    slots: Box<[Slot]>,
     stamp: u64,
     stats: UopCacheStats,
     tele: UopcTelemetry,
@@ -202,7 +202,7 @@ impl UopCache {
     pub fn new(cfg: UopCacheConfig) -> Self {
         assert!(cfg.sets.is_power_of_two() && cfg.ways > 0);
         UopCache {
-            slots: vec![Slot::default(); cfg.sets * cfg.ways],
+            slots: vec![Slot::default(); cfg.sets * cfg.ways].into_boxed_slice(),
             stamp: 0,
             stats: UopCacheStats::default(),
             tele: UopcTelemetry::default(),
@@ -357,50 +357,14 @@ impl UopCache {
     pub fn occupancy(&self) -> usize {
         self.slots.iter().filter(|s| s.valid).count()
     }
-
-    /// Serializes the mutable state (slots, LRU stamp, statistics).
-    /// Telemetry handles are rebound via [`UopCache::attach_telemetry`],
-    /// not checkpointed.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.slots.len());
-        for s in &self.slots {
-            w.put_bool(s.valid);
-            w.put_addr(s.start);
-            w.put_u8(s.num_uops);
-            w.put_u64(s.lru);
-            w.put_bool(s.prefetched);
-            w.put_bool(s.used);
-            w.put_u64(s.trigger);
-        }
-        w.put_u64(self.stamp);
-        w.put_u64(self.stats.lookups);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.demand_fills);
-        w.put_u64(self.stats.prefetch_fills);
-        w.put_u64(self.stats.prefetch_evicted_unused);
-    }
-
-    /// Restores state written by [`UopCache::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.slots.len(), "uop-cache geometry mismatch");
-        for s in &mut self.slots {
-            s.valid = r.get_bool();
-            s.start = r.get_addr();
-            s.num_uops = r.get_u8();
-            s.lru = r.get_u64();
-            s.prefetched = r.get_bool();
-            s.used = r.get_bool();
-            s.trigger = r.get_u64();
-        }
-        self.stamp = r.get_u64();
-        self.stats.lookups = r.get_u64();
-        self.stats.hits = r.get_u64();
-        self.stats.demand_fills = r.get_u64();
-        self.stats.prefetch_fills = r.get_u64();
-        self.stats.prefetch_evicted_unused = r.get_u64();
-    }
 }
+
+// Telemetry handles are rebound by `attach_telemetry`, not checkpointed.
+sim_isa::state_fields!(UopCache { slots, stamp, stats } skip { cfg, tele });
+sim_isa::state_fields!(Slot { valid, start, num_uops, lru, prefetched, used, trigger } skip {});
+sim_isa::state_fields!(UopCacheStats {
+    lookups, hits, demand_fills, prefetch_fills, prefetch_evicted_unused,
+} skip {});
 
 #[cfg(test)]
 mod tests {

@@ -98,7 +98,7 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
+    lines: Box<[Line]>,
     stamp: u64,
     stats: CacheStats,
 }
@@ -131,7 +131,7 @@ impl SetAssocCache {
         let n = cfg.sets * cfg.ways;
         SetAssocCache {
             cfg,
-            lines: vec![Line::default(); n],
+            lines: vec![Line::default(); n].into_boxed_slice(),
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -234,44 +234,11 @@ impl SetAssocCache {
     pub fn occupancy(&self) -> usize {
         self.lines.iter().filter(|l| l.valid).count()
     }
-
-    /// Serializes the mutable state (lines, LRU stamp, statistics).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.lines.len());
-        for l in &self.lines {
-            w.put_u64(l.tag);
-            w.put_bool(l.valid);
-            w.put_u64(l.lru);
-            w.put_u64(l.ready);
-            w.put_bool(l.prefetched);
-        }
-        w.put_u64(self.stamp);
-        w.put_u64(self.stats.hits);
-        w.put_u64(self.stats.misses);
-        w.put_u64(self.stats.fills);
-        w.put_u64(self.stats.prefetch_fills);
-        w.put_u64(self.stats.prefetch_useful);
-    }
-
-    /// Restores state written by [`SetAssocCache::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.lines.len(), "cache geometry mismatch");
-        for l in &mut self.lines {
-            l.tag = r.get_u64();
-            l.valid = r.get_bool();
-            l.lru = r.get_u64();
-            l.ready = r.get_u64();
-            l.prefetched = r.get_bool();
-        }
-        self.stamp = r.get_u64();
-        self.stats.hits = r.get_u64();
-        self.stats.misses = r.get_u64();
-        self.stats.fills = r.get_u64();
-        self.stats.prefetch_fills = r.get_u64();
-        self.stats.prefetch_useful = r.get_u64();
-    }
 }
+
+sim_isa::state_fields!(SetAssocCache { lines, stamp, stats } skip { cfg });
+sim_isa::state_fields!(Line { tag, valid, lru, ready, prefetched } skip {});
+sim_isa::state_fields!(CacheStats { hits, misses, fills, prefetch_fills, prefetch_useful } skip {});
 
 #[cfg(test)]
 mod tests {

@@ -39,7 +39,7 @@ impl DramConfig {
 pub struct Dram {
     cfg: DramConfig,
     /// Per-bank (busy_until_cycle, open_row).
-    banks: Vec<(u64, u64)>,
+    banks: Box<[(u64, u64)]>,
     accesses: u64,
     row_hits: u64,
 }
@@ -55,7 +55,7 @@ impl Dram {
         let n = cfg.channels * cfg.banks;
         Dram {
             cfg: cfg.clone(),
-            banks: vec![(0, u64::MAX); n],
+            banks: vec![(0, u64::MAX); n].into_boxed_slice(),
             accesses: 0,
             row_hits: 0,
         }
@@ -98,30 +98,9 @@ impl Dram {
             self.row_hits as f64 / self.accesses as f64
         }
     }
-
-    /// Serializes the mutable state (bank busy/open-row, access counters).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.banks.len());
-        for &(busy, row) in &self.banks {
-            w.put_u64(busy);
-            w.put_u64(row);
-        }
-        w.put_u64(self.accesses);
-        w.put_u64(self.row_hits);
-    }
-
-    /// Restores state written by [`Dram::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.banks.len(), "DRAM bank-count mismatch");
-        for b in &mut self.banks {
-            b.0 = r.get_u64();
-            b.1 = r.get_u64();
-        }
-        self.accesses = r.get_u64();
-        self.row_hits = r.get_u64();
-    }
 }
+
+sim_isa::state_fields!(Dram { banks, accesses, row_hits } skip { cfg });
 
 #[cfg(test)]
 mod tests {

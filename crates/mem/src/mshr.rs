@@ -1,6 +1,6 @@
 //! Miss status holding registers: bounded outstanding-miss tracking.
 
-use sim_isa::Addr;
+use sim_isa::{Addr, State};
 
 /// A bounded set of outstanding line misses.
 ///
@@ -65,29 +65,25 @@ impl Mshr {
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
+}
 
-    /// Serializes the outstanding entries.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.entries.len());
-        for &(line, ready) in &self.entries {
-            w.put_u64(line);
-            w.put_u64(ready);
-        }
+/// The capacity as a cross-check, then the outstanding entries.
+/// Hand-written so restore bounds the occupancy by the capacity.
+impl State for Mshr {
+    fn save_state(&self, w: &mut sim_isa::StateWriter) {
+        let Mshr { capacity, entries } = self;
+        capacity.save_state(w);
+        entries.save_state(w);
     }
 
-    /// Restores state written by [`Mshr::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let cap = r.get_usize();
-        assert_eq!(cap, self.capacity, "MSHR capacity mismatch");
-        let n = r.get_usize();
-        assert!(n <= cap, "MSHR occupancy exceeds capacity");
-        self.entries.clear();
-        for _ in 0..n {
-            let line = r.get_u64();
-            let ready = r.get_u64();
-            self.entries.push((line, ready));
-        }
+    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
+        let Mshr { capacity, entries } = self;
+        sim_isa::state::restore_geometry(capacity, r, "MSHR capacity");
+        entries.restore_state(r);
+        assert!(
+            entries.len() <= *capacity,
+            "checkpoint state corrupt: MSHR occupancy exceeds capacity"
+        );
     }
 }
 
@@ -130,5 +126,14 @@ mod tests {
     #[should_panic(expected = "nonzero")]
     fn zero_capacity_rejected() {
         let _ = Mshr::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint state corrupt: MSHR occupancy exceeds capacity")]
+    fn restore_rejects_more_entries_than_capacity() {
+        let mut w = sim_isa::StateWriter::new();
+        w.put_usize(2);
+        vec![(1u64, 2u64); 3].save_state(&mut w);
+        Mshr::new(2).restore_state(&mut sim_isa::StateReader::new(w.bytes()));
     }
 }

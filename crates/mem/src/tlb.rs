@@ -91,17 +91,9 @@ impl Tlb {
     pub fn hit_rate(&self) -> f64 {
         self.inner.stats().hit_rate()
     }
-
-    /// Serializes the mutable state (delegates to the inner cache).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        self.inner.save_state(w);
-    }
-
-    /// Restores state written by [`Tlb::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        self.inner.restore_state(r);
-    }
 }
+
+sim_isa::state_fields!(Tlb { inner } skip { latency });
 
 #[cfg(test)]
 mod tests {

@@ -32,11 +32,11 @@ struct Entry {
 #[derive(Debug)]
 pub struct DJolt {
     /// Long-range table: signature → distant miss line (2^14 entries).
-    long: Vec<Entry>,
+    long: Box<[Entry]>,
     /// Short-range table: signature → next miss line (2^13 entries).
-    short: Vec<Entry>,
+    short: Box<[Entry]>,
     /// Fallback: miss line → next miss line (2^12 entries).
-    next_miss: Vec<Entry>,
+    next_miss: Box<[Entry]>,
     miss_hist: VecDeque<u64>,
     /// Rolling signatures aligned with `miss_hist` (signature *before*
     /// each miss).
@@ -50,9 +50,9 @@ impl DJolt {
     /// Creates the IPC1-budget configuration.
     pub fn new() -> Self {
         DJolt {
-            long: vec![Entry::default(); 1 << 14],
-            short: vec![Entry::default(); 1 << 13],
-            next_miss: vec![Entry::default(); 1 << 12],
+            long: vec![Entry::default(); 1 << 14].into_boxed_slice(),
+            short: vec![Entry::default(); 1 << 13].into_boxed_slice(),
+            next_miss: vec![Entry::default(); 1 << 12].into_boxed_slice(),
             miss_hist: VecDeque::with_capacity(32),
             sig_hist: VecDeque::with_capacity(32),
             sig: 0,
@@ -76,6 +76,11 @@ impl Default for DJolt {
         DJolt::new()
     }
 }
+
+sim_isa::state_fields!(DJolt {
+    long, short, next_miss, miss_hist, sig_hist, sig, pending,
+} skip { tele });
+sim_isa::state_fields!(Entry { tag, target, valid } skip {});
 
 impl InstPrefetcher for DJolt {
     fn name(&self) -> &'static str {
@@ -156,55 +161,6 @@ impl InstPrefetcher for DJolt {
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tele.attach(telemetry);
-    }
-
-    fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        for table in [&self.long, &self.short, &self.next_miss] {
-            w.put_usize(table.len());
-            for e in table.iter() {
-                w.put_u16(e.tag);
-                w.put_u64(e.target);
-                w.put_bool(e.valid);
-            }
-        }
-        w.put_usize(self.miss_hist.len());
-        for &l in &self.miss_hist {
-            w.put_u64(l);
-        }
-        w.put_usize(self.sig_hist.len());
-        for &s in &self.sig_hist {
-            w.put_u64(s);
-        }
-        w.put_u64(self.sig);
-        w.put_usize(self.pending.len());
-        for &a in &self.pending {
-            w.put_addr(a);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        for table in [&mut self.long, &mut self.short, &mut self.next_miss] {
-            let n = r.get_usize();
-            assert_eq!(n, table.len(), "D-JOLT table geometry mismatch");
-            for e in table.iter_mut() {
-                e.tag = r.get_u16();
-                e.target = r.get_u64();
-                e.valid = r.get_bool();
-            }
-        }
-        self.miss_hist.clear();
-        for _ in 0..r.get_usize() {
-            self.miss_hist.push_back(r.get_u64());
-        }
-        self.sig_hist.clear();
-        for _ in 0..r.get_usize() {
-            self.sig_hist.push_back(r.get_u64());
-        }
-        self.sig = r.get_u64();
-        self.pending.clear();
-        for _ in 0..r.get_usize() {
-            self.pending.push(r.get_addr());
-        }
     }
 
     fn drain(&mut self, out: &mut Vec<Addr>) {

@@ -34,7 +34,7 @@ pub struct Entangling {
     plus_plus: bool,
     log_entries: u32,
     max_dests: usize,
-    table: Vec<EntEntry>,
+    table: Box<[EntEntry]>,
     /// Recent demand lines, newest at the back.
     recent: VecDeque<u64>,
     /// Recent training, undoable by EP++ on a redirect:
@@ -56,7 +56,7 @@ impl Entangling {
             plus_plus,
             log_entries,
             max_dests: if plus_plus { 4 } else { 2 },
-            table: vec![EntEntry::default(); 1 << log_entries],
+            table: vec![EntEntry::default(); 1 << log_entries].into_boxed_slice(),
             recent: VecDeque::with_capacity(ENTANGLE_DIST + 4),
             speculative_training: Vec::new(),
             ticks: 0,
@@ -98,6 +98,11 @@ impl Entangling {
         }
     }
 }
+
+sim_isa::state_fields!(Entangling {
+    table, recent, speculative_training, ticks, pending,
+} skip { plus_plus, log_entries, max_dests, tele });
+sim_isa::state_fields!(EntEntry { tag, valid, dests } skip {});
 
 impl InstPrefetcher for Entangling {
     fn name(&self) -> &'static str {
@@ -160,62 +165,6 @@ impl InstPrefetcher for Entangling {
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tele.attach(telemetry);
-    }
-
-    fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.table.len());
-        for e in &self.table {
-            w.put_u16(e.tag);
-            w.put_bool(e.valid);
-            w.put_usize(e.dests.len());
-            for &d in &e.dests {
-                w.put_u64(d);
-            }
-        }
-        w.put_usize(self.recent.len());
-        for &l in &self.recent {
-            w.put_u64(l);
-        }
-        w.put_usize(self.speculative_training.len());
-        for &(i, dst, tick) in &self.speculative_training {
-            w.put_usize(i);
-            w.put_u64(dst);
-            w.put_u64(tick);
-        }
-        w.put_u64(self.ticks);
-        w.put_usize(self.pending.len());
-        for &a in &self.pending {
-            w.put_addr(a);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.table.len(), "entangling table geometry mismatch");
-        for e in &mut self.table {
-            e.tag = r.get_u16();
-            e.valid = r.get_bool();
-            e.dests.clear();
-            for _ in 0..r.get_usize() {
-                e.dests.push(r.get_u64());
-            }
-        }
-        self.recent.clear();
-        for _ in 0..r.get_usize() {
-            self.recent.push_back(r.get_u64());
-        }
-        self.speculative_training.clear();
-        for _ in 0..r.get_usize() {
-            let i = r.get_usize();
-            let dst = r.get_u64();
-            let tick = r.get_u64();
-            self.speculative_training.push((i, dst, tick));
-        }
-        self.ticks = r.get_u64();
-        self.pending.clear();
-        for _ in 0..r.get_usize() {
-            self.pending.push(r.get_addr());
-        }
     }
 
     fn drain(&mut self, out: &mut Vec<Addr>) {

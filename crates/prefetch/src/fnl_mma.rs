@@ -39,9 +39,9 @@ pub struct FnlMma {
     plus_plus: bool,
     log_fnl: u32,
     log_mma: u32,
-    fnl: Vec<FnlEntry>,
-    mma: Vec<MmaEntry>,
-    mma2: Vec<MmaEntry>,
+    fnl: Box<[FnlEntry]>,
+    mma: Box<[MmaEntry]>,
+    mma2: Box<[MmaEntry]>,
     /// Recent demand lines (newest at back) for footprint training.
     recent: VecDeque<u64>,
     /// Recent miss lines for MMA training.
@@ -72,13 +72,10 @@ impl FnlMma {
             plus_plus,
             log_fnl,
             log_mma,
-            fnl: vec![FnlEntry::default(); 1 << log_fnl],
-            mma: vec![MmaEntry::default(); 1 << log_mma],
-            mma2: if plus_plus {
-                vec![MmaEntry::default(); 1 << log_mma]
-            } else {
-                Vec::new()
-            },
+            fnl: vec![FnlEntry::default(); 1 << log_fnl].into_boxed_slice(),
+            mma: vec![MmaEntry::default(); 1 << log_mma].into_boxed_slice(),
+            mma2: vec![MmaEntry::default(); if plus_plus { 1 << log_mma } else { 0 }]
+                .into_boxed_slice(),
             recent: VecDeque::with_capacity(32),
             miss_hist: VecDeque::with_capacity(32),
             pending: Vec::new(),
@@ -124,6 +121,12 @@ impl FnlMma {
         }
     }
 }
+
+sim_isa::state_fields!(FnlMma {
+    fnl, mma, mma2, recent, miss_hist, pending,
+} skip { plus_plus, log_fnl, log_mma, mma_dist, tele });
+sim_isa::state_fields!(FnlEntry { tag, footprint, valid } skip {});
+sim_isa::state_fields!(MmaEntry { tag, target, valid } skip {});
 
 impl InstPrefetcher for FnlMma {
     fn name(&self) -> &'static str {
@@ -202,66 +205,6 @@ impl InstPrefetcher for FnlMma {
 
     fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tele.attach(telemetry);
-    }
-
-    fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.fnl.len());
-        for e in &self.fnl {
-            w.put_u16(e.tag);
-            w.put_u8(e.footprint);
-            w.put_bool(e.valid);
-        }
-        for table in [&self.mma, &self.mma2] {
-            w.put_usize(table.len());
-            for e in table.iter() {
-                w.put_u16(e.tag);
-                w.put_u64(e.target);
-                w.put_bool(e.valid);
-            }
-        }
-        w.put_usize(self.recent.len());
-        for &l in &self.recent {
-            w.put_u64(l);
-        }
-        w.put_usize(self.miss_hist.len());
-        for &l in &self.miss_hist {
-            w.put_u64(l);
-        }
-        w.put_usize(self.pending.len());
-        for &a in &self.pending {
-            w.put_addr(a);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let nf = r.get_usize();
-        assert_eq!(nf, self.fnl.len(), "FNL table geometry mismatch");
-        for e in &mut self.fnl {
-            e.tag = r.get_u16();
-            e.footprint = r.get_u8();
-            e.valid = r.get_bool();
-        }
-        for table in [&mut self.mma, &mut self.mma2] {
-            let nm = r.get_usize();
-            assert_eq!(nm, table.len(), "MMA table geometry mismatch");
-            for e in table.iter_mut() {
-                e.tag = r.get_u16();
-                e.target = r.get_u64();
-                e.valid = r.get_bool();
-            }
-        }
-        self.recent.clear();
-        for _ in 0..r.get_usize() {
-            self.recent.push_back(r.get_u64());
-        }
-        self.miss_hist.clear();
-        for _ in 0..r.get_usize() {
-            self.miss_hist.push_back(r.get_u64());
-        }
-        self.pending.clear();
-        for _ in 0..r.get_usize() {
-            self.pending.push(r.get_addr());
-        }
     }
 
     fn drain(&mut self, out: &mut Vec<Addr>) {

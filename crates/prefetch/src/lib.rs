@@ -37,15 +37,16 @@ pub use entangling::Entangling;
 pub use fnl_mma::FnlMma;
 pub use mrc::Mrc;
 
-use sim_isa::Addr;
+use sim_isa::{Addr, State};
 use ucp_telemetry::{Category, Counter, Telemetry, Tracer};
 
 /// A standalone L1I prefetcher.
 ///
 /// The pipeline reports every demand L1I access (line granularity) via
 /// [`InstPrefetcher::on_access`] and drains candidates once per cycle into
-/// the L1I prefetch queue.
-pub trait InstPrefetcher: Send + std::fmt::Debug {
+/// the L1I prefetch queue. Its [`State`] is part of the simulator
+/// checkpoint.
+pub trait InstPrefetcher: State + Send + std::fmt::Debug {
     /// Display name for figures (`FNL-MMA`, `D-JOLT`, `EP`, …).
     fn name(&self) -> &'static str;
 
@@ -62,14 +63,6 @@ pub trait InstPrefetcher: Send + std::fmt::Debug {
     /// Binds `prefetch.*` counters and the `Prefetch` trace category.
     /// Stateless prefetchers keep the default no-op.
     fn attach_telemetry(&mut self, _telemetry: &Telemetry) {}
-
-    /// Serializes the prefetcher's mutable state into a checkpoint.
-    /// Stateless prefetchers keep the default no-op; stateful ones must
-    /// override both this and [`InstPrefetcher::restore_state`].
-    fn save_state(&self, _w: &mut sim_isa::StateWriter) {}
-
-    /// Restores state written by [`InstPrefetcher::save_state`].
-    fn restore_state(&mut self, _r: &mut sim_isa::StateReader) {}
 
     /// Moves pending prefetch candidates (line addresses) into `out`.
     fn drain(&mut self, out: &mut Vec<Addr>);
@@ -124,6 +117,8 @@ impl NextLine {
     }
 }
 
+sim_isa::state_fields!(NextLine { pending } skip { degree, tele });
+
 impl InstPrefetcher for NextLine {
     fn name(&self) -> &'static str {
         "NextLine"
@@ -145,21 +140,6 @@ impl InstPrefetcher for NextLine {
         self.tele.attach(telemetry);
     }
 
-    fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.pending.len());
-        for &a in &self.pending {
-            w.put_addr(a);
-        }
-    }
-
-    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        self.pending.clear();
-        for _ in 0..n {
-            self.pending.push(r.get_addr());
-        }
-    }
-
     fn drain(&mut self, out: &mut Vec<Addr>) {
         self.tele.on_drain("NextLine", &self.pending);
         out.append(&mut self.pending);
@@ -169,6 +149,8 @@ impl InstPrefetcher for NextLine {
 /// A no-op prefetcher (the paper's `NONE` configuration).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoPrefetch;
+
+sim_isa::state_fields!(NoPrefetch {} skip {});
 
 impl InstPrefetcher for NoPrefetch {
     fn name(&self) -> &'static str {

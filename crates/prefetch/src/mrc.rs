@@ -7,7 +7,7 @@
 //! skipping the frontend refill; a miss allocates an entry that fills as
 //! the corrected path retires.
 
-use sim_isa::Addr;
+use sim_isa::{Addr, State, StateReader, StateWriter};
 
 /// µ-ops stored per MRC entry.
 pub const MRC_UOPS_PER_ENTRY: usize = 64;
@@ -24,7 +24,7 @@ struct MrcSlot {
 /// The misprediction recovery cache.
 #[derive(Clone, Debug)]
 pub struct Mrc {
-    slots: Vec<MrcSlot>,
+    slots: Box<[MrcSlot]>,
     stamp: u64,
     /// Entry currently being filled by the retiring corrected path.
     filling: Option<usize>,
@@ -50,7 +50,8 @@ impl Mrc {
                     lru: 0
                 };
                 entries
-            ],
+            ]
+            .into_boxed_slice(),
             stamp: 0,
             filling: None,
             lookups: 0,
@@ -151,39 +152,52 @@ impl Mrc {
     pub fn storage_kb(&self) -> f64 {
         self.storage_bits() as f64 / 8192.0
     }
+}
 
-    /// Serializes the mutable state (slots, fill pointer, statistics).
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_usize(self.slots.len());
-        for s in &self.slots {
-            w.put_addr(s.tag);
-            w.put_bool(s.valid);
-            w.put_u8(s.filled);
-            w.put_u64(s.lru);
-        }
-        w.put_u64(self.stamp);
-        w.put_bool(self.filling.is_some());
-        w.put_usize(self.filling.unwrap_or(0));
-        w.put_u64(self.lookups);
-        w.put_u64(self.hits);
+sim_isa::state_fields!(MrcSlot { tag, valid, filled, lru } skip {});
+
+/// `filling` is always written as a presence byte and an index, the index
+/// 0 when no entry is filling.
+impl State for Mrc {
+    fn save_state(&self, w: &mut StateWriter) {
+        let Mrc {
+            slots,
+            stamp,
+            filling,
+            lookups,
+            hits,
+        } = self;
+        slots.save_state(w);
+        stamp.save_state(w);
+        filling.is_some().save_state(w);
+        filling.unwrap_or(0).save_state(w);
+        lookups.save_state(w);
+        hits.save_state(w);
     }
 
-    /// Restores state written by [`Mrc::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let n = r.get_usize();
-        assert_eq!(n, self.slots.len(), "MRC geometry mismatch");
-        for s in &mut self.slots {
-            s.tag = r.get_addr();
-            s.valid = r.get_bool();
-            s.filled = r.get_u8();
-            s.lru = r.get_u64();
-        }
-        self.stamp = r.get_u64();
+    /// # Panics
+    ///
+    /// Panics on a non-zero index without a filling entry, which save
+    /// never writes.
+    fn restore_state(&mut self, r: &mut StateReader) {
+        let Mrc {
+            slots,
+            stamp,
+            filling,
+            lookups,
+            hits,
+        } = self;
+        slots.restore_state(r);
+        stamp.restore_state(r);
         let has_filling = r.get_bool();
-        let filling = r.get_usize();
-        self.filling = has_filling.then_some(filling);
-        self.lookups = r.get_u64();
-        self.hits = r.get_u64();
+        let index = r.get_usize();
+        assert!(
+            has_filling || index == 0,
+            "checkpoint state corrupt: MRC filling index {index} without a filling entry"
+        );
+        *filling = has_filling.then_some(index);
+        lookups.restore_state(r);
+        hits.restore_state(r);
     }
 }
 
@@ -240,5 +254,39 @@ mod tests {
         let _ = m.lookup(Addr::new(0x10));
         let _ = m.lookup(Addr::new(0x20));
         assert!((m.hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    fn saved(m: &Mrc) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        m.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn state_round_trips_with_and_without_a_filling_entry() {
+        let mut m = Mrc::new(4);
+        m.allocate(Addr::new(0x40));
+        m.allocate(Addr::new(0x80));
+        m.fill_uop();
+        for filling in [Some(1), None] {
+            m.filling = filling;
+            let bytes = saved(&m);
+            let mut back = Mrc::new(4);
+            back.restore_state(&mut StateReader::new(&bytes));
+            assert_eq!(back.filling, filling);
+            assert_eq!(saved(&back), bytes);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint state corrupt: MRC filling index 3")]
+    fn restore_rejects_an_index_without_a_filling_entry() {
+        let m = Mrc::new(4);
+        let mut bytes = saved(&m);
+        // Layout tail: has_filling (1), index (8), lookups (8), hits (8).
+        let index_at = bytes.len() - 24;
+        assert_eq!(bytes[index_at - 1], 0, "no entry is filling");
+        bytes[index_at] = 3;
+        Mrc::new(4).restore_state(&mut StateReader::new(&bytes));
     }
 }

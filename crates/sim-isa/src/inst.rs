@@ -55,37 +55,6 @@ impl BranchClass {
     pub const fn is_unconditional(self) -> bool {
         !matches!(self, BranchClass::CondDirect)
     }
-
-    /// Stable byte encoding used by checkpoint serialization.
-    #[inline]
-    pub const fn code(self) -> u8 {
-        match self {
-            BranchClass::CondDirect => 0,
-            BranchClass::UncondDirect => 1,
-            BranchClass::Call => 2,
-            BranchClass::IndirectJump => 3,
-            BranchClass::IndirectCall => 4,
-            BranchClass::Return => 5,
-        }
-    }
-
-    /// Inverse of [`BranchClass::code`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown byte (checkpoint corruption).
-    #[inline]
-    pub fn from_code(b: u8) -> Self {
-        match b {
-            0 => BranchClass::CondDirect,
-            1 => BranchClass::UncondDirect,
-            2 => BranchClass::Call,
-            3 => BranchClass::IndirectJump,
-            4 => BranchClass::IndirectCall,
-            5 => BranchClass::Return,
-            _ => panic!("checkpoint state corrupt: branch class {b}"),
-        }
-    }
 }
 
 /// The operation performed by a [`StaticInst`].

@@ -67,6 +67,18 @@ pub enum CycleCause {
     Drained,
 }
 
+// Checkpoint codes follow `ALL`.
+sim_isa::state_enum!(CycleCause {
+    0 => DeliverUop,
+    1 => DeliverDecode,
+    2 => ModeSwitch,
+    3 => BackendFull,
+    4 => L1iMiss,
+    5 => Resteer,
+    6 => FtqEmpty,
+    7 => Drained,
+});
+
 impl CycleCause {
     /// Every category, in display order.
     pub const ALL: [CycleCause; 8] = [
@@ -251,6 +263,26 @@ impl AccountingBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_isa::{State, StateReader, StateWriter};
+
+    #[test]
+    fn checkpoint_codes_are_positions_in_all() {
+        for (code, cause) in CycleCause::ALL.into_iter().enumerate() {
+            let mut w = StateWriter::new();
+            cause.save_state(&mut w);
+            assert_eq!(w.bytes(), [code as u8]);
+            let mut back = CycleCause::Drained;
+            back.restore_state(&mut StateReader::new(w.bytes()));
+            assert_eq!(back, cause);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint state corrupt: CycleCause code 8")]
+    fn checkpoint_restore_rejects_a_code_past_all() {
+        let mut cause = CycleCause::Drained;
+        cause.restore_state(&mut StateReader::new(&[CycleCause::COUNT as u8]));
+    }
 
     #[test]
     fn charge_maintains_invariant() {

@@ -29,6 +29,7 @@
 //! `torn_write` fault site.
 
 use crate::fault::FaultPlan;
+use sim_isa::fnv1a64;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,17 +37,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// itself changes (payload-invalidating model changes bump the caller's
 /// own model version instead).
 pub const CACHE_SCHEMA: u32 = 1;
-
-/// FNV-1a over the payload bytes — cheap, dependency-free, and plenty to
-/// catch truncation and bit rot (this is integrity, not security).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// The envelope's first line.
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
@@ -96,7 +86,7 @@ fn envelope_header(model_version: u32, payload: &[u8]) -> String {
     let header = CacheHeader {
         schema: CACHE_SCHEMA,
         model_version,
-        checksum: format!("{:016x}", fnv1a(payload)),
+        checksum: format!("{:016x}", fnv1a64(payload)),
         len: payload.len(),
     };
     serde_json::to_string(&header).expect("header serializes")
@@ -166,7 +156,7 @@ fn verify_envelope(
             header.len
         )));
     }
-    let sum = format!("{:016x}", fnv1a(payload));
+    let sum = format!("{:016x}", fnv1a64(payload));
     if sum != header.checksum {
         return Err(CacheReadError::Corrupt(format!(
             "checksum {sum} != header {}",

@@ -33,13 +33,13 @@ pub struct Oracle<'p> {
     seed: u64,
     pc: Addr,
     /// Per-instruction dynamic occurrence counters.
-    occ: Vec<u64>,
+    occ: Box<[u64]>,
     /// Last outcome of each conditional branch (for `Correlated`).
-    last_outcome: Vec<bool>,
+    last_outcome: Box<[bool]>,
     /// Loop-branch state: iterations completed in the current trip.
-    loop_iter: Vec<u32>,
+    loop_iter: Box<[u32]>,
     /// Loop-branch state: number of completed trips (re-seeds variable trips).
-    loop_exits: Vec<u32>,
+    loop_exits: Box<[u32]>,
     call_stack: Vec<Addr>,
     retired: u64,
 }
@@ -57,10 +57,10 @@ impl<'p> Oracle<'p> {
             prog,
             seed,
             pc: prog.entry(),
-            occ: vec![0; n],
-            last_outcome: vec![false; n],
-            loop_iter: vec![0; n],
-            loop_exits: vec![0; n],
+            occ: vec![0; n].into_boxed_slice(),
+            last_outcome: vec![false; n].into_boxed_slice(),
+            loop_iter: vec![0; n].into_boxed_slice(),
+            loop_exits: vec![0; n].into_boxed_slice(),
             call_stack: Vec::with_capacity(256),
             retired: 0,
         }
@@ -234,59 +234,14 @@ impl<'p> Oracle<'p> {
             ),
         }
     }
-
-    /// Serializes the full behavioural state. The program and seed are
-    /// reconstruction parameters, not state; restore requires an oracle
-    /// built over the same program with the same seed.
-    pub fn save_state(&self, w: &mut sim_isa::StateWriter) {
-        w.put_u64(self.seed);
-        w.put_addr(self.pc);
-        w.put_usize(self.occ.len());
-        for &o in &self.occ {
-            w.put_u64(o);
-        }
-        for &b in &self.last_outcome {
-            w.put_bool(b);
-        }
-        for &i in &self.loop_iter {
-            w.put_u32(i);
-        }
-        for &e in &self.loop_exits {
-            w.put_u32(e);
-        }
-        w.put_usize(self.call_stack.len());
-        for &a in &self.call_stack {
-            w.put_addr(a);
-        }
-        w.put_u64(self.retired);
-    }
-
-    /// Restores state written by [`Oracle::save_state`].
-    pub fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
-        let seed = r.get_u64();
-        assert_eq!(seed, self.seed, "oracle seed mismatch");
-        self.pc = r.get_addr();
-        let n = r.get_usize();
-        assert_eq!(n, self.occ.len(), "oracle program-length mismatch");
-        for o in &mut self.occ {
-            *o = r.get_u64();
-        }
-        for b in &mut self.last_outcome {
-            *b = r.get_bool();
-        }
-        for i in &mut self.loop_iter {
-            *i = r.get_u32();
-        }
-        for e in &mut self.loop_exits {
-            *e = r.get_u32();
-        }
-        self.call_stack.clear();
-        for _ in 0..r.get_usize() {
-            self.call_stack.push(r.get_addr());
-        }
-        self.retired = r.get_u64();
-    }
 }
+
+// The seed is a reconstruction parameter, written as a cross-check; the
+// three per-instruction tables share the program length `occ` pins.
+sim_isa::state_fields!(Oracle<'p> {
+    geometry(seed), pc, occ, rows(last_outcome), rows(loop_iter), rows(loop_exits), call_stack,
+    retired,
+} skip { prog });
 
 #[cfg(test)]
 mod tests {
