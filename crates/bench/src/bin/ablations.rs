@@ -9,7 +9,7 @@
 //! cargo run --release -p ucp-bench --bin ablations
 //! ```
 
-use ucp_bench::{cached_suite_run, Profile};
+use ucp_bench::cached_suite_run;
 use ucp_core::{align_by_workload, geomean_speedup_pct, RunResult, SimConfig};
 
 fn geo(base: &[RunResult], new: &[RunResult]) -> f64 {
@@ -22,7 +22,8 @@ fn geo(base: &[RunResult], new: &[RunResult]) -> f64 {
 }
 
 fn main() {
-    let profile = Profile::from_env();
+    let knobs = ucp_bench::env_knobs();
+    let profile = knobs.profile();
     println!(
         "=== ablations: model-knob sensitivity [profile {}] ===",
         profile.tag()
@@ -31,11 +32,11 @@ fn main() {
     // 1. Stream-switch hysteresis: how many consecutive µ-op cache hits in
     //    build mode before returning to stream mode.
     println!("\nstream_switch_hits (baseline IPC impact + switch PKI):");
-    let ref_base = cached_suite_run(&SimConfig::baseline(), profile);
+    let ref_base = cached_suite_run(&SimConfig::baseline(), &knobs);
     for hits in [1u32, 3, 8] {
         let mut cfg = SimConfig::baseline();
         cfg.frontend.stream_switch_hits = hits;
-        let r = cached_suite_run(&cfg, profile);
+        let r = cached_suite_run(&cfg, &knobs);
         let pki: f64 = r.iter().map(|x| x.stats.switch_pki()).sum::<f64>() / r.len() as f64;
         println!(
             "  hits={hits}: speedup vs default {:+.2}%, switch PKI {pki:.2}",
@@ -48,7 +49,7 @@ fn main() {
     for pen in [0u64, 1, 3] {
         let mut cfg = SimConfig::baseline();
         cfg.frontend.mode_switch_penalty = pen;
-        let r = cached_suite_run(&cfg, profile);
+        let r = cached_suite_run(&cfg, &knobs);
         println!(
             "  penalty={pen}: speedup vs default {:+.2}%",
             geo(&ref_base, &r)
@@ -63,8 +64,8 @@ fn main() {
         b.frontend.decode_path_delay = delay;
         let mut u = SimConfig::ucp();
         u.frontend.decode_path_delay = delay;
-        let rb = cached_suite_run(&b, profile);
-        let ru = cached_suite_run(&u, profile);
+        let rb = cached_suite_run(&b, &knobs);
+        let ru = cached_suite_run(&u, &knobs);
         println!("  delay={delay}: UCP speedup {:+.2}%", geo(&rb, &ru));
     }
 
@@ -73,7 +74,7 @@ fn main() {
     for w in [2u32, 6] {
         let mut u = SimConfig::ucp();
         u.ucp.alt_decoders = w;
-        let ru = cached_suite_run(&u, profile);
+        let ru = cached_suite_run(&u, &knobs);
         println!("  width={w}: UCP speedup {:+.2}%", geo(&ref_base, &ru));
     }
 
@@ -82,7 +83,7 @@ fn main() {
     for n in [8usize, 24, 64] {
         let mut u = SimConfig::ucp();
         u.ucp.alt_ftq_entries = n;
-        let ru = cached_suite_run(&u, profile);
+        let ru = cached_suite_run(&u, &knobs);
         println!("  entries={n}: UCP speedup {:+.2}%", geo(&ref_base, &ru));
     }
 }

@@ -1,5 +1,5 @@
 //! Regenerates every table and figure in paper order.
 fn main() {
-    let profile = ucp_bench::Profile::from_env();
-    print!("{}", ucp_bench::figs::all(profile));
+    let knobs = ucp_bench::env_knobs();
+    print!("{}", ucp_bench::figs::all(&knobs));
 }

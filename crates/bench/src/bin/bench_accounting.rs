@@ -12,8 +12,8 @@
 //! datapoint.
 
 use serde::Serialize;
-use ucp_bench::{check_accounting, profiled_suite_run, suite_breakdown, Profile};
-use ucp_core::SimConfig;
+use ucp_bench::{check_accounting, profiled_suite_run, suite_breakdown};
+use ucp_core::{Profile, SimConfig};
 use ucp_telemetry::CycleCause;
 
 #[derive(Serialize)]
@@ -36,11 +36,8 @@ struct BenchReport {
 }
 
 fn main() {
-    let profile = if std::env::var("UCP_FIG_PROFILE").is_ok() {
-        Profile::from_env()
-    } else {
-        Profile::Quick
-    };
+    let mut knobs = ucp_bench::env_knobs();
+    let profile = *knobs.fig_profile.get_or_insert(Profile::Quick);
     let mut report = BenchReport {
         bench: "accounting".into(),
         profile: profile.tag().into(),
@@ -52,7 +49,7 @@ fn main() {
         ("baseline", SimConfig::baseline()),
         ("ucp", SimConfig::ucp()),
     ] {
-        let (results, phase) = profiled_suite_run(name, &cfg, profile);
+        let (results, phase) = profiled_suite_run(name, &cfg, &knobs);
         if let Some(m) = results.marker() {
             println!("{name:<10} *** {m} — failed workloads excluded ***");
         }

@@ -1,5 +1,5 @@
 //! Regenerates the paper's Fig. 13 (see DESIGN.md §4).
 fn main() {
-    let profile = ucp_bench::Profile::from_env();
-    print!("{}", ucp_bench::figs::fig13(profile));
+    let knobs = ucp_bench::env_knobs();
+    print!("{}", ucp_bench::figs::fig13(&knobs));
 }

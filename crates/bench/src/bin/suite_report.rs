@@ -7,15 +7,14 @@
 //! ```
 
 use std::collections::HashMap;
-use ucp_bench::{
-    cached_suite_run, check_accounting, merged_telemetry, stall_breakdown_table, Profile,
-};
+use ucp_bench::{cached_suite_run, check_accounting, merged_telemetry, stall_breakdown_table};
 use ucp_core::SimConfig;
 use ucp_telemetry::snapshot_table;
 use ucp_workloads::Oracle;
 
 fn main() {
-    let profile = Profile::from_env();
+    let knobs = ucp_bench::env_knobs();
+    let profile = knobs.profile();
     let suite = profile.suite();
     let insts = profile.lengths().1.min(1_000_000);
     println!(
@@ -71,7 +70,7 @@ fn main() {
 
     // Suite-wide telemetry under the UCP configuration (cached like every
     // figure run; per-workload snapshots live in the result cache).
-    let results = cached_suite_run(&SimConfig::ucp(), profile);
+    let results = cached_suite_run(&SimConfig::ucp(), &knobs);
     if let Some(m) = results.marker() {
         println!("\n*** UCP suite run {m} — failed workloads are excluded below ***");
     }
@@ -91,7 +90,7 @@ fn main() {
     // to the baseline. Every run is also checked against the accounting
     // invariant (categories sum to the measured cycle total); a violation
     // fails the report so CI catches it.
-    let baseline = cached_suite_run(&SimConfig::baseline(), profile);
+    let baseline = cached_suite_run(&SimConfig::baseline(), &knobs);
     if let Some(m) = baseline.marker() {
         println!("\n*** baseline suite run {m} — failed workloads are excluded below ***");
     }

@@ -1,5 +1,5 @@
 //! Regenerates the artifact-appendix UCP variant table.
 fn main() {
-    let profile = ucp_bench::Profile::from_env();
-    print!("{}", ucp_bench::figs::table_artifact(profile));
+    let knobs = ucp_bench::env_knobs();
+    print!("{}", ucp_bench::figs::table_artifact(&knobs));
 }

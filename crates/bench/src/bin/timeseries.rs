@@ -1,5 +1,5 @@
 //! Writes per-workload interval time-series CSVs (see DESIGN.md §7).
 fn main() {
-    let profile = ucp_bench::Profile::from_env();
-    print!("{}", ucp_bench::figs::timeseries(profile));
+    let knobs = ucp_bench::env_knobs();
+    print!("{}", ucp_bench::figs::timeseries(&knobs));
 }

@@ -16,21 +16,22 @@
 //!   event rows. Forces a fine sampling interval so short traces still
 //!   chart. Ignored for `.jsonl` output.
 //!
-//! Environment: `UCP_TRACE` selects categories (default `all` here —
-//! unlike the simulator library, this tool exists to trace);
-//! `UCP_TRACE_BUF` sets the ring-buffer capacity; `UCP_SIM_WARMUP` /
-//! `UCP_SIM_INSTRUCTIONS` override run lengths.
+//! Knobs: `UCP_TRACE` selects categories (default `all` here — unlike
+//! the other binaries, this tool exists to trace); `UCP_TRACE_BUF` sets
+//! the ring-buffer capacity; `UCP_SIM_WARMUP` / `UCP_SIM_INSTRUCTIONS`
+//! override run lengths; the other simulator knobs apply as usual.
 
-use ucp_bench::Profile;
-use ucp_core::{run_lengths, SimConfig, Simulator};
+use ucp_core::{SimConfig, Simulator};
 use ucp_telemetry::{
-    snapshot_table, to_chrome_trace, to_chrome_trace_with_counters, to_jsonl, IntervalSampler,
-    Telemetry,
+    snapshot_table, to_chrome_trace, to_chrome_trace_with_counters, to_jsonl, CategorySet,
+    IntervalSampler,
 };
 
 fn main() {
+    let mut knobs = ucp_bench::env_knobs();
+    knobs.trace = Some(knobs.trace.unwrap_or_else(CategorySet::all));
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let suite = Profile::from_env().suite();
+    let suite = knobs.profile().suite();
     if args.iter().any(|a| a == "--list" || a == "-l") {
         for s in &suite {
             println!("{}", s.name);
@@ -56,17 +57,11 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "target/ucp-trace.json".to_string());
 
-    let categories = std::env::var("UCP_TRACE").unwrap_or_else(|_| "all".to_string());
-    let capacity = std::env::var("UCP_TRACE_BUF")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(65536);
-    let telemetry = Telemetry::with_trace(&categories, capacity);
-
-    let (warmup, measure) = run_lengths(0.2);
+    let (warmup, measure) = knobs.run_lengths(0.2);
     let cfg = SimConfig::ucp();
     let prog = spec.build();
-    let mut sim = Simulator::with_telemetry(&prog, spec.seed, &cfg, telemetry.clone());
+    let mut sim = Simulator::with_knobs(&prog, spec.seed, &cfg, &knobs);
+    let telemetry = sim.telemetry().clone();
     if counters {
         // ~200 samples over the measured window even on short runs
         // (cycles ≈ instructions at IPC ≈ 1).

@@ -16,16 +16,16 @@
 //! and dumps the replayed and the recorded machine diagnostics side by
 //! side at its right edge.
 //!
-//! Run it under the *same* environment knobs as the original run —
-//! `UCP_INTERVAL` and `UCP_DIGEST` change what state the machine carries,
-//! so a mismatch there reports as divergence at the first checkpoint.
+//! Run it under the *same* knobs as the original run — `UCP_INTERVAL` and
+//! `UCP_DIGEST` change what state the machine carries, so a mismatch
+//! there reports as divergence at the first checkpoint.
 //!
 //! Exit status: 0 when the replay reproduces every checkpoint, 1 when a
 //! divergent window was found, 2 on usage or configuration errors.
 
 use std::path::{Path, PathBuf};
 use ucp_core::snapshot::{list_checkpoints, parse_checkpoint};
-use ucp_core::{CheckpointMeta, SimConfig, Simulator, CKPT_VERSION};
+use ucp_core::{CheckpointMeta, Knobs, SimConfig, Simulator, CKPT_VERSION};
 use ucp_telemetry::envelope::read_envelope_bytes;
 use ucp_telemetry::CacheReadError;
 use ucp_workloads::WorkloadSpec;
@@ -69,28 +69,24 @@ struct Replay<'a> {
     prog: &'a ucp_workloads::Program,
     seed: u64,
     cfg: &'a SimConfig,
+    knobs: &'a Knobs,
     warmup: u64,
     sim: Option<Simulator<'a>>,
 }
 
 impl<'a> Replay<'a> {
-    fn new(prog: &'a ucp_workloads::Program, seed: u64, cfg: &'a SimConfig, warmup: u64) -> Self {
-        Replay {
-            prog,
-            seed,
-            cfg,
-            warmup,
-            sim: None,
-        }
+    fn machine(&self) -> Simulator<'a> {
+        Simulator::with_knobs(self.prog, self.seed, self.cfg, self.knobs)
     }
 
     fn at(&mut self, target: u64) -> &mut Simulator<'a> {
         if self.sim.as_ref().is_some_and(|s| s.committed() > target) {
             self.sim = None;
         }
-        let sim = self
-            .sim
-            .get_or_insert_with(|| Simulator::new(self.prog, self.seed, self.cfg));
+        if self.sim.is_none() {
+            self.sim = Some(self.machine());
+        }
+        let sim = self.sim.as_mut().expect("replay machine just built");
         sim.run_to_committed(target, self.warmup)
             .unwrap_or_else(|e| {
                 eprintln!("error: replay failed at {target} committed: {e}");
@@ -101,6 +97,7 @@ impl<'a> Replay<'a> {
 }
 
 fn main() {
+    let knobs = ucp_bench::env_knobs();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [dir] = args.as_slice() else {
         eprintln!("usage: ucp-bisect <ckpt-dir>");
@@ -130,7 +127,14 @@ fn main() {
     );
 
     let prog = spec.build();
-    let mut replay = Replay::new(&prog, spec.seed, &cfg, meta0.warmup);
+    let mut replay = Replay {
+        prog: &prog,
+        seed: spec.seed,
+        cfg: &cfg,
+        knobs: &knobs,
+        warmup: meta0.warmup,
+        sim: None,
+    };
     let matches = |replay: &mut Replay, c: &Ckpt| {
         let sim = replay.at(c.meta.committed);
         sim.state_digest() == c.meta.digest
@@ -173,7 +177,7 @@ fn main() {
     // Side-by-side diagnostics at the window's right edge: the replayed
     // machine vs the recorded one.
     let replayed = replay.at(bad.meta.committed).diagnostics();
-    let mut recorded_sim = Simulator::new(&prog, spec.seed, &cfg);
+    let mut recorded_sim = replay.machine();
     recorded_sim.restore_from_bytes(&bad.state);
     let recorded = recorded_sim.diagnostics();
     println!("  replayed : {replayed}");

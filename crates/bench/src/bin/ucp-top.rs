@@ -14,7 +14,7 @@
 //! ucp`). `UCP_FIG_PROFILE` selects the suite/run-length profile; results
 //! come from the shared on-disk cache (`UCP_NO_CACHE=1` to re-run).
 
-use ucp_bench::{cached_suite_run, check_accounting, suite_breakdown, Profile};
+use ucp_bench::{cached_suite_run, check_accounting, suite_breakdown};
 use ucp_core::{RunResult, SimConfig};
 use ucp_telemetry::AccountingBreakdown;
 
@@ -61,14 +61,14 @@ fn main() {
     } else {
         args.iter().map(String::as_str).collect()
     };
-    let profile = Profile::from_env();
+    let knobs = ucp_bench::env_knobs();
     let mut violations = Vec::new();
     for name in wanted {
         let Some((title, cfg)) = config_named(name) else {
             eprintln!("unknown config `{name}`; known: baseline, ucp, noucp");
             std::process::exit(2);
         };
-        let results = cached_suite_run(&cfg, profile);
+        let results = cached_suite_run(&cfg, &knobs);
         print!("{}", report(&title, &results));
         if let Some(m) = results.marker() {
             println!("  *** {m} — failed workloads excluded ***");

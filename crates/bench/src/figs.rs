@@ -2,11 +2,11 @@
 //! prints the paper's headline numbers next to the measured ones; see
 //! EXPERIMENTS.md for the recorded comparison.
 
-use crate::harness::{amean, cached_suite_run, sorted_curve, summary_line, Profile, SuiteRun};
+use crate::harness::{amean, cached_suite_run, sorted_curve, summary_line, SuiteRun};
 use ucp_bpred::Provider;
 use ucp_core::{
-    align_by_workload, geomean_speedup_pct, speedups_pct, ConfKind, PrefetcherKind, RunResult,
-    SimConfig, UopCacheModel,
+    align_by_workload, geomean_speedup_pct, speedups_pct, ConfKind, Knobs, PrefetcherKind, Profile,
+    RunResult, SimConfig, UopCacheModel,
 };
 use ucp_frontend::UopCacheConfig;
 
@@ -57,15 +57,15 @@ fn degraded_note(runs: &[(&str, &SuiteRun)]) -> String {
 }
 
 /// Fig. 2: IPC improvement of a 4Kops µ-op cache over no µ-op cache.
-pub fn fig02(profile: Profile) -> String {
+pub fn fig02(knobs: &Knobs) -> String {
     let mut out = header(
         "fig02",
         "4Kops uop cache vs no uop cache (sorted)",
         "beneficial for 80.7% of traces, range ~ -2%..+6%",
-        profile,
+        knobs.profile(),
     );
-    let no_uc = cached_suite_run(&SimConfig::no_uop_cache(), profile);
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
+    let no_uc = cached_suite_run(&SimConfig::no_uop_cache(), knobs);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
     let mut pairs = per_workload_speedups(&no_uc, &base);
     let vals: Vec<f64> = pairs.iter().map(|p| p.1).collect();
     let beneficial = vals.iter().filter(|&&v| v > 0.0).count();
@@ -83,14 +83,14 @@ pub fn fig02(profile: Profile) -> String {
 }
 
 /// Fig. 3: µ-op cache hit rate and switch PKI per workload.
-pub fn fig03(profile: Profile) -> String {
+pub fn fig03(knobs: &Knobs) -> String {
     let mut out = header(
         "fig03",
         "uop cache hit rate and switch PKI (sorted by hit rate)",
         "amean hit rate 71.6%, min 30.7%; switch PKI up to ~22",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
     let mut rows: Vec<(String, f64, f64)> = base
         .iter()
         .map(|r| {
@@ -114,18 +114,18 @@ pub fn fig03(profile: Profile) -> String {
 }
 
 /// Fig. 4: µ-op cache size sweep 4K→64Kops vs the ideal µ-op cache.
-pub fn fig04(profile: Profile) -> String {
+pub fn fig04(knobs: &Knobs) -> String {
     let mut out = header(
         "fig04",
         "uop cache size sweep (speedup over 4Kops baseline; hit rate)",
         "8K +0.18%, 16x larger +1.2% @ 91.2% hit; ideal +10.8%",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
     for kops in [8usize, 16, 32, 64] {
         let mut cfg = SimConfig::baseline();
         cfg.uop_cache = UopCacheModel::Real(UopCacheConfig::kops(kops));
-        let r = cached_suite_run(&cfg, profile);
+        let r = cached_suite_run(&cfg, knobs);
         let hit: Vec<f64> = r.iter().map(|x| x.stats.uop_hit_rate_pct()).collect();
         out += &format!(
             "  {kops:>2}Kops: speedup {:+.2}%  hit rate {:.1}%{}\n",
@@ -136,7 +136,7 @@ pub fn fig04(profile: Profile) -> String {
     }
     let mut ideal = SimConfig::baseline();
     ideal.uop_cache = UopCacheModel::Ideal;
-    let r = cached_suite_run(&ideal, profile);
+    let r = cached_suite_run(&ideal, knobs);
     out += &format!(
         "  ideal: speedup {:+.2}%  hit rate 100.0%{}\n",
         geomean(&base, &r),
@@ -149,14 +149,14 @@ pub fn fig04(profile: Profile) -> String {
 }
 
 /// Fig. 5: L1I prefetchers × µ-op-cache idealizations.
-pub fn fig05(profile: Profile) -> String {
+pub fn fig05(knobs: &Knobs) -> String {
     let mut out = header(
         "fig05",
         "L1I prefetchers vs alternate-path idealizations",
         "Base +1.1..1.6%; L1I-Hits up to +1.9% @97% hit; IdealBRCond-8 +2.3%; -16 +2.9%",
-        profile,
+        knobs.profile(),
     );
-    let baseline = cached_suite_run(&SimConfig::baseline(), profile);
+    let baseline = cached_suite_run(&SimConfig::baseline(), knobs);
     out += &format!(
         "  {:<10} {:>8} {:>8} {:>10} {:>11}\n",
         "prefetcher", "Base", "L1I-Hits", "IdealBR-8", "IdealBR-16"
@@ -172,7 +172,7 @@ pub fn fig05(profile: Profile) -> String {
                 3 => cfg.ideal_brcond = Some(16),
                 _ => {}
             }
-            let r = cached_suite_run(&cfg, profile);
+            let r = cached_suite_run(&cfg, knobs);
             let hit: Vec<f64> = r.iter().map(|x| x.stats.uop_hit_rate_pct()).collect();
             row += &format!(
                 " {:+6.2}%({:>4.1}){}",
@@ -190,15 +190,15 @@ pub fn fig05(profile: Profile) -> String {
 }
 
 /// Fig. 6: per-component misprediction rate vs counter value.
-pub fn fig06(profile: Profile) -> String {
+pub fn fig06(knobs: &Knobs) -> String {
     let mut out = header(
         "fig06",
         "miss rate per TAGE-SC-L component and counter value",
         "saturated HitBank/bimodal ~0%; bimodal(>1in8) >6%; AltBank high at all counters; \
          SC 10-50% by |sum|; LP <3%",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
     let mut agg: std::collections::BTreeMap<(Provider, i32), (u64, u64)> = Default::default();
     for r in base.iter() {
         for (&k, b) in &r.stats.provider_buckets {
@@ -226,14 +226,14 @@ pub fn fig06(profile: Profile) -> String {
 }
 
 /// Fig. 7: contribution of each component to total mispredictions.
-pub fn fig07(profile: Profile) -> String {
+pub fn fig07(knobs: &Knobs) -> String {
     let mut out = header(
         "fig07",
         "share of total mispredictions per component",
         "HitBank 66.7%, SC 11.1%, AltBank 8.1%, bimodal(>1in8) 7.5%, bimodal 6.2%, LP 0.1%",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
     let mut misses: std::collections::BTreeMap<Provider, u64> = Default::default();
     let mut total = 0u64;
     for r in base.iter() {
@@ -286,14 +286,14 @@ pub fn fig08() -> String {
 }
 
 /// Fig. 9: H2P coverage and accuracy of TAGE-Conf vs UCP-Conf.
-pub fn fig09(profile: Profile) -> String {
+pub fn fig09(knobs: &Knobs) -> String {
     let mut out = header(
         "fig09",
         "H2P detector coverage and accuracy",
         "TAGE-Conf: coverage 48.5%, accuracy 12%; UCP-Conf: coverage 70%, accuracy 14.66%",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
     let mut t = ucp_core::H2pCounts::default();
     let mut u = ucp_core::H2pCounts::default();
     for r in base.iter() {
@@ -319,16 +319,16 @@ pub fn fig09(profile: Profile) -> String {
 }
 
 /// Fig. 10: IPC of the 4Kops baseline and UCP, both over no-µ-op-cache.
-pub fn fig10(profile: Profile) -> String {
+pub fn fig10(knobs: &Knobs) -> String {
     let mut out = header(
         "fig10",
         "baseline and UCP vs no uop cache (sorted)",
         "UCP lifts the share of workloads benefiting from a uop cache from 80.7% to 90%",
-        profile,
+        knobs.profile(),
     );
-    let no_uc = cached_suite_run(&SimConfig::no_uop_cache(), profile);
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
-    let ucp = cached_suite_run(&SimConfig::ucp(), profile);
+    let no_uc = cached_suite_run(&SimConfig::no_uop_cache(), knobs);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
+    let ucp = cached_suite_run(&SimConfig::ucp(), knobs);
     let mut b_pairs = per_workload_speedups(&no_uc, &base);
     let mut u_pairs = per_workload_speedups(&no_uc, &ucp);
     out += "4Kops baseline vs no uop cache:\n";
@@ -349,15 +349,15 @@ pub fn fig10(profile: Profile) -> String {
 }
 
 /// Fig. 11: UCP speedup over baseline with conditional MPKI.
-pub fn fig11(profile: Profile) -> String {
+pub fn fig11(knobs: &Knobs) -> String {
     let mut out = header(
         "fig11",
         "UCP speedup and conditional MPKI (sorted by speedup)",
         "average +2%, max +12%; average MPKI 1.56, best workload MPKI 6.17",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
-    let ucp = cached_suite_run(&SimConfig::ucp(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
+    let ucp = cached_suite_run(&SimConfig::ucp(), knobs);
     let (ab, au) = align_by_workload(&base, &ucp);
     let sp = speedups_pct(&ab, &au);
     let mut rows: Vec<(String, f64, f64)> = sp
@@ -378,19 +378,19 @@ pub fn fig11(profile: Profile) -> String {
 }
 
 /// Fig. 12: UCP vs UCP-NoIND and UCP-Conf vs TAGE-Conf triggering.
-pub fn fig12(profile: Profile) -> String {
+pub fn fig12(knobs: &Knobs) -> String {
     let mut out = header(
         "fig12",
         "indirect predictor and confidence-estimator ablations",
         "UCP 2.0% vs UCP-NoIND 1.9%; UCP-Conf 2.0% vs TAGE-Conf 1.8%",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
-    let ucp = cached_suite_run(&SimConfig::ucp(), profile);
-    let no_ind = cached_suite_run(&SimConfig::ucp_no_ind(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
+    let ucp = cached_suite_run(&SimConfig::ucp(), knobs);
+    let no_ind = cached_suite_run(&SimConfig::ucp_no_ind(), knobs);
     let mut tage_conf_cfg = SimConfig::ucp();
     tage_conf_cfg.ucp.conf = ConfKind::Tage;
-    let tage_conf = cached_suite_run(&tage_conf_cfg, profile);
+    let tage_conf = cached_suite_run(&tage_conf_cfg, knobs);
     let sp = |r: &[RunResult]| {
         let (b, n) = align_by_workload(&base, r);
         let v = speedups_pct(&b, &n);
@@ -414,15 +414,15 @@ pub fn fig12(profile: Profile) -> String {
 }
 
 /// Fig. 13: µ-op cache hit rate under UCP.
-pub fn fig13(profile: Profile) -> String {
+pub fn fig13(knobs: &Knobs) -> String {
     let mut out = header(
         "fig13",
         "uop cache hit rate under UCP (sorted)",
         "modest improvement: 71.4% -> 74% on average; ~10 lines prefetched per alternate path",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
-    let ucp = cached_suite_run(&SimConfig::ucp(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
+    let ucp = cached_suite_run(&SimConfig::ucp(), knobs);
     let mut pairs: Vec<(String, f64)> = ucp
         .iter()
         .map(|r| (r.workload.clone(), r.stats.uop_hit_rate_pct()))
@@ -445,14 +445,14 @@ pub fn fig13(profile: Profile) -> String {
 }
 
 /// Fig. 14: UCP prefetch accuracy.
-pub fn fig14(profile: Profile) -> String {
+pub fn fig14(knobs: &Knobs) -> String {
     let mut out = header(
         "fig14",
         "UCP prefetch accuracy (timely / inserted, entry granularity)",
         "average 67.7%; plus ~8% (max 18%) of entries used late",
-        profile,
+        knobs.profile(),
     );
-    let ucp = cached_suite_run(&SimConfig::ucp(), profile);
+    let ucp = cached_suite_run(&SimConfig::ucp(), knobs);
     let mut pairs: Vec<(String, f64)> = ucp
         .iter()
         .filter(|r| r.stats.ucp.entries_inserted > 0)
@@ -472,14 +472,14 @@ pub fn fig14(profile: Profile) -> String {
 }
 
 /// Fig. 15: stopping-threshold sensitivity, µ-op-cache vs L1I-only.
-pub fn fig15(profile: Profile) -> String {
+pub fn fig15(knobs: &Knobs) -> String {
     let mut out = header(
         "fig15",
         "stopping-threshold sweep (geomean speedup over baseline)",
         "uop-cache prefetch plateaus ~500 then thrashes past ~1000; L1I-only peaks at 1000 (~1.6-1.7%)",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
     out += &format!(
         "  {:>9} {:>12} {:>12}\n",
         "threshold", "UCP(uop$)", "UCP(L1I)"
@@ -490,8 +490,8 @@ pub fn fig15(profile: Profile) -> String {
         let mut l1i = SimConfig::ucp();
         l1i.ucp.stop_threshold = thr;
         l1i.ucp.till_l1i = true;
-        let r_u = cached_suite_run(&ucp, profile);
-        let r_l = cached_suite_run(&l1i, profile);
+        let r_u = cached_suite_run(&ucp, knobs);
+        let r_l = cached_suite_run(&l1i, knobs);
         out += &format!(
             "  {thr:>9} {:>+11.2}% {:>+11.2}%{}{}\n",
             geomean(&base, &r_u),
@@ -505,15 +505,15 @@ pub fn fig15(profile: Profile) -> String {
 }
 
 /// Fig. 16: storage vs speedup Pareto front.
-pub fn fig16(profile: Profile) -> String {
+pub fn fig16(knobs: &Knobs) -> String {
     let mut out = header(
         "fig16",
         "storage (KB) vs geomean speedup (%) Pareto",
         "UCP flavours on the Pareto front at 8.95/12.95 KB ~ +1.9/+2.0%; \
          D-JOLT 125 KB below UCP; TAGE-SC-Lx2 marginal at high cost; MRC 0.3-0.7%",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
     let mut points: Vec<(String, SimConfig)> = Vec::new();
     points.push(("UCP-NoIndirect".into(), SimConfig::ucp_no_ind()));
     points.push(("UCP-ITTAGE".into(), SimConfig::ucp()));
@@ -561,7 +561,7 @@ pub fn fig16(profile: Profile) -> String {
     }
     out += &format!("  {:<20} {:>10} {:>10}\n", "config", "extra KB", "speedup");
     for (name, cfg) in points {
-        let r = cached_suite_run(&cfg, profile);
+        let r = cached_suite_run(&cfg, knobs);
         out += &format!(
             "  {name:<20} {:>10.2} {:>+9.2}%{}\n",
             cfg.extra_storage_kb(),
@@ -577,20 +577,20 @@ pub fn fig16(profile: Profile) -> String {
 /// L1I MPKI and the stall breakdown over the run, for the baseline and UCP
 /// configurations. Files land under `target/ucp-figs/timeseries/<config>/`;
 /// the returned report lists what was written.
-pub fn timeseries(profile: Profile) -> String {
+pub fn timeseries(knobs: &Knobs) -> String {
     use ucp_telemetry::intervals_to_csv;
     let mut out = header(
         "timeseries",
         "interval time series (CSV per workload)",
         "n/a (observability report, no paper counterpart)",
-        profile,
+        knobs.profile(),
     );
     let root = std::path::Path::new("target/ucp-figs/timeseries");
     for (tag, cfg) in [
         ("baseline", SimConfig::baseline()),
         ("ucp", SimConfig::ucp()),
     ] {
-        let results = cached_suite_run(&cfg, profile);
+        let results = cached_suite_run(&cfg, knobs);
         let dir = root.join(tag);
         if std::fs::create_dir_all(&dir).is_err() {
             out += &format!("  {tag}: cannot create {}\n", dir.display());
@@ -675,14 +675,14 @@ pub fn table2() -> String {
 
 /// The artifact-appendix variant table: UCP / TillL1I / SharedDecoders /
 /// IdealBTBBanking.
-pub fn table_artifact(profile: Profile) -> String {
+pub fn table_artifact(knobs: &Knobs) -> String {
     let mut out = header(
         "table_artifact",
         "UCP variant IPC improvements (artifact appendix)",
         "UCP 2%, UCP-TillL1I 1.6%, UCP-SharedDecoders 1.8%, UCP-IdealBTBBanking 2.2%",
-        profile,
+        knobs.profile(),
     );
-    let base = cached_suite_run(&SimConfig::baseline(), profile);
+    let base = cached_suite_run(&SimConfig::baseline(), knobs);
     let mut variants: Vec<(&str, SimConfig)> = vec![("UCP", SimConfig::ucp())];
     {
         let mut c = SimConfig::ucp();
@@ -700,16 +700,15 @@ pub fn table_artifact(profile: Profile) -> String {
         variants.push(("UCP-IdealBTBBanking", c));
     }
     for (name, cfg) in variants {
-        let r = cached_suite_run(&cfg, profile);
+        let r = cached_suite_run(&cfg, knobs);
         out += &format!("  {name:<22} {:+.2}%{}\n", geomean(&base, &r), mark(&r));
     }
     out += &degraded_note(&[("baseline", &base)]);
     out
 }
 
-/// Every report in paper order (the `all_figures` binary and the `figures`
-/// bench).
-pub fn all(profile: Profile) -> String {
+/// Every report in paper order (the `all_figures` binary).
+pub fn all(knobs: &Knobs) -> String {
     let mut out = String::new();
     out += &table2();
     out += &table1();
@@ -718,12 +717,12 @@ pub fn all(profile: Profile) -> String {
         fig02, fig03, fig04, fig05, fig06, fig07, fig09, fig10, fig11, fig12, fig13, fig14, fig15,
         fig16,
     ] {
-        out += &f(profile);
+        out += &f(knobs);
         out.push('\n');
     }
-    out += &table_artifact(profile);
+    out += &table_artifact(knobs);
     out.push('\n');
-    out += &timeseries(profile);
+    out += &timeseries(knobs);
     out
 }
 

@@ -1,91 +1,24 @@
-//! Shared harness plumbing: profiles, the fault-isolated resumable
-//! result cache, host-side self-profiling, and formatting.
+//! Shared harness plumbing: the knobs every binary starts from, the
+//! fault-isolated resumable result cache, host-side self-profiling, and
+//! formatting.
 
 use crate::cache::{quarantine, read_envelope, write_envelope, CacheReadError};
 use sim_isa::fnv1a64;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use ucp_core::{run_suite_outcome, RunResult, SimConfig, SimError, SuiteOptions};
-use ucp_telemetry::fault::global_plan;
+use ucp_core::{run_suite_outcome, Knobs, RunResult, SimConfig, SimError, SuiteOptions};
 use ucp_telemetry::AccountingBreakdown;
-use ucp_workloads::suite::{quick_suite, workload_suite};
 use ucp_workloads::WorkloadSpec;
 
-/// Simulation volume profile (see the crate docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Profile {
-    /// 8 workloads × (0.2 M + 0.8 M) instructions.
-    Quick,
-    /// 30 workloads × (0.5 M + 2 M) instructions.
-    Std,
-    /// 30 workloads × (1 M + 4 M) instructions.
-    Full,
-}
-
-impl Profile {
-    /// Parses a profile tag.
-    ///
-    /// # Errors
-    ///
-    /// An unknown tag is a hard error listing the valid tags — a typo'd
-    /// `UCP_FIG_PROFILE` must not silently simulate the (much slower)
-    /// default profile.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "quick" => Ok(Profile::Quick),
-            "std" => Ok(Profile::Std),
-            "full" => Ok(Profile::Full),
-            other => Err(format!(
-                "UCP_FIG_PROFILE=`{other}` is not a profile; valid tags: quick, std, full"
-            )),
-        }
-    }
-
-    /// Reads `UCP_FIG_PROFILE` (default `std`); unknown tags are an
-    /// error.
-    pub fn from_env_checked() -> Result<Self, String> {
-        match std::env::var("UCP_FIG_PROFILE") {
-            Err(_) => Ok(Profile::Std),
-            Ok(s) if s.trim().is_empty() => Ok(Profile::Std),
-            Ok(s) => Profile::parse(s.trim()),
-        }
-    }
-
-    /// [`Profile::from_env_checked`] for binaries: prints the error and
-    /// exits with status 2 on a malformed environment.
-    pub fn from_env() -> Self {
-        Profile::from_env_checked().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
-    }
-
-    /// The workload suite for this profile.
-    pub fn suite(self) -> Vec<WorkloadSpec> {
-        match self {
-            Profile::Quick => quick_suite(),
-            _ => workload_suite(),
-        }
-    }
-
-    /// (warmup, measure) instruction counts per run.
-    pub fn lengths(self) -> (u64, u64) {
-        match self {
-            Profile::Quick => (200_000, 800_000),
-            Profile::Std => (500_000, 2_000_000),
-            Profile::Full => (1_000_000, 4_000_000),
-        }
-    }
-
-    /// Short tag for cache keys and report headers.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Profile::Quick => "quick",
-            Profile::Std => "std",
-            Profile::Full => "full",
-        }
-    }
+/// [`Knobs::from_env`] for binaries, called once at the top of `main`: a
+/// malformed knob prints one `bad configuration` line and exits with
+/// status 2 before anything is simulated.
+pub fn env_knobs() -> Knobs {
+    Knobs::from_env().unwrap_or_else(|detail| {
+        eprintln!("error: {}", SimError::BadConfig { detail });
+        std::process::exit(2);
+    })
 }
 
 /// Bump when a model-affecting code change invalidates cached results.
@@ -93,12 +26,6 @@ impl Profile {
 /// entries moved into the integrity envelope, which also carries this
 /// version — stale entries now quarantine instead of silently orphaning.)
 pub const MODEL_VERSION: u32 = 3;
-
-fn cache_dir() -> PathBuf {
-    std::env::var("UCP_RESULT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("target/ucp-results"))
-}
 
 /// A suite's results plus how the run got them: complete or degraded,
 /// fresh or resumed. Derefs to the *successful* results (in suite order),
@@ -215,10 +142,11 @@ fn prune_oldest(
 }
 
 /// The fault-isolated, resumable, integrity-checked suite runner behind
-/// [`cached_suite_run`], parameterized over the cache directory so tests
-/// can use private directories instead of racing on the environment.
+/// [`cached_suite_run`]. `knobs` configure every simulation and name the
+/// cache (`result_dir`, bypassed under `no_cache`), so tests use private
+/// directories.
 ///
-/// Cache layout under `dir`:
+/// Cache layout under `knobs.result_dir`:
 ///
 /// - `<key>.json` — the complete suite result set, enveloped
 ///   (written only when every workload succeeded);
@@ -228,30 +156,21 @@ fn prune_oldest(
 /// - `*.quarantined.*` — entries that failed integrity verification,
 ///   moved aside for debugging and regenerated.
 ///
-/// # Errors
-///
-/// [`SimError::BadConfig`] for malformed environment knobs. Per-workload
-/// failures do not error — they degrade the returned [`SuiteRun`].
+/// Per-workload failures degrade the returned [`SuiteRun`].
 pub fn suite_run_with_cache(
     cfg: &SimConfig,
     suite: &[WorkloadSpec],
     warmup: u64,
     measure: u64,
-    dir: &Path,
+    knobs: &Knobs,
     opts: &SuiteOptions,
-    use_cache: bool,
-) -> Result<SuiteRun, SimError> {
-    let bad = |detail: String| SimError::BadConfig { detail };
-    // Cached results embed the interval series sampled at whatever
-    // UCP_INTERVAL was active when the cache was populated, so the
-    // effective interval is part of the key (0 = sampling off).
-    let interval = ucp_telemetry::IntervalSampler::from_env()
-        .map_err(bad)?
-        .map_or(0, |s| s.every());
-    let fault = match opts.fault.clone() {
-        Some(p) => Some(p),
-        None => global_plan().map_err(bad)?,
-    };
+) -> SuiteRun {
+    let (dir, use_cache) = (&knobs.result_dir, !knobs.no_cache);
+    // Cached results embed the interval series sampled at the run's
+    // UCP_INTERVAL, so the effective interval is part of the key (0 =
+    // sampling off).
+    let interval = knobs.interval.unwrap_or(0);
+    let fault = knobs.fault.as_deref();
     let cfg_json = serde_json::to_string(cfg).expect("config serializes");
     let names: Vec<&str> = suite.iter().map(|s| s.name.as_str()).collect();
     let key = format!("{cfg_json}|{names:?}|{warmup}|{measure}|iv{interval}");
@@ -261,7 +180,7 @@ pub fn suite_run_with_cache(
 
     if use_cache {
         if let Some(results) = load_combined(&combined, suite) {
-            return Ok(SuiteRun::complete(results));
+            return SuiteRun::complete(results);
         }
         prune_cache_litter(dir, &partial_dir, MAX_PARTIAL_DIRS, MAX_QUARANTINED);
     }
@@ -275,7 +194,6 @@ pub fn suite_run_with_cache(
     }
     let resumed = prefilled.iter().flatten().count();
 
-    let persist_fault = fault.clone();
     let persist = |i: usize, r: &RunResult| {
         if std::fs::create_dir_all(&partial_dir).is_err() {
             return;
@@ -285,13 +203,12 @@ pub fn suite_run_with_cache(
                 &partial_path(&partial_dir, i, &suite[i]),
                 MODEL_VERSION,
                 &text,
-                persist_fault.as_deref(),
+                fault,
             );
         }
     };
     let run_opts = SuiteOptions {
         prefilled,
-        fault,
         ..opts.clone()
     };
     let outcome = run_suite_outcome(
@@ -299,9 +216,10 @@ pub fn suite_run_with_cache(
         cfg,
         warmup,
         measure,
+        knobs,
         &run_opts,
         use_cache.then_some(&persist as ucp_core::PersistFn<'_>),
-    )?;
+    );
 
     let total = outcome.total();
     let mut results = Vec::new();
@@ -321,12 +239,12 @@ pub fn suite_run_with_cache(
     if use_cache && run.is_complete() {
         let _ = std::fs::create_dir_all(dir);
         if let Ok(text) = serde_json::to_string(&run.results) {
-            let _ = write_envelope(&combined, MODEL_VERSION, &text, run_opts.fault.as_deref());
+            let _ = write_envelope(&combined, MODEL_VERSION, &text, fault);
         }
         // The combined entry supersedes the partials.
         let _ = std::fs::remove_dir_all(&partial_dir);
     }
-    Ok(run)
+    run
 }
 
 fn partial_path(partial_dir: &Path, i: usize, spec: &WorkloadSpec) -> PathBuf {
@@ -401,37 +319,17 @@ fn load_partial(path: &Path, expect_workload: &str) -> Option<RunResult> {
     }
 }
 
-/// [`cached_suite_run`] without the exit-on-error wrapper, for callers
-/// that handle [`SimError`] themselves.
-///
-/// # Errors
-///
-/// [`SimError::BadConfig`] for malformed environment knobs.
-pub fn try_cached_suite_run(cfg: &SimConfig, profile: Profile) -> Result<SuiteRun, SimError> {
-    let suite = profile.suite();
+/// Runs `cfg` over the profile's suite (`knobs.profile()`), caching
+/// results on disk. The cache key covers the full configuration, the
+/// suite composition, the run lengths and the sampling interval, so
+/// distinct experiments never collide. Workload failures degrade the
+/// returned [`SuiteRun`] (see [`SuiteRun::marker`]) and are reported on
+/// stderr.
+pub fn cached_suite_run(cfg: &SimConfig, knobs: &Knobs) -> SuiteRun {
+    let profile = knobs.profile();
     let (warmup, measure) = profile.lengths();
-    let use_cache = std::env::var("UCP_NO_CACHE").is_err();
-    suite_run_with_cache(
-        cfg,
-        &suite,
-        warmup,
-        measure,
-        &cache_dir(),
-        &SuiteOptions::default(),
-        use_cache,
-    )
-}
-
-/// Runs `cfg` over the profile's suite, caching results on disk. The cache
-/// key covers the full configuration, the suite composition and the run
-/// lengths, so distinct experiments never collide. Workload failures
-/// degrade the returned [`SuiteRun`] (see [`SuiteRun::marker`]); only a
-/// malformed environment terminates the process (exit 2).
-pub fn cached_suite_run(cfg: &SimConfig, profile: Profile) -> SuiteRun {
-    let run = try_cached_suite_run(cfg, profile).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let opts = SuiteOptions::default();
+    let run = suite_run_with_cache(cfg, &profile.suite(), warmup, measure, knobs, &opts);
     for (name, e) in &run.failures {
         eprintln!("warning: workload `{name}` failed: {e}");
     }
@@ -507,27 +405,18 @@ impl HostPhase {
     }
 }
 
-/// Runs `cfg` over the profile's suite with the host-side wall clock
-/// running — always uncached, since a cache hit would time disk I/O
-/// instead of simulation. The returned [`HostPhase`] sums the measured
-/// windows of every *successful* workload; failures degrade the
-/// [`SuiteRun`] as in [`cached_suite_run`].
-pub fn profiled_suite_run(name: &str, cfg: &SimConfig, profile: Profile) -> (SuiteRun, HostPhase) {
+/// Runs `cfg` over the profile's suite (`knobs.profile()`) with the
+/// host-side wall clock running — always uncached, since a cache hit
+/// would time disk I/O instead of simulation. The returned [`HostPhase`]
+/// sums the measured windows of every *successful* workload; failures
+/// degrade the [`SuiteRun`] as in [`cached_suite_run`].
+pub fn profiled_suite_run(name: &str, cfg: &SimConfig, knobs: &Knobs) -> (SuiteRun, HostPhase) {
+    let profile = knobs.profile();
     let suite = profile.suite();
     let (warmup, measure) = profile.lengths();
     let t0 = Instant::now();
-    let outcome = run_suite_outcome(
-        &suite,
-        cfg,
-        warmup,
-        measure,
-        &ucp_core::SuiteOptions::default(),
-        None,
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let opts = SuiteOptions::default();
+    let outcome = run_suite_outcome(&suite, cfg, warmup, measure, knobs, &opts, None);
     let wall_seconds = t0.elapsed().as_secs_f64();
     let total = outcome.total();
     let mut results = Vec::new();
@@ -627,6 +516,8 @@ pub fn summary_line(label: &str, v: &[f64]) -> String {
 mod tests {
     use super::*;
 
+    use ucp_core::Profile;
+
     #[test]
     fn profile_lengths_monotone() {
         assert!(Profile::Quick.lengths().1 < Profile::Std.lengths().1);
@@ -657,15 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_parse_rejects_unknown_tags() {
-        assert_eq!(Profile::parse("quick").unwrap(), Profile::Quick);
-        assert_eq!(Profile::parse("full").unwrap(), Profile::Full);
-        let e = Profile::parse("fast").unwrap_err();
-        assert!(e.contains("quick, std, full"), "error lists tags: {e}");
-        assert!(Profile::parse("Quick").is_err(), "tags are case-sensitive");
-    }
-
-    #[test]
     fn suite_run_marker_reports_degradation() {
         use ucp_core::SimStats;
         let ok = RunResult {
@@ -674,6 +556,7 @@ mod tests {
             telemetry: ucp_telemetry::RegistrySnapshot::default(),
             intervals: Vec::new(),
             digests: Vec::new(),
+            knobs: Default::default(),
         };
         let complete = SuiteRun::complete(vec![ok.clone()]);
         assert!(complete.is_complete());
@@ -710,6 +593,7 @@ mod tests {
                 telemetry: a,
                 intervals: Vec::new(),
                 digests: Vec::new(),
+                knobs: Default::default(),
             },
             RunResult {
                 workload: "b".into(),
@@ -717,6 +601,7 @@ mod tests {
                 telemetry: b,
                 intervals: Vec::new(),
                 digests: Vec::new(),
+                knobs: Default::default(),
             },
         ];
         assert_eq!(merged_telemetry(&results).counters["ucp.walks_started"], 5);
@@ -741,6 +626,7 @@ mod tests {
             telemetry: snap,
             intervals: Vec::new(),
             digests: Vec::new(),
+            knobs: Default::default(),
         }
     }
 
@@ -754,6 +640,7 @@ mod tests {
             telemetry: ucp_telemetry::RegistrySnapshot::default(),
             intervals: Vec::new(),
             digests: Vec::new(),
+            knobs: Default::default(),
         };
         assert!(check_accounting(&[good.clone(), legacy]).is_empty());
         let msgs = check_accounting(&[good, bad]);

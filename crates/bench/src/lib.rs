@@ -2,14 +2,13 @@
 //! paper's evaluation.
 //!
 //! Each figure lives in [`figs`] as a function returning a printable
-//! report; the `src/bin/fig*.rs` binaries are thin wrappers, and
-//! `benches/figures.rs` runs reduced versions of all of them under
-//! `cargo bench`.
+//! report; the `src/bin/fig*.rs` binaries are thin wrappers. Every binary
+//! reads its `UCP_*` knobs once ([`env_knobs`]) and passes the
+//! [`ucp_core::Knobs`] down.
 //!
 //! # Profiles
 //!
-//! Simulation volume is controlled by the `UCP_FIG_PROFILE` environment
-//! variable:
+//! Simulation volume is controlled by the `UCP_FIG_PROFILE` knob:
 //!
 //! * `quick` — 8-workload suite, 0.2 M + 0.8 M instructions per run,
 //! * `std` (default) — full 30-workload suite, 0.5 M + 2 M,
@@ -34,7 +33,7 @@ pub mod figs;
 pub mod harness;
 
 pub use harness::{
-    cached_suite_run, check_accounting, merged_telemetry, profiled_suite_run, prune_cache_litter,
-    stall_breakdown_table, suite_breakdown, suite_run_with_cache, try_cached_suite_run, HostPhase,
-    Profile, SuiteRun, MODEL_VERSION,
+    cached_suite_run, check_accounting, env_knobs, merged_telemetry, profiled_suite_run,
+    prune_cache_litter, stall_breakdown_table, suite_breakdown, suite_run_with_cache, HostPhase,
+    SuiteRun, MODEL_VERSION,
 };

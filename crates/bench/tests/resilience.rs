@@ -4,18 +4,16 @@
 //! structured error — all through the same `suite_run_with_cache` path
 //! the figure binaries use.
 //!
-//! Every test owns a private cache directory (no `UCP_RESULT_DIR`
-//! mutation), so the suite is safe under the default parallel test
+//! Every test owns a private cache directory (its own `Knobs`, no
+//! environment), so the suite is safe under the default parallel test
 //! runner. `cfg(test)` does not apply to integration-test builds of the
 //! core crate, so these tests exercise the *release-mode* error paths —
 //! e.g. `SimError::InvariantViolation` instead of the unit-test assert.
 
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use ucp_bench::cache::{read_envelope, write_envelope};
 use ucp_bench::{suite_run_with_cache, SuiteRun, MODEL_VERSION};
-use ucp_core::{SimConfig, SuiteOptions};
-use ucp_telemetry::FaultPlan;
+use ucp_core::{Knobs, RunResult, SimConfig, SuiteOptions};
 use ucp_workloads::WorkloadSpec;
 
 const WARMUP: u64 = 5_000;
@@ -34,25 +32,45 @@ fn suite(n: usize) -> Vec<WorkloadSpec> {
         .collect()
 }
 
-fn opts_with(fault: &str) -> SuiteOptions {
+/// Knobs caching under `dir` with `fault` armed (`""`: none).
+fn knobs(dir: &Path, fault: &str) -> Knobs {
+    Knobs::parse(|name| match name {
+        "UCP_RESULT_DIR" => Some(dir.display().to_string()),
+        "UCP_FAULT" => Some(fault.to_string()),
+        _ => None,
+    })
+    .expect("valid knobs")
+}
+
+fn uncached(dir: &Path, fault: &str) -> Knobs {
+    Knobs {
+        no_cache: true,
+        ..knobs(dir, fault)
+    }
+}
+
+fn retry_twice() -> SuiteOptions {
     SuiteOptions {
         max_attempts: 2,
-        fault: Some(Arc::new(FaultPlan::parse(fault).unwrap())),
         ..Default::default()
     }
 }
 
-fn run(suite: &[WorkloadSpec], dir: &Path, opts: &SuiteOptions, use_cache: bool) -> SuiteRun {
-    suite_run_with_cache(
-        &SimConfig::baseline(),
-        suite,
-        WARMUP,
-        MEASURE,
-        dir,
-        opts,
-        use_cache,
-    )
-    .expect("only BadConfig can fail, and the env is clean")
+fn run(suite: &[WorkloadSpec], knobs: &Knobs, opts: &SuiteOptions) -> SuiteRun {
+    suite_run_with_cache(&SimConfig::baseline(), suite, WARMUP, MEASURE, knobs, opts)
+}
+
+fn clean_run(suite: &[WorkloadSpec], dir: &Path) -> SuiteRun {
+    run(suite, &knobs(dir, ""), &SuiteOptions::default())
+}
+
+/// A result without its manifest: what the simulation produced.
+fn simulated(r: &RunResult) -> String {
+    serde_json::to_string(&RunResult {
+        knobs: Default::default(),
+        ..r.clone()
+    })
+    .unwrap()
 }
 
 fn files_matching(dir: &Path, needle: &str) -> Vec<PathBuf> {
@@ -82,23 +100,26 @@ fn injected_panic_degrades_resumes_and_matches_uninjected() {
     let dir_clean = tmpdir("panic-clean");
     let s = suite(8);
 
-    let degraded = run(&s, &dir_fault, &opts_with("panic:7"), true);
+    let degraded = run(&s, &knobs(&dir_fault, "panic:7"), &retry_twice());
     assert_eq!(degraded.marker().as_deref(), Some("DEGRADED (7/8)"));
     assert_eq!(degraded.failures.len(), 1);
     assert_eq!(degraded.failures[0].0, "w6", "7th workload (index 6) died");
     assert_eq!(degraded.failures[0].1.kind(), "workload-panic");
 
-    // Surviving results are bit-for-bit identical to an uninjected run.
-    let clean = run(&s, &dir_clean, &SuiteOptions::default(), true);
+    // Surviving results are bit-for-bit identical to an uninjected run;
+    // only their manifests name the fault plan.
+    let clean = clean_run(&s, &dir_clean);
     assert!(clean.is_complete());
     for r in degraded.iter() {
         let c = clean.iter().find(|c| c.workload == r.workload).unwrap();
         assert_eq!(
-            serde_json::to_string(r).unwrap(),
-            serde_json::to_string(c).unwrap(),
+            simulated(r),
+            simulated(c),
             "fault isolation must not perturb other workloads ({})",
             r.workload
         );
+        assert_eq!(r.knobs["UCP_FAULT"], "panic:7");
+        assert!(!c.knobs.contains_key("UCP_FAULT"));
     }
 
     // No combined cache entry for the degraded run, but partials exist.
@@ -106,13 +127,13 @@ fn injected_panic_degrades_resumes_and_matches_uninjected() {
 
     // Re-invocation without the fault resumes the 7 persisted workloads
     // and only simulates the victim.
-    let resumed = run(&s, &dir_fault, &SuiteOptions::default(), true);
+    let resumed = clean_run(&s, &dir_fault);
     assert!(resumed.is_complete());
     assert_eq!(resumed.resumed, 7, "only w6 re-simulated");
     for (r, c) in resumed.iter().zip(clean.iter()) {
         assert_eq!(
-            serde_json::to_string(r).unwrap(),
-            serde_json::to_string(c).unwrap(),
+            simulated(r),
+            simulated(c),
             "resumed suite equals a clean run ({})",
             r.workload
         );
@@ -124,7 +145,7 @@ fn injected_panic_degrades_resumes_and_matches_uninjected() {
     );
 
     // And a further invocation is a pure cache hit.
-    let hit = run(&s, &dir_fault, &SuiteOptions::default(), true);
+    let hit = clean_run(&s, &dir_fault);
     assert!(hit.is_complete());
     assert_eq!(hit.resumed, 0);
     let _ = std::fs::remove_dir_all(&dir_fault);
@@ -139,11 +160,13 @@ fn injected_hang_reports_structured_snapshot() {
     let s = suite(2);
     let opts = SuiteOptions {
         max_attempts: 1,
-        fault: Some(Arc::new(FaultPlan::parse("hang:2").unwrap())),
-        watchdog: Some(Some(3_000)),
         ..Default::default()
     };
-    let out = run(&s, &dir, &opts, false);
+    let knobs = Knobs {
+        watchdog: Some(3_000),
+        ..uncached(&dir, "hang:2")
+    };
+    let out = run(&s, &knobs, &opts);
     assert_eq!(out.marker().as_deref(), Some("DEGRADED (1/2)"));
     let (name, err) = &out.failures[0];
     assert_eq!(name, "w1");
@@ -166,10 +189,9 @@ fn injected_invariant_violation_is_structured() {
     let s = suite(2);
     let opts = SuiteOptions {
         max_attempts: 3,
-        fault: Some(Arc::new(FaultPlan::parse("invariant:1").unwrap())),
         ..Default::default()
     };
-    let out = run(&s, &dir, &opts, false);
+    let out = run(&s, &uncached(&dir, "invariant:1"), &opts);
     assert_eq!(out.marker().as_deref(), Some("DEGRADED (1/2)"));
     let (name, err) = &out.failures[0];
     assert_eq!(name, "w0");
@@ -186,7 +208,7 @@ fn injected_invariant_violation_is_structured() {
 fn corrupt_cache_entries_quarantine_and_regenerate() {
     let dir = tmpdir("corrupt");
     let s = suite(2);
-    let first = run(&s, &dir, &SuiteOptions::default(), true);
+    let first = clean_run(&s, &dir);
     assert!(first.is_complete());
     let entry = files_matching(&dir, ".json")
         .into_iter()
@@ -212,7 +234,7 @@ fn corrupt_cache_entries_quarantine_and_regenerate() {
         } else {
             write_envelope(&entry, *version, payload, None).unwrap();
         }
-        let again = run(&s, &dir, &SuiteOptions::default(), true);
+        let again = clean_run(&s, &dir);
         assert!(again.is_complete(), "regenerated after {what}");
         assert_eq!(
             files_matching(&dir, "quarantined").len(),
@@ -238,20 +260,16 @@ fn torn_cache_write_heals_on_next_run() {
     // two partials, then the combined entry. Tearing write 3 simulates a
     // crash mid-way through the combined write (the partials are already
     // gone by then, so the next run must regenerate from scratch).
-    let opts = SuiteOptions {
-        fault: Some(Arc::new(FaultPlan::parse("torn_write:3").unwrap())),
-        ..Default::default()
-    };
-    let first = run(&s, &dir, &opts, true);
+    let first = run(&s, &knobs(&dir, "torn_write:3"), &SuiteOptions::default());
     assert!(first.is_complete(), "tearing a write does not fail the run");
-    let second = run(&s, &dir, &SuiteOptions::default(), true);
+    let second = clean_run(&s, &dir);
     assert!(second.is_complete());
     assert!(
         !files_matching(&dir, "quarantined").is_empty(),
         "the torn entry was quarantined on read"
     );
     // Third run: everything verified, straight cache hit.
-    let third = run(&s, &dir, &SuiteOptions::default(), true);
+    let third = clean_run(&s, &dir);
     assert!(third.is_complete());
     for (a, b) in second.iter().zip(third.iter()) {
         assert_eq!(

@@ -18,37 +18,6 @@ use ucp_telemetry::AccountingBreakdown;
 /// overrides; `0`/`off` disables the watchdog entirely).
 pub const DEFAULT_WATCHDOG_CYCLES: u64 = 500_000;
 
-/// Reads `UCP_WATCHDOG`: `Ok(None)` disables the watchdog (`0`/`off`),
-/// otherwise the no-retirement window in cycles (default
-/// [`DEFAULT_WATCHDOG_CYCLES`]).
-///
-/// # Errors
-///
-/// Unparseable values are a hard configuration error, consistent with
-/// `UCP_INTERVAL` and `UCP_FIG_PROFILE`.
-pub fn watchdog_from_env() -> Result<Option<u64>, String> {
-    match std::env::var("UCP_WATCHDOG") {
-        Err(_) => Ok(Some(DEFAULT_WATCHDOG_CYCLES)),
-        Ok(s) => {
-            let s = s.trim().to_ascii_lowercase();
-            if s.is_empty() {
-                Ok(Some(DEFAULT_WATCHDOG_CYCLES))
-            } else if s == "off" {
-                Ok(None)
-            } else {
-                match s.parse::<u64>() {
-                    Ok(0) => Ok(None),
-                    Ok(n) => Ok(Some(n)),
-                    Err(_) => Err(format!(
-                        "UCP_WATCHDOG=`{s}` is not a cycle count; \
-                         expected an integer, `0`, or `off`"
-                    )),
-                }
-            }
-        }
-    }
-}
-
 /// Machine state captured at the point of a simulation failure. Attached
 /// to [`SimError::Hang`] and [`SimError::InvariantViolation`] so degraded
 /// suite reports can say *where* a workload died, not just that it did.
@@ -306,21 +275,5 @@ mod tests {
         let back: SimError = serde_json::from_str(&text).unwrap();
         assert_eq!(back.kind(), "invariant-violation");
         assert_eq!(back.snapshot().unwrap().cycle, 9);
-    }
-
-    #[test]
-    fn watchdog_env_parses_strictly() {
-        // Env mutation: keep every UCP_WATCHDOG case in this one test.
-        std::env::remove_var("UCP_WATCHDOG");
-        assert_eq!(watchdog_from_env().unwrap(), Some(DEFAULT_WATCHDOG_CYCLES));
-        std::env::set_var("UCP_WATCHDOG", "25000");
-        assert_eq!(watchdog_from_env().unwrap(), Some(25_000));
-        std::env::set_var("UCP_WATCHDOG", "off");
-        assert_eq!(watchdog_from_env().unwrap(), None);
-        std::env::set_var("UCP_WATCHDOG", "0");
-        assert_eq!(watchdog_from_env().unwrap(), None);
-        std::env::set_var("UCP_WATCHDOG", "soon");
-        assert!(watchdog_from_env().is_err());
-        std::env::remove_var("UCP_WATCHDOG");
     }
 }

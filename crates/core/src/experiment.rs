@@ -4,17 +4,18 @@
 //! suite instead of killing it.
 
 use crate::config::SimConfig;
-use crate::error::{watchdog_from_env, SimError};
+use crate::error::SimError;
+use crate::knobs::Knobs;
 use crate::pipeline::{RunOutput, Simulator};
-use crate::snapshot::{ckpt_from_env, digest_from_env, DigestRecord};
+use crate::snapshot::DigestRecord;
 use crate::stats::SimStats;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use ucp_telemetry::fault::{global_plan, FaultPlan};
+use std::sync::Mutex;
+use ucp_telemetry::fault::FaultPlan;
 use ucp_telemetry::interval::IntervalRecord;
-use ucp_telemetry::IntervalSampler;
 use ucp_telemetry::RegistrySnapshot;
 use ucp_workloads::WorkloadSpec;
 
@@ -25,23 +26,6 @@ pub const DEFAULT_WARMUP: u64 = 1_000_000;
 
 /// Default measured instructions per run.
 pub const DEFAULT_MEASURE: u64 = 4_000_000;
-
-/// Reads run length overrides from the environment
-/// (`UCP_SIM_WARMUP`, `UCP_SIM_INSTRUCTIONS`), falling back to the
-/// defaults scaled by `scale`.
-pub fn run_lengths(scale: f64) -> (u64, u64) {
-    let warmup = std::env::var("UCP_SIM_WARMUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or((DEFAULT_WARMUP as f64 * scale) as u64)
-        .max(10_000);
-    let measure = std::env::var("UCP_SIM_INSTRUCTIONS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or((DEFAULT_MEASURE as f64 * scale) as u64)
-        .max(10_000);
-    (warmup, measure)
-}
 
 /// Per-workload persistence hook for [`run_suite_outcome`]: invoked from
 /// the worker thread with the workload's suite index and result as soon
@@ -68,6 +52,11 @@ pub struct RunResult {
     /// set, or for results cached before the auditor existed).
     #[serde(default)]
     pub digests: Vec<DigestRecord>,
+    /// The run's manifest: the [`Knobs::to_env`] map of the knobs it ran
+    /// under, in environment syntax. Empty (unknown, not the defaults)
+    /// for results cached before manifests existed.
+    #[serde(default)]
+    pub knobs: BTreeMap<String, String>,
 }
 
 /// How [`run_suite_outcome`] isolates, retries and resumes workloads.
@@ -84,13 +73,6 @@ pub struct SuiteOptions {
     /// partially-persisted run) are not re-simulated. Shorter than the
     /// suite means the tail is unfilled.
     pub prefilled: Vec<Option<RunResult>>,
-    /// Explicit fault plan (tests). `None` falls back to the
-    /// process-global `UCP_FAULT` plan.
-    pub fault: Option<Arc<FaultPlan>>,
-    /// Hang-watchdog override: `Some(w)` replaces the `UCP_WATCHDOG`
-    /// window on every simulator this run builds (`Some(None)`
-    /// disables it).
-    pub watchdog: Option<Option<u64>>,
 }
 
 impl SuiteOptions {
@@ -162,17 +144,6 @@ impl SuiteOutcome {
 /// genuinely different roll while staying reproducible.
 const RESEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Checks every environment knob a suite run depends on *before*
-/// simulating anything, so a typo'd `UCP_WATCHDOG` is one clean
-/// [`SimError::BadConfig`] instead of a panic inside a worker thread.
-fn validate_env() -> Result<Option<Arc<FaultPlan>>, SimError> {
-    watchdog_from_env().map_err(|detail| SimError::BadConfig { detail })?;
-    IntervalSampler::from_env().map_err(|detail| SimError::BadConfig { detail })?;
-    ckpt_from_env().map_err(|detail| SimError::BadConfig { detail })?;
-    digest_from_env().map_err(|detail| SimError::BadConfig { detail })?;
-    global_plan().map_err(|detail| SimError::BadConfig { detail })
-}
-
 /// One attempt at one workload, with the fault-injection hooks armed.
 /// Panics (including injected ones) unwind to the caller's
 /// `catch_unwind`.
@@ -181,18 +152,15 @@ fn run_one_attempt(
     cfg: &SimConfig,
     warmup: u64,
     measure: u64,
-    fault: Option<&Arc<FaultPlan>>,
+    knobs: &Knobs,
     index: usize,
-    watchdog: Option<Option<u64>>,
 ) -> Result<RunOutput, SimError> {
+    let fault = knobs.fault.as_deref();
     if fault.is_some_and(|p| p.armed_at("panic", index)) {
         panic!("injected fault: panic at suite index {index}");
     }
     let prog = spec.build();
-    let mut sim = Simulator::new(&prog, spec.seed, cfg);
-    if let Some(w) = watchdog {
-        sim.set_watchdog(w);
-    }
+    let mut sim = Simulator::with_knobs(&prog, spec.seed, cfg, knobs);
     if fault.is_some_and(|p| p.armed_at("hang", index)) {
         sim.inject_hang();
     }
@@ -204,7 +172,7 @@ fn run_one_attempt(
     // re-simulating from cycle zero. A failed attempt keeps its
     // checkpoints on disk for the next resume; only a completed run
     // removes them.
-    sim.init_checkpointing(spec, warmup, measure, fault.cloned())?;
+    sim.arm_checkpointing(spec, warmup, measure, knobs);
     let out = sim.run_full(warmup, measure)?;
     sim.finish_checkpointing();
     Ok(out)
@@ -219,8 +187,8 @@ fn run_one_isolated(
     warmup: u64,
     measure: u64,
     index: usize,
+    knobs: &Knobs,
     opts: &SuiteOptions,
-    fault: Option<&Arc<FaultPlan>>,
 ) -> WorkloadOutcome {
     let max_attempts = opts.attempts();
     let mut attempt = 0;
@@ -235,7 +203,7 @@ fn run_one_isolated(
             spec.seed ^= RESEED_SALT.wrapping_mul(attempt as u64 - 1);
         }
         let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-            run_one_attempt(&spec, cfg, warmup, measure, fault, index, opts.watchdog)
+            run_one_attempt(&spec, cfg, warmup, measure, knobs, index)
         }))
         .unwrap_or_else(|payload| {
             let payload = payload
@@ -256,6 +224,7 @@ fn run_one_isolated(
                     telemetry: out.telemetry,
                     intervals: out.intervals,
                     digests: out.digests,
+                    knobs: knobs.to_env(),
                 })
             }
             Err(e) => {
@@ -287,24 +256,17 @@ fn run_one_isolated(
 /// bounded retries ([`SuiteOptions::max_attempts`]); `persist`, when
 /// given, is invoked from the worker as soon as a workload completes, so
 /// a killed process loses at most the in-flight workloads (crash-resume
-/// via [`SuiteOptions::prefilled`]).
-///
-/// # Errors
-///
-/// Only configuration problems fail the whole suite
-/// ([`SimError::BadConfig`], checked before any simulation). Per-workload
-/// failures land in the returned [`SuiteOutcome`].
+/// via [`SuiteOptions::prefilled`]). Every simulator is configured from
+/// `knobs`, and every result records them.
 pub fn run_suite_outcome(
     suite: &[WorkloadSpec],
     cfg: &SimConfig,
     warmup: u64,
     measure: u64,
+    knobs: &Knobs,
     opts: &SuiteOptions,
     persist: Option<PersistFn<'_>>,
-) -> Result<SuiteOutcome, SimError> {
-    let env_plan = validate_env()?;
-    let fault = opts.fault.clone().or(env_plan);
-    let fault = fault.as_ref();
+) -> SuiteOutcome {
     let max_par = std::thread::available_parallelism().map_or(4, |n| n.get());
     let workers = max_par.max(1).min(suite.len().max(1));
     let next = AtomicUsize::new(0);
@@ -327,7 +289,7 @@ pub fn run_suite_outcome(
                 if slots[i].lock().expect("result slot poisoned").is_some() {
                     continue; // resumed from a previous run
                 }
-                let outcome = run_one_isolated(spec, cfg, warmup, measure, i, opts, fault);
+                let outcome = run_one_isolated(spec, cfg, warmup, measure, i, knobs, opts);
                 if let (Some(persist), Ok(r)) = (persist, &outcome.outcome) {
                     persist(i, r);
                 }
@@ -335,7 +297,7 @@ pub fn run_suite_outcome(
             });
         }
     });
-    Ok(SuiteOutcome {
+    SuiteOutcome {
         outcomes: slots
             .into_iter()
             .map(|s| {
@@ -344,7 +306,7 @@ pub fn run_suite_outcome(
                     .expect("all slots filled")
             })
             .collect(),
-    })
+    }
 }
 
 /// Runs `cfg` over every workload in `suite` with default isolation
@@ -352,15 +314,16 @@ pub fn run_suite_outcome(
 ///
 /// # Errors
 ///
-/// [`SimError::BadConfig`] for malformed environment knobs, or the first
-/// per-workload failure that survived retries.
+/// The first per-workload failure that survived retries.
 pub fn run_suite(
     suite: &[WorkloadSpec],
     cfg: &SimConfig,
     warmup: u64,
     measure: u64,
+    knobs: &Knobs,
 ) -> Result<Vec<RunResult>, SimError> {
-    run_suite_outcome(suite, cfg, warmup, measure, &SuiteOptions::default(), None)?.into_results()
+    let opts = SuiteOptions::default();
+    run_suite_outcome(suite, cfg, warmup, measure, knobs, &opts, None).into_results()
 }
 
 /// The first interval at which a replayed run's state digest stopped
@@ -454,11 +417,6 @@ pub fn replay_verify(
     })
 }
 
-/// Per-workload IPCs from a result set.
-pub fn ipcs(results: &[RunResult]) -> Vec<f64> {
-    results.iter().map(|r| r.stats.ipc()).collect()
-}
-
 /// Per-workload speedups `new/base − 1` in percent, paired by suite order.
 ///
 /// # Panics
@@ -507,7 +465,7 @@ mod tests {
     use ucp_workloads::WorkloadSpec;
 
     fn suite_ok(suite: &[WorkloadSpec], cfg: &SimConfig, w: u64, m: u64) -> Vec<RunResult> {
-        run_suite(suite, cfg, w, m).expect("suite run failed")
+        run_suite(suite, cfg, w, m, &Knobs::default()).expect("suite run failed")
     }
 
     #[test]
@@ -573,14 +531,17 @@ mod tests {
             telemetry: RegistrySnapshot::default(),
             intervals: Vec::new(),
             digests: Vec::new(),
+            knobs: BTreeMap::new(),
         })
         .unwrap();
         if let serde_json::Value::Map(entries) = &mut v {
-            entries.retain(|(k, _)| k != "telemetry" && k != "intervals" && k != "digests");
+            entries
+                .retain(|(k, _)| !["telemetry", "intervals", "digests", "knobs"].contains(&&**k));
         }
         let back: RunResult = serde_json::from_value(v).unwrap();
         assert!(back.telemetry.is_empty());
         assert!(back.intervals.is_empty());
+        assert!(back.knobs.is_empty(), "an old entry's manifest is unknown");
     }
 
     #[test]
@@ -603,6 +564,7 @@ mod tests {
             telemetry: RegistrySnapshot::default(),
             intervals: Vec::new(),
             digests: Vec::new(),
+            knobs: BTreeMap::new(),
         }
     }
 
@@ -626,16 +588,33 @@ mod tests {
         let _ = speedups_pct(&b, &n);
     }
 
+    fn with_fault(spec: &str) -> Knobs {
+        Knobs {
+            fault: Some(std::sync::Arc::new(FaultPlan::parse(spec).unwrap())),
+            ..Knobs::default()
+        }
+    }
+
+    fn outcome(suite: &[WorkloadSpec], knobs: &Knobs, opts: &SuiteOptions) -> SuiteOutcome {
+        run_suite_outcome(
+            suite,
+            &SimConfig::baseline(),
+            5_000,
+            20_000,
+            knobs,
+            opts,
+            None,
+        )
+    }
+
     #[test]
     fn injected_panic_degrades_not_kills() {
         let suite = vec![WorkloadSpec::tiny("a", 1), WorkloadSpec::tiny("b", 2)];
         let opts = SuiteOptions {
             max_attempts: 2,
-            fault: Some(Arc::new(FaultPlan::parse("panic:2").unwrap())),
             ..Default::default()
         };
-        let out =
-            run_suite_outcome(&suite, &SimConfig::baseline(), 5_000, 20_000, &opts, None).unwrap();
+        let out = outcome(&suite, &with_fault("panic:2"), &opts);
         assert_eq!(out.completed(), 1);
         assert!(!out.is_complete());
         let fails = out.failures();
@@ -647,6 +626,9 @@ mod tests {
             out.outcomes[1].attempts, 2,
             "panic is retryable; both spent"
         );
+        // The survivor's manifest names the plan it ran under.
+        let survivor = out.outcomes[0].outcome.as_ref().unwrap();
+        assert_eq!(survivor.knobs["UCP_FAULT"], "panic:2");
         assert!(out.into_results().is_err());
     }
 
@@ -655,11 +637,9 @@ mod tests {
         let suite = vec![WorkloadSpec::tiny("a", 1)];
         let opts = SuiteOptions {
             max_attempts: 3,
-            fault: Some(Arc::new(FaultPlan::parse("panic:1:1").unwrap())),
             ..Default::default()
         };
-        let out =
-            run_suite_outcome(&suite, &SimConfig::baseline(), 5_000, 20_000, &opts, None).unwrap();
+        let out = outcome(&suite, &with_fault("panic:1:1"), &opts);
         assert!(out.is_complete());
         assert_eq!(out.outcomes[0].attempts, 2, "one failure, one success");
     }
@@ -669,12 +649,13 @@ mod tests {
         let suite = vec![WorkloadSpec::tiny("a", 1)];
         let opts = SuiteOptions {
             max_attempts: 1,
-            fault: Some(Arc::new(FaultPlan::parse("hang:1").unwrap())),
-            watchdog: Some(Some(2_000)),
             ..Default::default()
         };
-        let out =
-            run_suite_outcome(&suite, &SimConfig::baseline(), 5_000, 20_000, &opts, None).unwrap();
+        let knobs = Knobs {
+            watchdog: Some(2_000),
+            ..with_fault("hang:1")
+        };
+        let out = outcome(&suite, &knobs, &opts);
         let fails = out.failures();
         assert_eq!(fails.len(), 1);
         assert_eq!(fails[0].1.kind(), "hang");
@@ -700,10 +681,10 @@ mod tests {
             &SimConfig::baseline(),
             5_000,
             20_000,
+            &Knobs::default(),
             &opts,
             Some(&persist),
-        )
-        .unwrap();
+        );
         assert!(out.is_complete());
         assert_eq!(out.outcomes[0].attempts, 0, "resumed, not re-run");
         let r = out.into_results().unwrap();
@@ -714,13 +695,5 @@ mod tests {
             vec![1],
             "only fresh work persisted"
         );
-    }
-
-    #[test]
-    fn run_lengths_env_override() {
-        // No env set in tests: defaults scale.
-        let (w, m) = run_lengths(0.5);
-        assert_eq!(w, DEFAULT_WARMUP / 2);
-        assert_eq!(m, DEFAULT_MEASURE / 2);
     }
 }

@@ -25,6 +25,7 @@
 pub mod config;
 pub mod error;
 pub mod experiment;
+pub mod knobs;
 pub mod pipeline;
 pub mod snapshot;
 pub mod stats;
@@ -33,15 +34,13 @@ pub mod ucp;
 pub use config::{
     BackendConfig, ConfKind, FrontendConfig, PrefetcherKind, SimConfig, UcpConfig, UopCacheModel,
 };
-pub use error::{watchdog_from_env, DiagSnapshot, SimError, DEFAULT_WATCHDOG_CYCLES};
+pub use error::{DiagSnapshot, SimError, DEFAULT_WATCHDOG_CYCLES};
 pub use experiment::{
-    align_by_workload, replay_verify, run_lengths, run_suite, run_suite_outcome, speedups_pct,
-    PersistFn, ReplayDivergence, ReplayReport, RunResult, SuiteOptions, SuiteOutcome,
-    WorkloadOutcome,
+    align_by_workload, replay_verify, run_suite, run_suite_outcome, speedups_pct, PersistFn,
+    ReplayDivergence, ReplayReport, RunResult, SuiteOptions, SuiteOutcome, WorkloadOutcome,
 };
+pub use knobs::{Knobs, Profile};
 pub use pipeline::{RunOutput, Simulator};
-pub use snapshot::{
-    ckpt_from_env, digest_from_env, CheckpointMeta, CheckpointPolicy, DigestRecord, CKPT_VERSION,
-};
+pub use snapshot::{CheckpointMeta, CheckpointPolicy, DigestRecord, CKPT_VERSION};
 pub use stats::{geomean_speedup_pct, BucketCount, H2pCounts, SimStats, UcpStats};
 pub use ucp::UcpEngine;

@@ -26,10 +26,11 @@ pub mod backend;
 mod records;
 
 use crate::config::{PrefetcherKind, SimConfig, UopCacheModel};
-use crate::error::{watchdog_from_env, DiagSnapshot, SimError};
+use crate::error::{DiagSnapshot, SimError};
+use crate::knobs::Knobs;
 use crate::snapshot::{
-    ckpt_from_env, ckpt_root, digest_from_env, latest_valid_checkpoint, remove_run_checkpoints,
-    run_slug, write_checkpoint, CheckpointMeta, CheckpointPolicy, DigestRecord, CKPT_VERSION,
+    latest_valid_checkpoint, remove_run_checkpoints, run_slug, write_checkpoint, CheckpointMeta,
+    DigestRecord, CKPT_VERSION,
 };
 use crate::stats::{SimStats, UcpStats};
 use crate::ucp::{AltCheckpoints, UcpEngine};
@@ -344,22 +345,38 @@ pub struct Simulator<'p> {
 
 impl<'p> Simulator<'p> {
     /// Creates a simulator for `prog` under `cfg`, with the workload's
-    /// behavioural `seed`. Telemetry comes from the environment
-    /// (`UCP_TRACE`); use [`Simulator::with_telemetry`] to supply a handle
-    /// whose registry and trace buffer you keep.
+    /// behavioural `seed` and the default knobs ([`Knobs::default`]).
     pub fn new(prog: &'p Program, seed: u64, cfg: &SimConfig) -> Self {
-        Simulator::with_telemetry(prog, seed, cfg, Telemetry::from_env())
+        Simulator::with_knobs(prog, seed, cfg, &Knobs::default())
     }
 
-    /// Creates a simulator wired to `telemetry`: every layer (µ-op cache,
-    /// UCP engine, memory hierarchy, L1I prefetcher, the pipeline itself)
-    /// registers its counters in `telemetry.registry` and emits trace
-    /// events through `telemetry.tracer`.
+    /// [`Simulator::new`] configured by `knobs`: their tracer, interval
+    /// sampler, digest cadence and hang watchdog. Checkpointing is armed
+    /// separately ([`Simulator::arm_checkpointing`]).
+    pub fn with_knobs(prog: &'p Program, seed: u64, cfg: &SimConfig, knobs: &Knobs) -> Self {
+        Simulator::build(prog, seed, cfg, knobs.telemetry(), knobs)
+    }
+
+    /// Creates a simulator wired to `telemetry`, otherwise configured by
+    /// [`Knobs::default`]: every layer (µ-op cache, UCP engine, memory
+    /// hierarchy, L1I prefetcher, the pipeline itself) registers its
+    /// counters in `telemetry.registry` and emits trace events through
+    /// `telemetry.tracer`.
     pub fn with_telemetry(
         prog: &'p Program,
         seed: u64,
         cfg: &SimConfig,
         telemetry: Telemetry,
+    ) -> Self {
+        Simulator::build(prog, seed, cfg, telemetry, &Knobs::default())
+    }
+
+    fn build(
+        prog: &'p Program,
+        seed: u64,
+        cfg: &SimConfig,
+        telemetry: Telemetry,
+        knobs: &Knobs,
     ) -> Self {
         let bp = TageScL::new(cfg.bpred);
         let bp_hist = bp.new_history();
@@ -436,17 +453,13 @@ impl<'p> Simulator<'p> {
             measure_state: None,
             stats: SimStats::default(),
             tele: SimTelemetry::bound_to(telemetry),
-            // Constructors cannot return Result without breaking every
-            // embedding; malformed env knobs are hard errors here. Suite
-            // runners validate the environment first and surface
-            // `SimError::BadConfig` before any Simulator is built.
-            sampler: IntervalSampler::from_env().unwrap_or_else(|e| panic!("{e}")),
+            sampler: knobs.sampler(),
             ckpt: None,
             last_ckpt_committed: 0,
-            digest_every: digest_from_env().unwrap_or_else(|e| panic!("{e}")),
+            digest_every: knobs.digest,
             last_digest_committed: 0,
             digests: Vec::new(),
-            watchdog: watchdog_from_env().unwrap_or_else(|e| panic!("{e}")),
+            watchdog: knobs.watchdog,
             hang_injected: false,
             skew_invariant: false,
             skew_applied: false,
@@ -459,16 +472,16 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Replaces the interval sampler (constructed from `UCP_INTERVAL` by
-    /// default). `None` disables sampling; tools like `trace_dump` pass
-    /// an explicit sampler to force it on.
+    /// Replaces the interval sampler (`UCP_INTERVAL`'s by default).
+    /// `None` disables sampling; tools like `trace_dump` pass an explicit
+    /// sampler to force it on.
     pub fn set_interval_sampling(&mut self, sampler: Option<IntervalSampler>) {
         self.sampler = sampler;
     }
 
-    /// Replaces the hang-watchdog window (constructed from `UCP_WATCHDOG`
-    /// by default). `None` disables hang detection — a livelocked
-    /// pipeline then spins until killed externally.
+    /// Replaces the hang-watchdog window (`UCP_WATCHDOG`'s by default).
+    /// `None` disables hang detection — a livelocked pipeline then spins
+    /// until killed externally.
     pub fn set_watchdog(&mut self, cycles: Option<u64>) {
         self.watchdog = cycles;
     }
@@ -525,43 +538,12 @@ impl<'p> Simulator<'p> {
         &self.tele.handle
     }
 
-    /// Convenience: build the workload's program and run it, panicking on
-    /// any [`SimError`] (tests and tools that prefer a crash to a
-    /// degraded result).
+    /// Convenience: build the workload's program and run it under the
+    /// default knobs, panicking on any [`SimError`] (tests and tools that
+    /// prefer a crash to a degraded result).
     pub fn run_spec(spec: &WorkloadSpec, cfg: &SimConfig, warmup: u64, measure: u64) -> SimStats {
-        Simulator::run_spec_full(spec, cfg, warmup, measure).0
-    }
-
-    /// Like [`Simulator::run_spec`], but also returns the telemetry
-    /// registry's measurement-window delta (what suite runners persist).
-    /// Panics on any [`SimError`].
-    pub fn run_spec_full(
-        spec: &WorkloadSpec,
-        cfg: &SimConfig,
-        warmup: u64,
-        measure: u64,
-    ) -> (SimStats, RegistrySnapshot) {
-        let out = Simulator::run_spec_output(spec, cfg, warmup, measure)
-            .unwrap_or_else(|e| panic!("{e}"));
-        (out.stats, out.telemetry)
-    }
-
-    /// Like [`Simulator::run_spec_full`], but returns the full
-    /// [`RunOutput`] including the interval time series, and reports
-    /// failures as [`SimError`] instead of panicking. This is the entry
-    /// point the fault-isolated suite runner uses.
-    pub fn run_spec_output(
-        spec: &WorkloadSpec,
-        cfg: &SimConfig,
-        warmup: u64,
-        measure: u64,
-    ) -> Result<RunOutput, SimError> {
         let prog = spec.build();
-        let mut sim = Simulator::new(&prog, spec.seed, cfg);
-        sim.init_checkpointing(spec, warmup, measure, None)?;
-        let out = sim.run_full(warmup, measure)?;
-        sim.finish_checkpointing();
-        Ok(out)
+        Simulator::new(&prog, spec.seed, cfg).run(warmup, measure)
     }
 
     /// Runs `warmup` instructions with statistics off, then `measure`
@@ -1706,42 +1688,25 @@ impl<'p> Simulator<'p> {
     // Checkpoint/restore and the determinism auditor
     // ------------------------------------------------------------------
 
-    /// Arms `UCP_CKPT` checkpointing for this run and, when a valid
-    /// checkpoint of the *same trajectory* (workload, seed, config, run
-    /// lengths) exists on disk, restores the newest one instead of
-    /// re-simulating from cycle zero. Returns the committed-instruction
-    /// count resumed from, if any. `fault` arms the `torn_write` site on
-    /// every checkpoint write.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::BadConfig`] for a malformed `UCP_CKPT` value.
-    pub fn init_checkpointing(
-        &mut self,
-        spec: &WorkloadSpec,
-        warmup: u64,
-        measure: u64,
-        fault: Option<Arc<FaultPlan>>,
-    ) -> Result<Option<u64>, SimError> {
-        match ckpt_from_env().map_err(|detail| SimError::BadConfig { detail })? {
-            Some(policy) => Ok(self.arm_checkpointing(spec, warmup, measure, policy, fault)),
-            None => Ok(None),
-        }
-    }
-
-    /// [`Simulator::init_checkpointing`] with an explicit policy instead
-    /// of the environment knob (tests, offline tools).
+    /// Arms checkpointing for this run as `knobs` ask (`UCP_CKPT` under
+    /// `UCP_CKPT_DIR`; a no-op when off) and, when a valid checkpoint of
+    /// the *same trajectory* (workload, seed, config, run lengths) exists
+    /// on disk, restores the newest one instead of re-simulating from
+    /// cycle zero. Returns the committed-instruction count resumed from,
+    /// if any. The knobs' fault plan arms the `torn_write` and `kill`
+    /// sites on every checkpoint write.
     pub fn arm_checkpointing(
         &mut self,
         spec: &WorkloadSpec,
         warmup: u64,
         measure: u64,
-        policy: CheckpointPolicy,
-        fault: Option<Arc<FaultPlan>>,
+        knobs: &Knobs,
     ) -> Option<u64> {
+        let policy = knobs.ckpt?;
         let spec_json = serde_json::to_string(spec).expect("workload spec serializes");
         let cfg_json = serde_json::to_string(&self.cfg).expect("sim config serializes");
-        let dir = ckpt_root().join(run_slug(&spec.name, spec.seed, &cfg_json, warmup, measure));
+        let slug = run_slug(&spec.name, spec.seed, &cfg_json, warmup, measure);
+        let dir = knobs.ckpt_dir.join(slug);
         let mut resumed = None;
         if let Some((meta, state)) = latest_valid_checkpoint(&dir) {
             // The slug already keys the directory by trajectory; verify
@@ -1771,7 +1736,7 @@ impl<'p> Simulator<'p> {
             seed: spec.seed,
             warmup,
             measure,
-            fault,
+            fault: knobs.fault.clone(),
         });
         resumed
     }
@@ -1782,11 +1747,6 @@ impl<'p> Simulator<'p> {
         if let Some(sink) = self.ckpt.take() {
             remove_run_checkpoints(&sink.dir);
         }
-    }
-
-    /// The directory the armed checkpoint writer targets, if any.
-    pub fn checkpoint_dir(&self) -> Option<&std::path::Path> {
-        self.ckpt.as_ref().map(|s| s.dir.as_path())
     }
 
     /// Writes a checkpoint if the armed cadence says one is due.
@@ -1863,8 +1823,8 @@ impl<'p> Simulator<'p> {
         &self.digests
     }
 
-    /// Replaces the digest cadence (constructed from `UCP_DIGEST` by
-    /// default). `None` disables the determinism auditor.
+    /// Replaces the digest cadence (`UCP_DIGEST`'s by default). `None`
+    /// disables the determinism auditor.
     pub fn set_digest_interval(&mut self, every: Option<u64>) {
         self.digest_every = every;
     }

@@ -78,87 +78,13 @@ pub struct DigestRecord {
 sim_isa::state_fields!(DigestRecord { committed, cycle, digest } skip {});
 
 /// `UCP_CKPT` policy: checkpoint every `every` committed instructions,
-/// keep the newest `keep` on disk.
+/// keep the newest `keep` on disk (`Knobs::ckpt`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint interval in committed instructions.
     pub every: u64,
     /// Checkpoints retained per run directory.
     pub keep: usize,
-}
-
-/// Reads `UCP_CKPT`: `Ok(None)` disables checkpointing (unset, empty,
-/// `0`, `off`), otherwise `<instructions>[:<keep>]` (keep defaults to
-/// [`DEFAULT_CKPT_KEEP`]).
-///
-/// # Errors
-///
-/// Malformed values are a hard configuration error, consistent with
-/// `UCP_WATCHDOG` and `UCP_FAULT`.
-pub fn ckpt_from_env() -> Result<Option<CheckpointPolicy>, String> {
-    let Ok(s) = std::env::var("UCP_CKPT") else {
-        return Ok(None);
-    };
-    let s = s.trim().to_ascii_lowercase();
-    if s.is_empty() || s == "off" || s == "0" {
-        return Ok(None);
-    }
-    let err = || {
-        format!(
-            "UCP_CKPT=`{s}` is not a checkpoint interval; \
-             expected `<instructions>[:<keep>]`, `0`, or `off`"
-        )
-    };
-    let (every_s, keep_s) = match s.split_once(':') {
-        Some((e, k)) => (e, Some(k)),
-        None => (s.as_str(), None),
-    };
-    let every = every_s.parse::<u64>().map_err(|_| err())?;
-    if every == 0 {
-        return Ok(None);
-    }
-    let keep = match keep_s {
-        Some(k) => match k.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(err()),
-        },
-        None => DEFAULT_CKPT_KEEP,
-    };
-    Ok(Some(CheckpointPolicy { every, keep }))
-}
-
-/// Reads `UCP_DIGEST`: `Ok(None)` disables the determinism auditor
-/// (unset, empty, `0`, `off`), otherwise the digest interval in committed
-/// instructions.
-///
-/// # Errors
-///
-/// Malformed values are a hard configuration error, consistent with
-/// `UCP_WATCHDOG` and `UCP_CKPT`.
-pub fn digest_from_env() -> Result<Option<u64>, String> {
-    let Ok(s) = std::env::var("UCP_DIGEST") else {
-        return Ok(None);
-    };
-    let s = s.trim().to_ascii_lowercase();
-    if s.is_empty() || s == "off" {
-        return Ok(None);
-    }
-    match s.parse::<u64>() {
-        Ok(0) => Ok(None),
-        Ok(n) => Ok(Some(n)),
-        Err(_) => Err(format!(
-            "UCP_DIGEST=`{s}` is not an instruction count; \
-             expected an integer, `0`, or `off`"
-        )),
-    }
-}
-
-/// Root directory for checkpoints: `UCP_CKPT_DIR`, else
-/// `target/ucp-ckpt`.
-pub fn ckpt_root() -> PathBuf {
-    std::env::var("UCP_CKPT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("target").join("ucp-ckpt"))
 }
 
 /// Stable per-run directory slug: a digest of everything that determines
@@ -384,54 +310,5 @@ mod tests {
         assert_ne!(a, run_slug("w", 1, "{}", 100, 201));
         assert_eq!(a, run_slug("w", 1, "{}", 100, 200));
         assert!(a.starts_with("w-"));
-    }
-
-    #[test]
-    fn ckpt_env_parses_strictly() {
-        // Env mutation: keep every UCP_CKPT case in this one test.
-        std::env::remove_var("UCP_CKPT");
-        assert_eq!(ckpt_from_env().unwrap(), None);
-        std::env::set_var("UCP_CKPT", "50000");
-        assert_eq!(
-            ckpt_from_env().unwrap(),
-            Some(CheckpointPolicy {
-                every: 50_000,
-                keep: DEFAULT_CKPT_KEEP
-            })
-        );
-        std::env::set_var("UCP_CKPT", "50000:5");
-        assert_eq!(
-            ckpt_from_env().unwrap(),
-            Some(CheckpointPolicy {
-                every: 50_000,
-                keep: 5
-            })
-        );
-        std::env::set_var("UCP_CKPT", "off");
-        assert_eq!(ckpt_from_env().unwrap(), None);
-        std::env::set_var("UCP_CKPT", "0");
-        assert_eq!(ckpt_from_env().unwrap(), None);
-        for bad in ["soon", "10:", "10:0", ":3", "1e4"] {
-            std::env::set_var("UCP_CKPT", bad);
-            let e = ckpt_from_env().unwrap_err();
-            assert!(e.contains("expected"), "{bad}: {e}");
-        }
-        std::env::remove_var("UCP_CKPT");
-    }
-
-    #[test]
-    fn digest_env_parses_strictly() {
-        // Env mutation: keep every UCP_DIGEST case in this one test.
-        std::env::remove_var("UCP_DIGEST");
-        assert_eq!(digest_from_env().unwrap(), None);
-        std::env::set_var("UCP_DIGEST", "10000");
-        assert_eq!(digest_from_env().unwrap(), Some(10_000));
-        std::env::set_var("UCP_DIGEST", "off");
-        assert_eq!(digest_from_env().unwrap(), None);
-        std::env::set_var("UCP_DIGEST", "0");
-        assert_eq!(digest_from_env().unwrap(), None);
-        std::env::set_var("UCP_DIGEST", "often");
-        assert!(digest_from_env().unwrap_err().contains("expected"));
-        std::env::remove_var("UCP_DIGEST");
     }
 }

@@ -9,8 +9,8 @@
 //! `replay_verify` relies on the structured error.
 
 use std::sync::Arc;
-use ucp_core::snapshot::{ckpt_root, latest_valid_checkpoint, remove_run_checkpoints, run_slug};
-use ucp_core::{replay_verify, CheckpointPolicy, RunOutput, SimConfig, Simulator};
+use ucp_core::snapshot::{latest_valid_checkpoint, remove_run_checkpoints, run_slug};
+use ucp_core::{replay_verify, CheckpointPolicy, Knobs, RunOutput, SimConfig, Simulator};
 use ucp_telemetry::fault::FaultPlan;
 use ucp_workloads::WorkloadSpec;
 
@@ -23,7 +23,16 @@ fn json<T: serde::Serialize>(v: &T) -> String {
 }
 
 fn run_dir(spec: &WorkloadSpec, cfg: &SimConfig) -> std::path::PathBuf {
-    ckpt_root().join(run_slug(&spec.name, spec.seed, &json(cfg), WARMUP, MEASURE))
+    let slug = run_slug(&spec.name, spec.seed, &json(cfg), WARMUP, MEASURE);
+    Knobs::default().ckpt_dir.join(slug)
+}
+
+fn checkpointing(policy: CheckpointPolicy, fault: Option<Arc<FaultPlan>>) -> Knobs {
+    Knobs {
+        ckpt: Some(policy),
+        fault,
+        ..Knobs::default()
+    }
 }
 
 fn reference_run(spec: &WorkloadSpec, cfg: &SimConfig) -> RunOutput {
@@ -45,7 +54,7 @@ fn crashed_run(
     let prog = spec.build();
     let mut sim = Simulator::new(&prog, spec.seed, cfg);
     sim.set_digest_interval(Some(DIGEST_EVERY));
-    let resumed = sim.arm_checkpointing(spec, WARMUP, MEASURE, policy, fault);
+    let resumed = sim.arm_checkpointing(spec, WARMUP, MEASURE, &checkpointing(policy, fault));
     assert!(
         resumed.is_none(),
         "directory was cleaned; nothing to resume"
@@ -59,7 +68,7 @@ fn resumed_run(spec: &WorkloadSpec, cfg: &SimConfig, policy: CheckpointPolicy) -
     let mut sim = Simulator::new(&prog, spec.seed, cfg);
     sim.set_digest_interval(Some(DIGEST_EVERY));
     let resumed = sim
-        .arm_checkpointing(spec, WARMUP, MEASURE, policy, None)
+        .arm_checkpointing(spec, WARMUP, MEASURE, &checkpointing(policy, None))
         .expect("a valid checkpoint must be found");
     let out = sim.run_full(WARMUP, MEASURE).expect("resumed run");
     sim.finish_checkpointing();
@@ -212,7 +221,7 @@ fn injected_kill_after_first_checkpoint_resumes_bit_identically() {
     let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut sim = Simulator::new(&prog, spec.seed, &cfg);
         sim.set_digest_interval(Some(DIGEST_EVERY));
-        sim.arm_checkpointing(&spec, WARMUP, MEASURE, policy, Some(plan));
+        sim.arm_checkpointing(&spec, WARMUP, MEASURE, &checkpointing(policy, Some(plan)));
         sim.run_full(WARMUP, MEASURE).map(|_| ())
     }));
     assert!(killed.is_err(), "kill site must panic mid-run");

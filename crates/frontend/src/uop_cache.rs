@@ -484,7 +484,7 @@ mod tests {
 
     #[test]
     fn telemetry_mirrors_fill_and_eviction_stats() {
-        let t = Telemetry::with_trace("uopc", 16);
+        let t = Telemetry::with_trace(ucp_telemetry::CategorySet::parse("uopc").unwrap(), 16);
         let cfg = UopCacheConfig {
             sets: 1,
             ways: 1,

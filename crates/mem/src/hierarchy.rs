@@ -499,7 +499,7 @@ mod tests {
 
     #[test]
     fn telemetry_counts_misses_and_stalls() {
-        let t = Telemetry::with_trace("mem", 32);
+        let t = Telemetry::with_trace(ucp_telemetry::CategorySet::parse("mem").unwrap(), 32);
         let mut cfg = HierarchyConfig::alder_lake();
         cfg.l1i_mshr = 1;
         let mut h = Hierarchy::new(&cfg);

@@ -210,7 +210,10 @@ mod tests {
 
     #[test]
     fn telemetry_counts_drained_candidates() {
-        let t = ucp_telemetry::Telemetry::with_trace("prefetch", 16);
+        let t = ucp_telemetry::Telemetry::with_trace(
+            ucp_telemetry::CategorySet::parse("prefetch").unwrap(),
+            16,
+        );
         let mut p = NextLine::new(2);
         p.attach_telemetry(&t);
         p.on_access(Addr::new(0x1000), false);

@@ -3,7 +3,7 @@
 //! The resilience layer (structured errors, hang watchdog, retry,
 //! cache-integrity quarantine) is only trustworthy if every failure path
 //! is exercised, not just claimed. This module arms named fault *sites*
-//! from the environment so tests and CI can force panics, hangs,
+//! from a `UCP_FAULT` spec so tests and CI can force panics, hangs,
 //! accounting-invariant violations and torn cache writes at precisely
 //! reproducible points.
 //!
@@ -34,8 +34,10 @@
 //!   `panic:3:1` fires once, so the first retry succeeds (a transient
 //!   fault).
 //!
-//! A malformed spec is a hard configuration error: suite runners surface
-//! it as `SimError::BadConfig` before simulating anything.
+//! A malformed spec is a hard configuration error: `Knobs::from_env` (in
+//! `ucp-core`) rejects it before anything is simulated. The parsed plan
+//! rides in the run's `Knobs` as one shared `Arc<FaultPlan>`, so `times`
+//! budgets and write counters span the whole process.
 //!
 //! # Determinism
 //!
@@ -46,7 +48,6 @@
 //! flows (the CI smoke) and merely bounded for concurrent ones.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// The named fault sites `UCP_FAULT` can arm.
 pub const SITES: &[&str] = &["panic", "hang", "invariant", "torn_write", "kill"];
@@ -67,6 +68,7 @@ struct SiteState {
 /// run.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
+    spec: String,
     sites: Vec<SiteState>,
 }
 
@@ -115,7 +117,15 @@ impl FaultPlan {
                 fired: AtomicU64::new(0),
             });
         }
-        Ok(FaultPlan { sites })
+        Ok(FaultPlan {
+            spec: spec.trim().to_string(),
+            sites,
+        })
+    }
+
+    /// The `UCP_FAULT` text this plan was parsed from (trimmed).
+    pub fn spec(&self) -> &str {
+        &self.spec
     }
 
     /// True when the plan arms no sites at all.
@@ -151,24 +161,6 @@ impl FaultPlan {
             .filter(|s| s.hits.fetch_add(1, Ordering::Relaxed) + 1 >= s.nth)
             .any(Self::consume)
     }
-}
-
-/// The process-wide plan parsed from `UCP_FAULT`, once. `Ok(None)` when
-/// the variable is unset or empty; `Err` describes a malformed spec (a
-/// hard configuration error). The environment is read exactly once so
-/// `times` budgets and write counters span the whole process, as the CI
-/// smoke relies on.
-pub fn global_plan() -> Result<Option<Arc<FaultPlan>>, String> {
-    static PLAN: OnceLock<Result<Option<Arc<FaultPlan>>, String>> = OnceLock::new();
-    PLAN.get_or_init(|| match std::env::var("UCP_FAULT") {
-        Err(_) => Ok(None),
-        Ok(s) if s.trim().is_empty() => Ok(None),
-        Ok(s) => {
-            let plan = FaultPlan::parse(&s)?;
-            Ok((!plan.is_empty()).then(|| Arc::new(plan)))
-        }
-    })
-    .clone()
 }
 
 #[cfg(test)]

@@ -14,12 +14,9 @@
 //! form stays lossless and small (zero deltas are dropped by
 //! [`RegistrySnapshot::delta_since`]).
 //!
-//! # Environment
-//!
-//! - `UCP_INTERVAL` — cycles per interval. `0` or `off` disables
-//!   sampling; unset uses the default 100 000.
-//! - `UCP_INTERVAL_BUF` — ring capacity in records (default 4096); when
-//!   full the oldest records are dropped and counted.
+//! `UCP_INTERVAL` (cycles per interval, `0`/`off` disables sampling) and
+//! `UCP_INTERVAL_BUF` (ring capacity; when full the oldest records are
+//! dropped and counted) configure the sampler through `ucp_core::Knobs`.
 
 use crate::accounting::AccountingBreakdown;
 use crate::registry::{Registry, RegistrySnapshot};
@@ -133,43 +130,6 @@ impl IntervalSampler {
         }
     }
 
-    /// Reads `UCP_INTERVAL` / `UCP_INTERVAL_BUF`: `Ok(None)` when sampling
-    /// is disabled (`UCP_INTERVAL=0` or `off`), otherwise a sampler with
-    /// the configured (or default) interval length. Unparseable values are
-    /// a hard configuration error — a typo must not silently fall back to
-    /// the default and invalidate hours of cached results.
-    pub fn from_env() -> Result<Option<Self>, String> {
-        let every = match std::env::var("UCP_INTERVAL") {
-            Err(_) => DEFAULT_INTERVAL_CYCLES,
-            Ok(s) => {
-                let s = s.trim().to_ascii_lowercase();
-                if s.is_empty() {
-                    DEFAULT_INTERVAL_CYCLES
-                } else if s == "off" {
-                    return Ok(None);
-                } else {
-                    match s.parse::<u64>() {
-                        Ok(0) => return Ok(None),
-                        Ok(n) => n,
-                        Err(_) => {
-                            return Err(format!(
-                                "UCP_INTERVAL=`{s}` is not a cycle count; \
-                                 expected an integer, `0`, or `off`"
-                            ))
-                        }
-                    }
-                }
-            }
-        };
-        let capacity = match std::env::var("UCP_INTERVAL_BUF") {
-            Err(_) => DEFAULT_INTERVAL_CAPACITY,
-            Ok(s) => s.trim().parse::<usize>().map_err(|_| {
-                format!("UCP_INTERVAL_BUF=`{s}` is not a record count; expected an integer")
-            })?,
-        };
-        Ok(Some(IntervalSampler::new(every, capacity)))
-    }
-
     /// Interval length in cycles.
     pub fn every(&self) -> u64 {
         self.every
@@ -247,7 +207,7 @@ impl IntervalSampler {
 
     /// The sampler's complete mutable state as a serializable value —
     /// the checkpoint path. `every`/`capacity` ride along so a restore
-    /// into a sampler built from a different environment is detectable.
+    /// into a sampler built from different knobs is detectable.
     pub fn export_state(&self) -> SamplerState {
         SamplerState {
             every: self.every,
@@ -481,29 +441,5 @@ mod tests {
         b.finish(25, &reg);
         assert_eq!(a.records(), b.records());
         assert_eq!(b.records()[1].counter("x"), 4);
-    }
-
-    #[test]
-    fn from_env_honours_knob() {
-        // Note: env mutation — keep all UCP_INTERVAL cases in one test to
-        // avoid cross-test races.
-        std::env::remove_var("UCP_INTERVAL");
-        assert_eq!(
-            IntervalSampler::from_env().unwrap().unwrap().every(),
-            DEFAULT_INTERVAL_CYCLES
-        );
-        std::env::set_var("UCP_INTERVAL", "2500");
-        assert_eq!(IntervalSampler::from_env().unwrap().unwrap().every(), 2500);
-        std::env::set_var("UCP_INTERVAL", "0");
-        assert!(IntervalSampler::from_env().unwrap().is_none());
-        std::env::set_var("UCP_INTERVAL", "off");
-        assert!(IntervalSampler::from_env().unwrap().is_none());
-        // A typo is a hard error, never a silent fallback to the default.
-        std::env::set_var("UCP_INTERVAL", "garbage");
-        assert!(IntervalSampler::from_env().is_err());
-        std::env::remove_var("UCP_INTERVAL");
-        std::env::set_var("UCP_INTERVAL_BUF", "many");
-        assert!(IntervalSampler::from_env().is_err());
-        std::env::remove_var("UCP_INTERVAL_BUF");
     }
 }

@@ -1,5 +1,5 @@
 //! Observability for the UCP simulator: a hierarchical counter/histogram
-//! registry and a structured, env-gated event trace.
+//! registry and a structured event trace that is off unless asked for.
 //!
 //! The two halves serve different questions:
 //!
@@ -41,26 +41,19 @@
 //!   phase-resolved time series (IPC, hit rates, stall shares) that are
 //!   exportable as CSV/JSONL and as Perfetto counter tracks.
 //!
-//! # Environment variables
+//! # Configuration
 //!
-//! - `UCP_TRACE` — comma-separated category list (`ucp,mem`), or `all`.
-//!   Unset/empty disables tracing entirely.
-//! - `UCP_TRACE_BUF` — ring-buffer capacity in events (default 65536).
-//!   When full, the oldest events are overwritten and counted as dropped.
-//! - `UCP_INTERVAL` — cycles per interval sample (default 100000; `0` or
-//!   `off` disables interval sampling). Anything else that fails to parse
-//!   as an integer is a hard configuration error.
-//! - `UCP_INTERVAL_BUF` — interval ring capacity in records (default
-//!   4096); non-numeric values are a hard configuration error.
-//! - `UCP_FAULT` — deterministic fault injection, `site:nth[:times]`
-//!   (see [`fault`]). Unset disables every fault site.
+//! This crate reads no environment. The `UCP_TRACE`, `UCP_TRACE_BUF`,
+//! `UCP_INTERVAL`, `UCP_INTERVAL_BUF` and `UCP_FAULT` knobs are parsed once,
+//! with every other knob, by `ucp_core::Knobs` (README "Knobs" lists them
+//! all), which builds the tracer, sampler and fault plan from them.
 //!
 //! # Example
 //!
 //! ```
-//! use ucp_telemetry::{Category, Telemetry};
+//! use ucp_telemetry::{Category, CategorySet, Telemetry};
 //!
-//! let t = Telemetry::with_trace("ucp", 16);
+//! let t = Telemetry::with_trace(CategorySet::parse("ucp").unwrap(), 16);
 //! let walks = t.registry.counter("ucp.walks_started");
 //! walks.inc();
 //! t.tracer.set_cycle(120);
@@ -96,7 +89,7 @@ pub use tracer::{Category, CategorySet, TraceEvent, Tracer};
 pub struct Telemetry {
     /// Hierarchical counter/histogram registry (always on).
     pub registry: Registry,
-    /// Structured event trace (env-gated, ~free when disabled).
+    /// Structured event trace (~free when disabled).
     pub tracer: Tracer,
 }
 
@@ -110,22 +103,12 @@ impl Telemetry {
         }
     }
 
-    /// Fresh registry; tracing configured from `UCP_TRACE` /
-    /// `UCP_TRACE_BUF` (disabled when `UCP_TRACE` is unset or empty).
-    pub fn from_env() -> Self {
+    /// Fresh registry with tracing on for `categories` and the given
+    /// buffer capacity (disabled when either is empty).
+    pub fn with_trace(categories: CategorySet, capacity: usize) -> Self {
         Telemetry {
             registry: Registry::default(),
-            tracer: Tracer::from_env(),
-        }
-    }
-
-    /// Fresh registry with tracing forced on for `categories` (same
-    /// syntax as `UCP_TRACE`) and the given buffer capacity. Mostly for
-    /// tests and tools that own the trace lifecycle.
-    pub fn with_trace(categories: &str, capacity: usize) -> Self {
-        Telemetry {
-            registry: Registry::default(),
-            tracer: Tracer::enabled_for(CategorySet::parse(categories), capacity),
+            tracer: Tracer::enabled_for(categories, capacity),
         }
     }
 }
@@ -136,7 +119,7 @@ mod tests {
 
     #[test]
     fn clones_share_storage() {
-        let t = Telemetry::with_trace("all", 8);
+        let t = Telemetry::with_trace(CategorySet::all(), 8);
         let u = t.clone();
         t.registry.counter("pipeline.flushes").add(3);
         u.registry.counter("pipeline.flushes").add(2);

@@ -1,10 +1,13 @@
 //! Hierarchical counter/histogram registry.
 //!
 //! Components register instruments by dotted path (`mem.l1i.misses`) and
-//! keep the returned handle; increments are relaxed atomic ops on shared
-//! storage, so handles can be cloned freely across pipeline stages and
-//! worker threads. A [`RegistrySnapshot`] is a plain serializable map —
-//! that is what lands in the result cache, suite reports, and JSON dumps.
+//! keep the returned handle; handles share storage, so they can be cloned
+//! freely across pipeline stages. A registry has one writing thread: each
+//! simulator builds its own, and so does each suite worker. Increments are
+//! therefore a relaxed load and store, not a lock-prefixed read-modify-
+//! write; other threads may still read values. A [`RegistrySnapshot`] is a
+//! plain serializable map — that is what lands in the result cache, suite
+//! reports, and JSON dumps.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -16,14 +19,27 @@ use std::sync::{Arc, Mutex};
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A monotonic counter handle. Clones share the same underlying cell.
+///
+/// Single writer: the registry's one thread may increment it. An increment
+/// is a relaxed load plus store, so two threads adding to one counter
+/// at the same time can lose updates (never corrupt it).
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
+
+/// Single-writer add: see [`Counter`].
+#[inline]
+fn bump(cell: &AtomicU64, n: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
 
 impl Counter {
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        bump(&self.0, n);
     }
 
     /// Adds one.
@@ -54,7 +70,7 @@ struct HistogramInner {
 /// A power-of-two histogram handle: bucket `k` counts observations whose
 /// bit length is `k` (0 → bucket 0, 1 → bucket 1, 2–3 → bucket 2, …).
 /// Suited to occupancy and latency distributions where relative error is
-/// what matters.
+/// what matters. Single writer, like [`Counter`].
 #[derive(Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -73,9 +89,9 @@ impl Histogram {
     #[inline]
     pub fn observe(&self, value: u64) {
         let bucket = (u64::BITS - value.leading_zeros()) as usize;
-        self.0.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(value, Ordering::Relaxed);
+        bump(&self.0.buckets[bucket], 1);
+        bump(&self.0.count, 1);
+        bump(&self.0.sum, value);
     }
 
     /// Number of observations so far.

@@ -1,5 +1,5 @@
 //! Structured event tracing: a bounded ring buffer of cycle-stamped
-//! events behind an env-gated handle.
+//! events behind a handle that is off unless `UCP_TRACE` turns it on.
 //!
 //! The design goal is that a fully disabled tracer costs one branch per
 //! emit site: [`Tracer`] wraps `Option<Arc<..>>`, `None` means disabled,
@@ -77,20 +77,30 @@ impl CategorySet {
     }
 
     /// Parses a comma-separated list of category names; `all` (or `*`)
-    /// selects everything, unknown names are ignored, whitespace is
-    /// tolerated. An empty string parses to the empty set.
-    pub fn parse(spec: &str) -> Self {
+    /// selects everything. Names are case-insensitive, whitespace and
+    /// empty items are tolerated, and an empty string parses to the empty
+    /// set.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, with the accepted ones: a typo must not silently
+    /// trace nothing.
+    pub fn parse(spec: &str) -> Result<Self, String> {
         let mut mask = 0u8;
-        for part in spec.split(',') {
-            let part = part.trim();
+        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             if part.eq_ignore_ascii_case("all") || part == "*" {
-                return CategorySet::all();
+                return Ok(CategorySet::all());
             }
-            if let Some(c) = Category::from_name(&part.to_ascii_lowercase()) {
-                mask |= c.bit();
-            }
+            let c = Category::from_name(&part.to_ascii_lowercase()).ok_or_else(|| {
+                let names: Vec<&str> = Category::ALL.iter().map(|c| c.name()).collect();
+                format!(
+                    "unknown trace category `{part}`; expected a comma-separated list of {}, or `all`",
+                    names.join(", ")
+                )
+            })?;
+            mask |= c.bit();
         }
-        CategorySet(mask)
+        Ok(CategorySet(mask))
     }
 
     /// True when `c` is in the set.
@@ -101,6 +111,21 @@ impl CategorySet {
     /// True when no category is enabled.
     pub fn is_empty(self) -> bool {
         self.0 == 0
+    }
+}
+
+/// The [`CategorySet::parse`] syntax: `all`, or the names joined by commas.
+impl std::fmt::Display for CategorySet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if *self == CategorySet::all() {
+            return f.write_str("all");
+        }
+        let names: Vec<&str> = Category::ALL
+            .iter()
+            .filter(|c| self.contains(**c))
+            .map(|c| c.name())
+            .collect();
+        f.write_str(&names.join(","))
     }
 }
 
@@ -164,20 +189,6 @@ impl Tracer {
                 }),
             })),
         }
-    }
-
-    /// Configures from `UCP_TRACE` (category list) and `UCP_TRACE_BUF`
-    /// (capacity, default 65536). Unset or empty `UCP_TRACE` disables.
-    pub fn from_env() -> Self {
-        let spec = match std::env::var("UCP_TRACE") {
-            Ok(s) if !s.trim().is_empty() => s,
-            _ => return Tracer::disabled(),
-        };
-        let capacity = std::env::var("UCP_TRACE_BUF")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_TRACE_CAPACITY);
-        Tracer::enabled_for(CategorySet::parse(&spec), capacity)
     }
 
     /// True when any category is being recorded. Callers with per-cycle
@@ -272,15 +283,30 @@ mod tests {
 
     #[test]
     fn category_set_parsing() {
-        let s = CategorySet::parse("ucp, mem");
+        fn parse(s: &str) -> CategorySet {
+            CategorySet::parse(s).unwrap()
+        }
+        let s = parse("ucp, mem");
         assert!(s.contains(Category::Ucp));
         assert!(s.contains(Category::Mem));
         assert!(!s.contains(Category::Pipeline));
-        assert_eq!(CategorySet::parse("all"), CategorySet::all());
-        assert_eq!(CategorySet::parse("*"), CategorySet::all());
-        assert_eq!(CategorySet::parse("bogus,"), CategorySet::none());
-        assert_eq!(CategorySet::parse(""), CategorySet::none());
-        assert_eq!(CategorySet::parse("UCP"), CategorySet::parse("ucp"));
+        assert_eq!(parse("all"), CategorySet::all());
+        assert_eq!(parse("*"), CategorySet::all());
+        assert_eq!(parse("mem,"), parse("mem"));
+        assert_eq!(parse(""), CategorySet::none());
+        assert_eq!(parse("UCP"), parse("ucp"));
+        // Display round-trips through parse.
+        assert_eq!(s.to_string(), "ucp,mem");
+        assert_eq!(CategorySet::all().to_string(), "all");
+        assert_eq!(parse(&s.to_string()), s);
+    }
+
+    #[test]
+    fn unknown_categories_are_errors() {
+        for bad in ["bogus", "memm", "ucp,memm"] {
+            let e = CategorySet::parse(bad).unwrap_err();
+            assert!(e.contains("uopc") && e.contains("`all`"), "{bad}: {e}");
+        }
     }
 
     #[test]
@@ -296,7 +322,7 @@ mod tests {
 
     #[test]
     fn category_filtering() {
-        let t = Tracer::enabled_for(CategorySet::parse("ucp"), 16);
+        let t = Tracer::enabled_for(CategorySet::parse("ucp").unwrap(), 16);
         t.emit(Category::Ucp, "walk_start", || "a".into());
         t.emit(Category::Mem, "l2_miss", || panic!("mem is filtered out"));
         let events = t.events();

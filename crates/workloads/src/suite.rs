@@ -169,8 +169,8 @@ pub fn workload_suite() -> Vec<WorkloadSpec> {
     v
 }
 
-/// A reduced 8-workload suite for quick runs (CI, `cargo bench` smoke
-/// figures): 4 server, 2 int, 1 fp, 1 crypto.
+/// A reduced 8-workload suite for quick runs (CI smoke figures, the
+/// `quick` profile): 4 server, 2 int, 1 fp, 1 crypto.
 pub fn quick_suite() -> Vec<WorkloadSpec> {
     vec![
         server(0),
