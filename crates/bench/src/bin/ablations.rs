@@ -10,16 +10,8 @@
 //! ```
 
 use ucp_bench::cached_suite_run;
-use ucp_core::{align_by_workload, geomean_speedup_pct, RunResult, SimConfig};
-
-fn geo(base: &[RunResult], new: &[RunResult]) -> f64 {
-    // Degraded runs may cover different workload subsets: compare over
-    // the intersection.
-    let (base, new) = align_by_workload(base, new);
-    let b: Vec<f64> = base.iter().map(|r| r.stats.ipc()).collect();
-    let n: Vec<f64> = new.iter().map(|r| r.stats.ipc()).collect();
-    geomean_speedup_pct(&b, &n)
-}
+use ucp_bench::figs::geomean;
+use ucp_core::SimConfig;
 
 fn main() {
     let knobs = ucp_bench::env_knobs();
@@ -40,7 +32,7 @@ fn main() {
         let pki: f64 = r.iter().map(|x| x.stats.switch_pki()).sum::<f64>() / r.len() as f64;
         println!(
             "  hits={hits}: speedup vs default {:+.2}%, switch PKI {pki:.2}",
-            geo(&ref_base, &r)
+            geomean(&ref_base, &r)
         );
     }
 
@@ -52,7 +44,7 @@ fn main() {
         let r = cached_suite_run(&cfg, &knobs);
         println!(
             "  penalty={pen}: speedup vs default {:+.2}%",
-            geo(&ref_base, &r)
+            geomean(&ref_base, &r)
         );
     }
 
@@ -66,7 +58,7 @@ fn main() {
         u.frontend.decode_path_delay = delay;
         let rb = cached_suite_run(&b, &knobs);
         let ru = cached_suite_run(&u, &knobs);
-        println!("  delay={delay}: UCP speedup {:+.2}%", geo(&rb, &ru));
+        println!("  delay={delay}: UCP speedup {:+.2}%", geomean(&rb, &ru));
     }
 
     // 4. Alternate decoder width (paper: 6 dedicated decoders).
@@ -75,7 +67,7 @@ fn main() {
         let mut u = SimConfig::ucp();
         u.ucp.alt_decoders = w;
         let ru = cached_suite_run(&u, &knobs);
-        println!("  width={w}: UCP speedup {:+.2}%", geo(&ref_base, &ru));
+        println!("  width={w}: UCP speedup {:+.2}%", geomean(&ref_base, &ru));
     }
 
     // 5. Alt-FTQ depth (paper: 24 entries).
@@ -84,6 +76,9 @@ fn main() {
         let mut u = SimConfig::ucp();
         u.ucp.alt_ftq_entries = n;
         let ru = cached_suite_run(&u, &knobs);
-        println!("  entries={n}: UCP speedup {:+.2}%", geo(&ref_base, &ru));
+        println!(
+            "  entries={n}: UCP speedup {:+.2}%",
+            geomean(&ref_base, &ru)
+        );
     }
 }

@@ -1,7 +1,8 @@
-//! Host-side self-profiling benchmark: times uncached suite runs under
-//! the baseline and UCP configurations and records wall-clock seconds,
-//! simulated MIPS, and the per-category cycle shares to
-//! `BENCH_accounting.json` in the current directory.
+//! Host-side self-profiling benchmark: times suite runs under the
+//! baseline and UCP configurations, always simulating (`UCP_NO_CACHE` is
+//! forced on), and records wall-clock seconds, simulated MIPS, and the
+//! per-category cycle shares to `BENCH_accounting.json` in the current
+//! directory.
 //!
 //! ```text
 //! cargo run --release -p ucp-bench --bin bench_accounting
@@ -12,7 +13,8 @@
 //! datapoint.
 
 use serde::Serialize;
-use ucp_bench::{check_accounting, profiled_suite_run, suite_breakdown};
+use std::time::Instant;
+use ucp_bench::{cached_suite_run, check_accounting, suite_breakdown, HostPhase};
 use ucp_core::{Profile, SimConfig};
 use ucp_telemetry::CycleCause;
 
@@ -38,6 +40,8 @@ struct BenchReport {
 fn main() {
     let mut knobs = ucp_bench::env_knobs();
     let profile = *knobs.fig_profile.get_or_insert(Profile::Quick);
+    // Always simulate: a cache hit would time disk I/O instead.
+    knobs.no_cache = true;
     let mut report = BenchReport {
         bench: "accounting".into(),
         profile: profile.tag().into(),
@@ -49,7 +53,15 @@ fn main() {
         ("baseline", SimConfig::baseline()),
         ("ucp", SimConfig::ucp()),
     ] {
-        let (results, phase) = profiled_suite_run(name, &cfg, &knobs);
+        let t0 = Instant::now();
+        let results = cached_suite_run(&cfg, &knobs);
+        // The simulated volume counts successful workloads only.
+        let phase = HostPhase {
+            name: name.into(),
+            wall_seconds: t0.elapsed().as_secs_f64(),
+            instructions: results.iter().map(|r| r.stats.instructions).sum(),
+            cycles: results.iter().map(|r| r.stats.cycles).sum(),
+        };
         if let Some(m) = results.marker() {
             println!("{name:<10} *** {m} — failed workloads excluded ***");
         }

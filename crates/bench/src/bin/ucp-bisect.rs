@@ -176,10 +176,10 @@ fn main() {
 
     // Side-by-side diagnostics at the window's right edge: the replayed
     // machine vs the recorded one.
-    let replayed = replay.at(bad.meta.committed).diagnostics();
+    let replayed = replay.at(bad.meta.committed).diag_snapshot();
     let mut recorded_sim = replay.machine();
     recorded_sim.restore_from_bytes(&bad.state);
-    let recorded = recorded_sim.diagnostics();
+    let recorded = recorded_sim.diag_snapshot();
     println!("  replayed : {replayed}");
     println!("  recorded : {recorded}");
     println!(

@@ -2,11 +2,11 @@
 //! prints the paper's headline numbers next to the measured ones; see
 //! EXPERIMENTS.md for the recorded comparison.
 
-use crate::harness::{amean, cached_suite_run, sorted_curve, summary_line, SuiteRun};
+use crate::harness::{amean, cached_suite_run, sorted_curve, summary_line};
 use ucp_bpred::Provider;
 use ucp_core::{
     align_by_workload, geomean_speedup_pct, speedups_pct, ConfKind, Knobs, PrefetcherKind, Profile,
-    RunResult, SimConfig, UopCacheModel,
+    RunResult, SimConfig, SuiteRun, UopCacheModel,
 };
 use ucp_frontend::UopCacheConfig;
 
@@ -28,7 +28,9 @@ fn per_workload_speedups(base: &[RunResult], new: &[RunResult]) -> Vec<(String, 
         .collect()
 }
 
-fn geomean(base: &[RunResult], new: &[RunResult]) -> f64 {
+/// Geomean IPC speedup of `new` over `base` in percent, over the
+/// workloads present in both sets.
+pub fn geomean(base: &[RunResult], new: &[RunResult]) -> f64 {
     let (base, new) = align_by_workload(base, new);
     let b: Vec<f64> = base.iter().map(|r| r.stats.ipc()).collect();
     let n: Vec<f64> = new.iter().map(|r| r.stats.ipc()).collect();

@@ -1,13 +1,11 @@
 //! Shared harness plumbing: the knobs every binary starts from, the
-//! fault-isolated resumable result cache, host-side self-profiling, and
-//! formatting.
+//! fault-isolated resumable per-workload result cache, host-side
+//! self-profiling, and formatting.
 
-use crate::cache::{quarantine, read_envelope, write_envelope, CacheReadError};
 use sim_isa::fnv1a64;
-use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
-use ucp_core::{run_suite_outcome, Knobs, RunResult, SimConfig, SimError, SuiteOptions};
+use ucp_core::{run_suite_outcome, Knobs, RunResult, SimConfig, SimError, SuiteRun};
+use ucp_telemetry::envelope::{quarantine, read_envelope, write_envelope, CacheReadError};
 use ucp_telemetry::AccountingBreakdown;
 use ucp_workloads::WorkloadSpec;
 
@@ -27,114 +25,33 @@ pub fn env_knobs() -> Knobs {
 /// version — stale entries now quarantine instead of silently orphaning.)
 pub const MODEL_VERSION: u32 = 3;
 
-/// A suite's results plus how the run got them: complete or degraded,
-/// fresh or resumed. Derefs to the *successful* results (in suite order),
-/// so aggregation code written for `Vec<RunResult>` keeps working; the
-/// failure records ride alongside for report markers.
-#[derive(Debug, Default)]
-pub struct SuiteRun {
-    results: Vec<RunResult>,
-    /// Workloads that failed every attempt: `(name, final error)`.
-    pub failures: Vec<(String, SimError)>,
-    /// Suite size (`results.len() + failures.len()`).
-    pub total: usize,
-    /// How many results were resumed from partial persistence instead of
-    /// simulated in this invocation.
-    pub resumed: usize,
-}
-
-impl Deref for SuiteRun {
-    type Target = [RunResult];
-    fn deref(&self) -> &[RunResult] {
-        &self.results
-    }
-}
-
-impl SuiteRun {
-    /// Wraps a complete, trusted result set (cache hits, tests).
-    pub fn complete(results: Vec<RunResult>) -> Self {
-        let total = results.len();
-        SuiteRun {
-            results,
-            failures: Vec::new(),
-            total,
-            resumed: 0,
-        }
-    }
-
-    /// The successful results, in suite order.
-    pub fn results(&self) -> &[RunResult] {
-        &self.results
-    }
-
-    /// True when every workload produced a result.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// The `DEGRADED (k/n)` report marker, or `None` when complete.
-    pub fn marker(&self) -> Option<String> {
-        (!self.is_complete()).then(|| format!("DEGRADED ({}/{})", self.results.len(), self.total))
-    }
-}
-
-/// Retention caps for result-cache litter: stale `partial-<key>/` resume
-/// directories (a partial can only resume a run with the *same* key, so
-/// old ones are dead weight) and `*.quarantined.*` forensic copies.
-const MAX_PARTIAL_DIRS: usize = 8;
+/// Retention cap for `*.quarantined.*` forensic copies in the result
+/// cache.
 const MAX_QUARANTINED: usize = 16;
 
-/// Prunes the cache directory's recoverable litter down to the retention
-/// caps, oldest first by mtime, logging every eviction. `active_partial`
-/// (the in-flight run's resume directory) is never pruned, and the
-/// combined `<key>.json` entries are never touched.
-pub fn prune_cache_litter(
-    dir: &Path,
-    active_partial: &Path,
-    max_partial_dirs: usize,
-    max_quarantined: usize,
-) {
+/// Prunes the cache directory's `*.quarantined.*` forensic copies down
+/// to `max_quarantined`, oldest first by mtime, logging every eviction.
+/// Cache entries are never touched.
+fn prune_cache_litter(dir: &Path, max_quarantined: usize) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
-    let mut partials = Vec::new();
-    let mut quarantined = Vec::new();
-    for e in entries.flatten() {
-        let path = e.path();
-        if path == active_partial {
-            continue;
-        }
-        let Ok(md) = e.metadata() else { continue };
-        let name = e.file_name().to_string_lossy().into_owned();
-        let mtime = md.modified().ok();
-        if md.is_dir() && name.starts_with("partial-") {
-            partials.push((mtime, path));
-        } else if md.is_file() && name.contains(".quarantined") {
-            quarantined.push((mtime, path));
-        }
-    }
-    prune_oldest(partials, max_partial_dirs, true);
-    prune_oldest(quarantined, max_quarantined, false);
-}
-
-fn prune_oldest(
-    mut entries: Vec<(Option<std::time::SystemTime>, PathBuf)>,
-    cap: usize,
-    is_dir: bool,
-) {
-    if entries.len() <= cap {
+    let mut quarantined: Vec<_> = entries
+        .flatten()
+        .filter(|e| e.file_name().to_string_lossy().contains(".quarantined"))
+        .filter_map(|e| {
+            let md = e.metadata().ok().filter(std::fs::Metadata::is_file)?;
+            Some((md.modified().ok(), e.path()))
+        })
+        .collect();
+    if quarantined.len() <= max_quarantined {
         return;
     }
     // Unreadable mtimes (`None`) sort oldest and go first.
-    entries.sort_by_key(|(t, _)| *t);
-    let excess = entries.len() - cap;
-    for (_, path) in entries.drain(..excess) {
-        let removed = if is_dir {
-            std::fs::remove_dir_all(&path)
-        } else {
-            std::fs::remove_file(&path)
-        };
-        match removed {
+    quarantined.sort_by_key(|(t, _)| *t);
+    let excess = quarantined.len() - max_quarantined;
+    for (_, path) in quarantined.drain(..excess) {
+        match std::fs::remove_file(&path) {
             Ok(()) => eprintln!("[ucp-cache] pruned stale {}", path.display()),
             Err(e) => eprintln!("[ucp-cache] could not prune {}: {e}", path.display()),
         }
@@ -146,134 +63,75 @@ fn prune_oldest(
 /// cache (`result_dir`, bypassed under `no_cache`), so tests use private
 /// directories.
 ///
-/// Cache layout under `knobs.result_dir`:
-///
-/// - `<key>.json` — the complete suite result set, enveloped
-///   (written only when every workload succeeded);
-/// - `partial-<key>/NN-<workload>.json` — per-workload results, enveloped,
-///   persisted as each workload finishes so a killed run resumes instead
-///   of re-simulating (cleared once the combined entry lands);
-/// - `*.quarantined.*` — entries that failed integrity verification,
-///   moved aside for debugging and regenerated.
-///
-/// Per-workload failures degrade the returned [`SuiteRun`].
+/// Each workload's result is one enveloped `<key>.json` under
+/// `knobs.result_dir`, written as soon as the workload finishes, where
+/// `<key>` hashes the configuration, the full workload spec, the run
+/// lengths and the sampling interval. Verified entries fill their slots
+/// without simulating, so a killed or degraded run resumes where it
+/// stopped; entries that fail verification are moved aside as
+/// `*.quarantined.*` and regenerated. Per-workload failures degrade the
+/// returned [`SuiteRun`].
 pub fn suite_run_with_cache(
     cfg: &SimConfig,
     suite: &[WorkloadSpec],
     warmup: u64,
     measure: u64,
     knobs: &Knobs,
-    opts: &SuiteOptions,
 ) -> SuiteRun {
     let (dir, use_cache) = (&knobs.result_dir, !knobs.no_cache);
     // Cached results embed the interval series sampled at the run's
     // UCP_INTERVAL, so the effective interval is part of the key (0 =
     // sampling off).
     let interval = knobs.interval.unwrap_or(0);
-    let fault = knobs.fault.as_deref();
     let cfg_json = serde_json::to_string(cfg).expect("config serializes");
-    let names: Vec<&str> = suite.iter().map(|s| s.name.as_str()).collect();
-    let key = format!("{cfg_json}|{names:?}|{warmup}|{measure}|iv{interval}");
-    let key = format!("{:016x}", fnv1a64(key.as_bytes()));
-    let combined = dir.join(format!("{key}.json"));
-    let partial_dir = dir.join(format!("partial-{key}"));
+    let paths: Vec<PathBuf> = suite
+        .iter()
+        .map(|spec| {
+            let spec_json = serde_json::to_string(spec).expect("workload spec serializes");
+            let key = format!("{cfg_json}|{spec_json}|{warmup}|{measure}|iv{interval}");
+            dir.join(format!("{:016x}.json", fnv1a64(key.as_bytes())))
+        })
+        .collect();
 
+    let mut prefilled = Vec::new();
     if use_cache {
-        if let Some(results) = load_combined(&combined, suite) {
-            return SuiteRun::complete(results);
-        }
-        prune_cache_litter(dir, &partial_dir, MAX_PARTIAL_DIRS, MAX_QUARANTINED);
-    }
-
-    // Resume: adopt verified per-workload partials from a previous run.
-    let mut prefilled: Vec<Option<RunResult>> = vec![None; suite.len()];
-    if use_cache {
-        for (i, spec) in suite.iter().enumerate() {
-            prefilled[i] = load_partial(&partial_path(&partial_dir, i, spec), &spec.name);
+        prefilled = suite
+            .iter()
+            .zip(&paths)
+            .map(|(spec, path)| load_entry(path, &spec.name))
+            .collect();
+        if prefilled.iter().any(Option::is_none) {
+            prune_cache_litter(dir, MAX_QUARANTINED);
         }
     }
-    let resumed = prefilled.iter().flatten().count();
-
     let persist = |i: usize, r: &RunResult| {
-        if std::fs::create_dir_all(&partial_dir).is_err() {
+        if std::fs::create_dir_all(dir).is_err() {
             return;
         }
         if let Ok(text) = serde_json::to_string(r) {
-            let _ = write_envelope(
-                &partial_path(&partial_dir, i, &suite[i]),
-                MODEL_VERSION,
-                &text,
-                fault,
-            );
+            let _ = write_envelope(&paths[i], MODEL_VERSION, &text, knobs.fault.as_deref());
         }
     };
-    let run_opts = SuiteOptions {
-        prefilled,
-        ..opts.clone()
-    };
-    let outcome = run_suite_outcome(
+    run_suite_outcome(
         suite,
         cfg,
         warmup,
         measure,
         knobs,
-        &run_opts,
+        prefilled,
         use_cache.then_some(&persist as ucp_core::PersistFn<'_>),
-    );
-
-    let total = outcome.total();
-    let mut results = Vec::new();
-    let mut failures = Vec::new();
-    for o in outcome.outcomes {
-        match o.outcome {
-            Ok(r) => results.push(r),
-            Err(e) => failures.push((o.workload, e)),
-        }
-    }
-    let run = SuiteRun {
-        results,
-        failures,
-        total,
-        resumed,
-    };
-    if use_cache && run.is_complete() {
-        let _ = std::fs::create_dir_all(dir);
-        if let Ok(text) = serde_json::to_string(&run.results) {
-            let _ = write_envelope(&combined, MODEL_VERSION, &text, fault);
-        }
-        // The combined entry supersedes the partials.
-        let _ = std::fs::remove_dir_all(&partial_dir);
-    }
-    run
+    )
 }
 
-fn partial_path(partial_dir: &Path, i: usize, spec: &WorkloadSpec) -> PathBuf {
-    partial_dir.join(format!("{i:02}-{}.json", spec.name))
-}
-
-/// Loads and verifies the combined cache entry; quarantines anything
-/// corrupt or misaligned (wrong suite length/order — a key collision or
-/// a stale layout) and reports a miss.
-fn load_combined(path: &Path, suite: &[WorkloadSpec]) -> Option<Vec<RunResult>> {
+/// Loads and verifies one workload's cache entry; quarantines corrupt or
+/// misnamed entries and reports a miss (the workload just re-simulates).
+fn load_entry(path: &Path, expect_workload: &str) -> Option<RunResult> {
     match read_envelope(path, MODEL_VERSION) {
-        Ok(payload) => match serde_json::from_str::<Vec<RunResult>>(&payload) {
-            Ok(results)
-                if results.len() == suite.len()
-                    && results.iter().zip(suite).all(|(r, s)| r.workload == s.name) =>
-            {
-                Some(results)
-            }
-            Ok(_) => {
+        Ok(payload) => match serde_json::from_str::<RunResult>(&payload) {
+            Ok(r) if r.workload == expect_workload => Some(r),
+            _ => {
                 eprintln!(
-                    "warning: cache entry {} does not match the suite; quarantining",
-                    path.display()
-                );
-                quarantine(path);
-                None
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: cache entry {} holds unparseable payload ({e}); quarantining",
+                    "warning: cache entry {} is unusable; quarantining",
                     path.display()
                 );
                 quarantine(path);
@@ -292,44 +150,14 @@ fn load_combined(path: &Path, suite: &[WorkloadSpec]) -> Option<Vec<RunResult>> 
     }
 }
 
-/// Loads and verifies one per-workload partial; quarantines corrupt or
-/// misnamed entries and reports a miss (the workload just re-simulates).
-fn load_partial(path: &Path, expect_workload: &str) -> Option<RunResult> {
-    match read_envelope(path, MODEL_VERSION) {
-        Ok(payload) => match serde_json::from_str::<RunResult>(&payload) {
-            Ok(r) if r.workload == expect_workload => Some(r),
-            _ => {
-                eprintln!(
-                    "warning: partial result {} is unusable; quarantining",
-                    path.display()
-                );
-                quarantine(path);
-                None
-            }
-        },
-        Err(CacheReadError::Missing) => None,
-        Err(CacheReadError::Corrupt(why)) => {
-            eprintln!(
-                "warning: partial result {} is corrupt ({why}); quarantining",
-                path.display()
-            );
-            quarantine(path);
-            None
-        }
-    }
-}
-
 /// Runs `cfg` over the profile's suite (`knobs.profile()`), caching
-/// results on disk. The cache key covers the full configuration, the
-/// suite composition, the run lengths and the sampling interval, so
-/// distinct experiments never collide. Workload failures degrade the
-/// returned [`SuiteRun`] (see [`SuiteRun::marker`]) and are reported on
-/// stderr.
+/// each workload's result on disk (see [`suite_run_with_cache`]).
+/// Workload failures degrade the returned [`SuiteRun`] (see
+/// [`SuiteRun::marker`]) and are reported on stderr.
 pub fn cached_suite_run(cfg: &SimConfig, knobs: &Knobs) -> SuiteRun {
     let profile = knobs.profile();
     let (warmup, measure) = profile.lengths();
-    let opts = SuiteOptions::default();
-    let run = suite_run_with_cache(cfg, &profile.suite(), warmup, measure, knobs, &opts);
+    let run = suite_run_with_cache(cfg, &profile.suite(), warmup, measure, knobs);
     for (name, e) in &run.failures {
         eprintln!("warning: workload `{name}` failed: {e}");
     }
@@ -403,46 +231,6 @@ impl HostPhase {
             self.instructions as f64 / 1e6 / self.wall_seconds
         }
     }
-}
-
-/// Runs `cfg` over the profile's suite (`knobs.profile()`) with the
-/// host-side wall clock running — always uncached, since a cache hit
-/// would time disk I/O instead of simulation. The returned [`HostPhase`]
-/// sums the measured windows of every *successful* workload; failures
-/// degrade the [`SuiteRun`] as in [`cached_suite_run`].
-pub fn profiled_suite_run(name: &str, cfg: &SimConfig, knobs: &Knobs) -> (SuiteRun, HostPhase) {
-    let profile = knobs.profile();
-    let suite = profile.suite();
-    let (warmup, measure) = profile.lengths();
-    let t0 = Instant::now();
-    let opts = SuiteOptions::default();
-    let outcome = run_suite_outcome(&suite, cfg, warmup, measure, knobs, &opts, None);
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let total = outcome.total();
-    let mut results = Vec::new();
-    let mut failures = Vec::new();
-    for o in outcome.outcomes {
-        match o.outcome {
-            Ok(r) => results.push(r),
-            Err(e) => {
-                eprintln!("warning: workload `{}` failed: {e}", o.workload);
-                failures.push((o.workload, e));
-            }
-        }
-    }
-    let run = SuiteRun {
-        results,
-        failures,
-        total,
-        resumed: 0,
-    };
-    let phase = HostPhase {
-        name: name.to_string(),
-        wall_seconds,
-        instructions: run.iter().map(|r| r.stats.instructions).sum(),
-        cycles: run.iter().map(|r| r.stats.cycles).sum(),
-    };
-    (run, phase)
 }
 
 /// Renders a per-workload stall-breakdown table: one row per workload with
@@ -548,37 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn suite_run_marker_reports_degradation() {
-        use ucp_core::SimStats;
-        let ok = RunResult {
-            workload: "a".into(),
-            stats: SimStats::default(),
-            telemetry: ucp_telemetry::RegistrySnapshot::default(),
-            intervals: Vec::new(),
-            digests: Vec::new(),
-            knobs: Default::default(),
-        };
-        let complete = SuiteRun::complete(vec![ok.clone()]);
-        assert!(complete.is_complete());
-        assert_eq!(complete.marker(), None);
-        let degraded = SuiteRun {
-            results: vec![ok],
-            failures: vec![(
-                "b".into(),
-                SimError::WorkloadPanic {
-                    workload: "b".into(),
-                    payload: "boom".into(),
-                },
-            )],
-            total: 2,
-            resumed: 0,
-        };
-        assert_eq!(degraded.marker().as_deref(), Some("DEGRADED (1/2)"));
-        // Deref exposes only the successful results.
-        assert_eq!(degraded.len(), 1);
-    }
-
-    #[test]
     fn merged_telemetry_sums_counters() {
         use ucp_core::RunResult;
         use ucp_core::SimStats;
@@ -664,38 +421,24 @@ mod tests {
     }
 
     #[test]
-    fn prune_cache_litter_caps_partials_and_quarantine() {
+    fn prune_cache_litter_caps_quarantine_only() {
         let dir = std::env::temp_dir().join(format!("ucp-prune-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // Four stale partial dirs plus the active one, three quarantined
-        // files, and a combined entry that must never be touched.
-        for i in 0..4 {
-            std::fs::create_dir_all(dir.join(format!("partial-old{i}"))).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        let active = dir.join("partial-active");
-        std::fs::create_dir_all(&active).unwrap();
+        // Three quarantined files, plus a cache entry that must never be
+        // touched.
         for i in 0..3 {
             std::fs::write(dir.join(format!("e{i}.json.quarantined.0")), "x").unwrap();
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         std::fs::write(dir.join("abcd.json"), "{}").unwrap();
 
-        prune_cache_litter(&dir, &active, 2, 1);
+        prune_cache_litter(&dir, 1);
 
-        assert!(!dir.join("partial-old0").exists(), "oldest partial evicted");
-        assert!(
-            !dir.join("partial-old1").exists(),
-            "2nd-oldest partial evicted"
-        );
-        assert!(dir.join("partial-old2").exists(), "newest partials kept");
-        assert!(dir.join("partial-old3").exists());
-        assert!(active.exists(), "active partial never pruned");
         assert!(!dir.join("e0.json.quarantined.0").exists());
         assert!(!dir.join("e1.json.quarantined.0").exists());
         assert!(dir.join("e2.json.quarantined.0").exists(), "newest kept");
-        assert!(dir.join("abcd.json").exists(), "combined entries untouched");
+        assert!(dir.join("abcd.json").exists(), "cache entries untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

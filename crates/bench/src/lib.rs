@@ -14,26 +14,26 @@
 //! * `std` (default) — full 30-workload suite, 0.5 M + 2 M,
 //! * `full` — full suite, 1 M + 4 M (the paper-scale setting).
 //!
-//! Suite runs are cached under `target/ucp-results` keyed by
-//! configuration + profile, so reruns and figure interdependencies (many
-//! figures share the baseline) are free. Set `UCP_NO_CACHE=1` to disable.
+//! Each workload's result is cached under `target/ucp-results` as one
+//! entry keyed by configuration, workload spec, run lengths and sampling
+//! interval, so reruns and figure interdependencies (many figures share
+//! the baseline) are free. Set `UCP_NO_CACHE=1` to disable.
 //!
 //! # Resilience
 //!
 //! Suite execution is fault-isolated: a panicking, hanging or
 //! invariant-violating workload degrades the run (reports carry a
-//! `DEGRADED (k/n)` marker) instead of killing it; per-workload results
-//! persist incrementally so a killed run resumes; and every cache entry
-//! is integrity-checked (checksum + model version), with corrupt entries
-//! quarantined and regenerated. See [`cache`] and
-//! `ucp_core::run_suite_outcome`.
+//! `DEGRADED (k/n)` marker) instead of killing it; each workload's entry
+//! is written as soon as it finishes, so a killed or degraded run resumes
+//! with only the missing workloads; and every entry is integrity-checked
+//! (checksum + model version + workload name), with corrupt entries
+//! quarantined and regenerated. See [`suite_run_with_cache`],
+//! `ucp_core::run_suite_outcome` and `ucp_telemetry::envelope`.
 
-pub mod cache;
 pub mod figs;
 pub mod harness;
 
 pub use harness::{
-    cached_suite_run, check_accounting, env_knobs, merged_telemetry, profiled_suite_run,
-    prune_cache_litter, stall_breakdown_table, suite_breakdown, suite_run_with_cache, HostPhase,
-    SuiteRun, MODEL_VERSION,
+    cached_suite_run, check_accounting, env_knobs, merged_telemetry, stall_breakdown_table,
+    suite_breakdown, suite_run_with_cache, HostPhase, MODEL_VERSION,
 };

@@ -1,5 +1,5 @@
 //! End-to-end tests for the resilience layer: fault-isolated degraded
-//! suite runs, crash-resume from partial persistence, cache integrity
+//! suite runs, resume from per-workload cache entries, cache integrity
 //! (corruption → quarantine → regenerate), and the hang watchdog's
 //! structured error — all through the same `suite_run_with_cache` path
 //! the figure binaries use.
@@ -11,9 +11,10 @@
 //! e.g. `SimError::InvariantViolation` instead of the unit-test assert.
 
 use std::path::{Path, PathBuf};
-use ucp_bench::cache::{read_envelope, write_envelope};
-use ucp_bench::{suite_run_with_cache, SuiteRun, MODEL_VERSION};
-use ucp_core::{Knobs, RunResult, SimConfig, SuiteOptions};
+use ucp_bench::{suite_run_with_cache, MODEL_VERSION};
+use ucp_core::{Knobs, RunResult, SimConfig, SuiteRun};
+use ucp_telemetry::envelope::{read_envelope, write_envelope};
+use ucp_telemetry::fault::FaultPlan;
 use ucp_workloads::WorkloadSpec;
 
 const WARMUP: u64 = 5_000;
@@ -49,19 +50,12 @@ fn uncached(dir: &Path, fault: &str) -> Knobs {
     }
 }
 
-fn retry_twice() -> SuiteOptions {
-    SuiteOptions {
-        max_attempts: 2,
-        ..Default::default()
-    }
-}
-
-fn run(suite: &[WorkloadSpec], knobs: &Knobs, opts: &SuiteOptions) -> SuiteRun {
-    suite_run_with_cache(&SimConfig::baseline(), suite, WARMUP, MEASURE, knobs, opts)
+fn run(suite: &[WorkloadSpec], knobs: &Knobs) -> SuiteRun {
+    suite_run_with_cache(&SimConfig::baseline(), suite, WARMUP, MEASURE, knobs)
 }
 
 fn clean_run(suite: &[WorkloadSpec], dir: &Path) -> SuiteRun {
-    run(suite, &knobs(dir, ""), &SuiteOptions::default())
+    run(suite, &knobs(dir, ""))
 }
 
 /// A result without its manifest: what the simulation produced.
@@ -73,38 +67,62 @@ fn simulated(r: &RunResult) -> String {
     .unwrap()
 }
 
-fn files_matching(dir: &Path, needle: &str) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let Ok(rd) = std::fs::read_dir(dir) else {
-        return out;
-    };
-    for e in rd.filter_map(Result::ok) {
-        let p = e.path();
-        if p.file_name().unwrap().to_string_lossy().contains(needle) {
-            out.push(p.clone());
-        }
-        if p.is_dir() {
-            out.extend(files_matching(&p, needle));
-        }
+fn assert_same_results(got: &SuiteRun, want: &SuiteRun, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for (g, w) in got.iter().zip(want.iter()) {
+        assert_eq!(simulated(g), simulated(w), "{what} ({})", w.workload);
     }
-    out
 }
 
-/// The ISSUE's acceptance scenario: a deterministic injected panic in an
+fn files_matching(dir: &Path, needle: &str) -> Vec<PathBuf> {
+    std::fs::read_dir(dir)
+        .map(|rd| {
+            rd.filter_map(Result::ok)
+                .map(|e| e.path())
+                .filter(|p| p.file_name().unwrap().to_string_lossy().contains(needle))
+                .collect()
+        })
+        .unwrap_or_default()
+}
+
+/// The cache entries: `<key>.json`, not quarantined copies.
+fn entries(dir: &Path) -> Vec<PathBuf> {
+    files_matching(dir, ".json")
+        .into_iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "json"))
+        .collect()
+}
+
+/// The cache entry holding `workload`'s result.
+fn entry_of(dir: &Path, workload: &str) -> PathBuf {
+    entries(dir)
+        .into_iter()
+        .find(|p| {
+            let payload = read_envelope(p, MODEL_VERSION).unwrap();
+            serde_json::from_str::<RunResult>(&payload)
+                .unwrap()
+                .workload
+                == workload
+        })
+        .unwrap_or_else(|| panic!("no cache entry for {workload}"))
+}
+
+/// The acceptance scenario: a deterministic injected panic in an
 /// 8-workload suite degrades it to 7/8, every surviving result is
-/// bit-for-bit identical to an uninjected run, and a re-invocation
-/// resumes from the persisted partials without re-simulating.
+/// bit-for-bit identical to an uninjected run, a re-invocation simulates
+/// only the victim, and a further invocation simulates nothing.
 #[test]
 fn injected_panic_degrades_resumes_and_matches_uninjected() {
     let dir_fault = tmpdir("panic-fault");
     let dir_clean = tmpdir("panic-clean");
     let s = suite(8);
 
-    let degraded = run(&s, &knobs(&dir_fault, "panic:7"), &retry_twice());
+    let degraded = run(&s, &knobs(&dir_fault, "panic:7"));
     assert_eq!(degraded.marker().as_deref(), Some("DEGRADED (7/8)"));
     assert_eq!(degraded.failures.len(), 1);
     assert_eq!(degraded.failures[0].0, "w6", "7th workload (index 6) died");
     assert_eq!(degraded.failures[0].1.kind(), "workload-panic");
+    assert_eq!(entries(&dir_fault).len(), 7, "one entry per survivor");
 
     // Surviving results are bit-for-bit identical to an uninjected run;
     // only their manifests name the fault plan.
@@ -122,34 +140,43 @@ fn injected_panic_degrades_resumes_and_matches_uninjected() {
         assert!(!c.knobs.contains_key("UCP_FAULT"));
     }
 
-    // No combined cache entry for the degraded run, but partials exist.
-    assert!(!files_matching(&dir_fault, "partial-").is_empty());
-
-    // Re-invocation without the fault resumes the 7 persisted workloads
-    // and only simulates the victim.
+    // Re-invocation without the fault serves the 7 survivors from the
+    // cache and only simulates the victim.
     let resumed = clean_run(&s, &dir_fault);
     assert!(resumed.is_complete());
-    assert_eq!(resumed.resumed, 7, "only w6 re-simulated");
-    for (r, c) in resumed.iter().zip(clean.iter()) {
-        assert_eq!(
-            simulated(r),
-            simulated(c),
-            "resumed suite equals a clean run ({})",
-            r.workload
-        );
-    }
-    // Completion promotes partials into the combined entry.
-    assert!(
-        files_matching(&dir_fault, "partial-").is_empty(),
-        "partial dir cleared after completion"
+    assert_eq!(
+        resumed.attempts,
+        vec![0, 0, 0, 0, 0, 0, 1, 0],
+        "only w6 re-simulated"
     );
+    assert_same_results(&resumed, &clean, "resumed suite equals a clean run");
+    assert_eq!(entries(&dir_fault).len(), 8);
 
-    // And a further invocation is a pure cache hit.
+    // And a further invocation simulates nothing.
     let hit = clean_run(&s, &dir_fault);
-    assert!(hit.is_complete());
-    assert_eq!(hit.resumed, 0);
+    assert_eq!(hit.attempts, vec![0; 8]);
+    assert_same_results(&hit, &clean, "cache hit equals a clean run");
     let _ = std::fs::remove_dir_all(&dir_fault);
     let _ = std::fs::remove_dir_all(&dir_clean);
+}
+
+/// A transient fault recovers on a re-seeded retry. That result belongs
+/// to a different seed, so it must never be cached as the workload's: a
+/// later clean cached run must equal an uncached clean run.
+#[test]
+fn reseeded_retry_is_never_served_from_the_cache() {
+    let dir = tmpdir("reseed");
+    let s = suite(2);
+
+    let retried = run(&s, &knobs(&dir, "panic:1:1"));
+    assert!(retried.is_complete());
+    assert_eq!(retried.attempts, vec![2, 1], "w0 recovered on attempt 2");
+
+    let cached = clean_run(&s, &dir);
+    assert_eq!(cached.attempts, vec![1, 0], "w0 re-simulated, w1 served");
+    let reference = run(&s, &uncached(&dir, ""));
+    assert_same_results(&cached, &reference, "cached run equals a clean run");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An injected hang is terminated by the watchdog with a structured
@@ -158,15 +185,11 @@ fn injected_panic_degrades_resumes_and_matches_uninjected() {
 fn injected_hang_reports_structured_snapshot() {
     let dir = tmpdir("hang");
     let s = suite(2);
-    let opts = SuiteOptions {
-        max_attempts: 1,
-        ..Default::default()
-    };
     let knobs = Knobs {
         watchdog: Some(3_000),
         ..uncached(&dir, "hang:2")
     };
-    let out = run(&s, &knobs, &opts);
+    let out = run(&s, &knobs);
     assert_eq!(out.marker().as_deref(), Some("DEGRADED (1/2)"));
     let (name, err) = &out.failures[0];
     assert_eq!(name, "w1");
@@ -187,12 +210,9 @@ fn injected_hang_reports_structured_snapshot() {
 fn injected_invariant_violation_is_structured() {
     let dir = tmpdir("invariant");
     let s = suite(2);
-    let opts = SuiteOptions {
-        max_attempts: 3,
-        ..Default::default()
-    };
-    let out = run(&s, &uncached(&dir, "invariant:1"), &opts);
+    let out = run(&s, &uncached(&dir, "invariant:1"));
     assert_eq!(out.marker().as_deref(), Some("DEGRADED (1/2)"));
+    assert_eq!(out.attempts, vec![1, 1], "deterministic: no retry");
     let (name, err) = &out.failures[0];
     assert_eq!(name, "w0");
     assert_eq!(err.kind(), "invariant-violation");
@@ -202,81 +222,75 @@ fn injected_invariant_violation_is_structured() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Cache-corruption matrix: truncated JSON, wrong-suite-length payloads
-/// and stale model versions are all quarantined and regenerated.
+/// Cache-corruption matrix: a torn write, a truncated file, a stale model
+/// version and another workload's result are each quarantined, and only
+/// the damaged workload is regenerated.
 #[test]
 fn corrupt_cache_entries_quarantine_and_regenerate() {
     let dir = tmpdir("corrupt");
     let s = suite(2);
     let first = clean_run(&s, &dir);
     assert!(first.is_complete());
-    let entry = files_matching(&dir, ".json")
-        .into_iter()
-        .find(|p| !p.to_string_lossy().contains("partial"))
-        .expect("combined entry written");
-
-    // A valid envelope whose payload holds too few results for the suite.
-    let short_payload = serde_json::to_string(&vec![first.results()[0].clone()]).unwrap();
+    let entry = entry_of(&dir, "w0");
     let intact = read_envelope(&entry, MODEL_VERSION).unwrap();
-    let corruptions: [(&str, &str, u32); 3] = [
-        (
-            "truncated payload",
-            &intact[..intact.len() / 3],
-            MODEL_VERSION,
-        ),
-        ("wrong suite length", &short_payload, MODEL_VERSION),
-        ("stale model version", &intact, MODEL_VERSION - 1),
+    let other = read_envelope(&entry_of(&dir, "w1"), MODEL_VERSION).unwrap();
+    let torn = FaultPlan::parse("torn_write:1").unwrap();
+
+    let corruptions: [(&str, &dyn Fn()); 4] = [
+        ("torn write", &|| {
+            write_envelope(&entry, MODEL_VERSION, &intact, Some(&torn)).unwrap()
+        }),
+        ("truncated file", &|| {
+            let bytes = std::fs::read(&entry).unwrap();
+            std::fs::write(&entry, &bytes[..bytes.len() / 2]).unwrap();
+        }),
+        ("stale model version", &|| {
+            write_envelope(&entry, MODEL_VERSION - 1, &intact, None).unwrap()
+        }),
+        ("wrong workload", &|| {
+            write_envelope(&entry, MODEL_VERSION, &other, None).unwrap()
+        }),
     ];
-    for (i, (what, payload, version)) in corruptions.iter().enumerate() {
-        if *what == "truncated payload" {
-            // Raw truncation: header intact, payload cut mid-JSON.
-            std::fs::write(&entry, payload).unwrap();
-        } else {
-            write_envelope(&entry, *version, payload, None).unwrap();
-        }
+    for (i, (what, corrupt)) in corruptions.iter().enumerate() {
+        corrupt();
         let again = clean_run(&s, &dir);
-        assert!(again.is_complete(), "regenerated after {what}");
+        assert_eq!(again.attempts, vec![1, 0], "only w0 regenerated ({what})");
+        assert_same_results(&again, &first, what);
         assert_eq!(
             files_matching(&dir, "quarantined").len(),
             i + 1,
             "one new quarantine file per corruption ({what})"
         );
-        // The regenerated entry verifies again.
-        assert!(
-            read_envelope(&entry, MODEL_VERSION).is_ok(),
+        assert_eq!(
+            read_envelope(&entry, MODEL_VERSION).unwrap(),
+            intact,
             "entry regenerated after {what}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A torn combined-cache write (simulated crash mid-write) is detected on
-/// the next read, quarantined, and regenerated.
+/// A torn cache write (simulated crash mid-write) is detected on the next
+/// read, quarantined, and regenerated.
 #[test]
 fn torn_cache_write_heals_on_next_run() {
     let dir = tmpdir("torn");
     let s = suite(2);
-    // A 2-workload cached run performs exactly three envelope writes:
-    // two partials, then the combined entry. Tearing write 3 simulates a
-    // crash mid-way through the combined write (the partials are already
-    // gone by then, so the next run must regenerate from scratch).
-    let first = run(&s, &knobs(&dir, "torn_write:3"), &SuiteOptions::default());
+    // A 2-workload cached run performs exactly two envelope writes, one
+    // per workload; tearing the 2nd models a crash mid-way through the
+    // last one.
+    let first = run(&s, &knobs(&dir, "torn_write:2"));
     assert!(first.is_complete(), "tearing a write does not fail the run");
     let second = clean_run(&s, &dir);
     assert!(second.is_complete());
-    assert!(
-        !files_matching(&dir, "quarantined").is_empty(),
-        "the torn entry was quarantined on read"
-    );
+    assert_eq!(files_matching(&dir, "quarantined").len(), 1);
+    let mut attempts = second.attempts.clone();
+    attempts.sort_unstable();
+    assert_eq!(attempts, vec![0, 1], "only the torn entry re-simulated");
     // Third run: everything verified, straight cache hit.
     let third = clean_run(&s, &dir);
-    assert!(third.is_complete());
-    for (a, b) in second.iter().zip(third.iter()) {
-        assert_eq!(
-            serde_json::to_string(a).unwrap(),
-            serde_json::to_string(b).unwrap()
-        );
-    }
+    assert_eq!(third.attempts, vec![0, 0]);
+    assert_same_results(&third, &second, "cache hit equals the healed run");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -11,6 +11,7 @@ use crate::snapshot::DigestRecord;
 use crate::stats::SimStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -29,7 +30,7 @@ pub const DEFAULT_MEASURE: u64 = 4_000_000;
 
 /// Per-workload persistence hook for [`run_suite_outcome`]: invoked from
 /// the worker thread with the workload's suite index and result as soon
-/// as it completes.
+/// as it completes with its own seed.
 pub type PersistFn<'a> = &'a (dyn Fn(usize, &RunResult) + Sync);
 
 /// One workload's result under one configuration.
@@ -59,82 +60,55 @@ pub struct RunResult {
     pub knobs: BTreeMap<String, String>,
 }
 
-/// How [`run_suite_outcome`] isolates, retries and resumes workloads.
-#[derive(Clone, Default)]
-pub struct SuiteOptions {
-    /// Attempts per workload before giving up (0 or unset → 3). Only
-    /// retryable failures ([`SimError::is_retryable`]) consume retries;
-    /// deterministic ones fail on the first attempt.
-    pub max_attempts: u32,
-    /// Base of the exponential retry backoff in milliseconds
-    /// (`base << (attempt − 1)`); 0 disables sleeping (tests).
-    pub backoff_base_ms: u64,
-    /// Resume support: slots already holding a result (from a previous,
-    /// partially-persisted run) are not re-simulated. Shorter than the
-    /// suite means the tail is unfilled.
-    pub prefilled: Vec<Option<RunResult>>,
-}
+/// Attempts per workload before giving up. Only retryable failures
+/// ([`SimError::is_retryable`]) consume retries; deterministic ones fail
+/// on the first attempt.
+const MAX_ATTEMPTS: u32 = 3;
 
-impl SuiteOptions {
-    fn attempts(&self) -> u32 {
-        if self.max_attempts == 0 {
-            3
-        } else {
-            self.max_attempts
-        }
-    }
-}
-
-/// One workload's fate after isolation and retries.
-#[derive(Debug)]
-pub struct WorkloadOutcome {
-    /// Workload name.
-    pub workload: String,
-    /// Attempts spent (1 = first try succeeded; 0 = prefilled/resumed).
-    pub attempts: u32,
-    /// The result, or the error from the final attempt.
-    pub outcome: Result<RunResult, SimError>,
-}
-
-/// A whole suite's fate: every workload accounted for, in suite order,
-/// whether it succeeded, was resumed from a previous run, or failed.
+/// A suite's fate: the successful results, the failures, and how many
+/// attempts each workload took. Derefs to the *successful* results (in
+/// suite order), so aggregation code written for `Vec<RunResult>` keeps
+/// working; the failure records ride alongside for report markers.
 #[derive(Debug, Default)]
-pub struct SuiteOutcome {
-    /// Per-workload outcomes, in suite order.
-    pub outcomes: Vec<WorkloadOutcome>,
+pub struct SuiteRun {
+    results: Vec<RunResult>,
+    /// Workloads that failed every attempt: `(name, final error)`, in
+    /// suite order.
+    pub failures: Vec<(String, SimError)>,
+    /// Attempts spent per workload, in suite order: 1 = the first try
+    /// succeeded, 0 = served from a prefilled slot (not simulated).
+    pub attempts: Vec<u32>,
 }
 
-impl SuiteOutcome {
-    /// Workloads that produced a result.
-    pub fn completed(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.outcome.is_ok()).count()
+impl Deref for SuiteRun {
+    type Target = [RunResult];
+    fn deref(&self) -> &[RunResult] {
+        &self.results
     }
+}
 
-    /// Suite size.
+impl SuiteRun {
+    /// Suite size (`len() + failures.len()`).
     pub fn total(&self) -> usize {
-        self.outcomes.len()
+        self.attempts.len()
     }
 
-    /// True when every workload completed.
+    /// True when every workload produced a result.
     pub fn is_complete(&self) -> bool {
-        self.completed() == self.total()
+        self.failures.is_empty()
     }
 
-    /// The failures, as `(suite index, error)`.
-    pub fn failures(&self) -> Vec<(usize, &SimError)> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.outcome.as_ref().err().map(|e| (i, e)))
-            .collect()
+    /// The `DEGRADED (k/n)` report marker, or `None` when complete.
+    pub fn marker(&self) -> Option<String> {
+        (!self.is_complete()).then(|| format!("DEGRADED ({}/{})", self.len(), self.total()))
     }
 
     /// All results when complete; the first failure otherwise.
     pub fn into_results(self) -> Result<Vec<RunResult>, SimError> {
-        self.outcomes
-            .into_iter()
-            .map(|o| o.outcome)
-            .collect::<Result<Vec<_>, _>>()
+        match self.failures.into_iter().next() {
+            Some((_, e)) => Err(e),
+            None => Ok(self.results),
+        }
     }
 }
 
@@ -178,9 +152,17 @@ fn run_one_attempt(
     Ok(out)
 }
 
+/// The seed a workload seeded `seed` runs with on attempt `attempt`
+/// (1-based): its own seed first, then a deterministic perturbation per
+/// retry.
+fn attempt_seed(seed: u64, attempt: u32) -> u64 {
+    seed ^ RESEED_SALT.wrapping_mul(u64::from(attempt) - 1)
+}
+
 /// Runs one workload to its final outcome: isolation boundary
-/// (`catch_unwind`), bounded retries with exponential backoff, and
-/// deterministic re-seeding on attempts ≥ 2.
+/// (`catch_unwind`), up to [`MAX_ATTEMPTS`] attempts, and deterministic
+/// re-seeding on attempts ≥ 2. Returns the attempts spent alongside the
+/// result or the final attempt's error.
 fn run_one_isolated(
     spec: &WorkloadSpec,
     cfg: &SimConfig,
@@ -188,20 +170,14 @@ fn run_one_isolated(
     measure: u64,
     index: usize,
     knobs: &Knobs,
-    opts: &SuiteOptions,
-) -> WorkloadOutcome {
-    let max_attempts = opts.attempts();
+) -> (u32, Result<RunResult, SimError>) {
     let mut attempt = 0;
-    let outcome = loop {
+    loop {
         attempt += 1;
-        if attempt > 1 && opts.backoff_base_ms > 0 {
-            let ms = opts.backoff_base_ms << (attempt - 2).min(16);
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        let mut spec = spec.clone();
-        if attempt > 1 {
-            spec.seed ^= RESEED_SALT.wrapping_mul(attempt as u64 - 1);
-        }
+        let spec = WorkloadSpec {
+            seed: attempt_seed(spec.seed, attempt),
+            ..spec.clone()
+        };
         let attempt_result = catch_unwind(AssertUnwindSafe(|| {
             run_one_attempt(&spec, cfg, warmup, measure, knobs, index)
         }))
@@ -218,27 +194,23 @@ fn run_one_isolated(
         });
         match attempt_result {
             Ok(out) => {
-                break Ok(RunResult {
+                let r = RunResult {
                     workload: spec.name.clone(),
                     stats: out.stats,
                     telemetry: out.telemetry,
                     intervals: out.intervals,
                     digests: out.digests,
                     knobs: knobs.to_env(),
-                })
+                };
+                return (attempt, Ok(r));
             }
             Err(e) => {
                 let e = e.for_workload(&spec.name);
-                if !e.is_retryable() || attempt >= max_attempts {
-                    break Err(e);
+                if !e.is_retryable() || attempt >= MAX_ATTEMPTS {
+                    return (attempt, Err(e));
                 }
             }
         }
-    };
-    WorkloadOutcome {
-        workload: spec.name.clone(),
-        attempts: attempt,
-        outcome,
     }
 }
 
@@ -252,65 +224,78 @@ fn run_one_isolated(
 /// come back in suite order (and with per-workload determinism) regardless
 /// of completion order — duplicate workload names included.
 ///
-/// Each workload runs behind a `catch_unwind` isolation boundary with
-/// bounded retries ([`SuiteOptions::max_attempts`]); `persist`, when
-/// given, is invoked from the worker as soon as a workload completes, so
-/// a killed process loses at most the in-flight workloads (crash-resume
-/// via [`SuiteOptions::prefilled`]). Every simulator is configured from
-/// `knobs`, and every result records them.
+/// Slots already holding a result in `prefilled` (a cache hit, or a
+/// previous run's persisted work; shorter than the suite means the tail
+/// is unfilled) are not re-simulated. Each other workload runs behind a
+/// `catch_unwind` isolation boundary with bounded retries; `persist`,
+/// when given, is invoked from the worker as soon as a workload
+/// completes on its first attempt, so a killed process loses at most the
+/// in-flight workloads. A retry's result is simulated with a perturbed
+/// seed, so it is returned for this invocation but never persisted.
+/// Every simulator is configured from `knobs`, and every result records
+/// them.
 pub fn run_suite_outcome(
     suite: &[WorkloadSpec],
     cfg: &SimConfig,
     warmup: u64,
     measure: u64,
     knobs: &Knobs,
-    opts: &SuiteOptions,
+    prefilled: Vec<Option<RunResult>>,
     persist: Option<PersistFn<'_>>,
-) -> SuiteOutcome {
+) -> SuiteRun {
+    type Slot = Mutex<Option<(u32, Result<RunResult, SimError>)>>;
     let max_par = std::thread::available_parallelism().map_or(4, |n| n.get());
     let workers = max_par.max(1).min(suite.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<WorkloadOutcome>>> =
-        (0..suite.len()).map(|_| Mutex::new(None)).collect();
-    for (i, r) in opts.prefilled.iter().enumerate().take(suite.len()) {
-        if let Some(r) = r {
-            *slots[i].lock().expect("result slot poisoned") = Some(WorkloadOutcome {
-                workload: r.workload.clone(),
-                attempts: 0,
-                outcome: Ok(r.clone()),
-            });
-        }
-    }
+    let mut prefilled = prefilled.into_iter();
+    let slots: Vec<Slot> = suite
+        .iter()
+        .map(|_| Mutex::new(prefilled.next().flatten().map(|r| (0, Ok(r)))))
+        .collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(spec) = suite.get(i) else { break };
                 if slots[i].lock().expect("result slot poisoned").is_some() {
-                    continue; // resumed from a previous run
+                    continue; // prefilled
                 }
-                let outcome = run_one_isolated(spec, cfg, warmup, measure, i, knobs, opts);
-                if let (Some(persist), Ok(r)) = (persist, &outcome.outcome) {
-                    persist(i, r);
+                let (attempts, outcome) = run_one_isolated(spec, cfg, warmup, measure, i, knobs);
+                if let Ok(r) = &outcome {
+                    if attempts == 1 {
+                        if let Some(persist) = persist {
+                            persist(i, r);
+                        }
+                    } else {
+                        eprintln!(
+                            "[ucp-suite] `{}` succeeded on attempt {attempts} with re-seeded \
+                             seed {:#x}; its result is not persisted",
+                            spec.name,
+                            attempt_seed(spec.seed, attempts)
+                        );
+                    }
                 }
-                *slots[i].lock().expect("result slot poisoned") = Some(outcome);
+                *slots[i].lock().expect("result slot poisoned") = Some((attempts, outcome));
             });
         }
     });
-    SuiteOutcome {
-        outcomes: slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("all slots filled")
-            })
-            .collect(),
+    let mut run = SuiteRun::default();
+    for (spec, slot) in suite.iter().zip(slots) {
+        let (attempts, outcome) = slot
+            .into_inner()
+            .expect("result slot poisoned")
+            .expect("all slots filled");
+        run.attempts.push(attempts);
+        match outcome {
+            Ok(r) => run.results.push(r),
+            Err(e) => run.failures.push((spec.name.clone(), e)),
+        }
     }
+    run
 }
 
-/// Runs `cfg` over every workload in `suite` with default isolation
-/// options, returning the results only if every workload completed.
+/// Runs `cfg` over every workload in `suite`, returning the results only
+/// if every workload completed.
 ///
 /// # Errors
 ///
@@ -322,8 +307,7 @@ pub fn run_suite(
     measure: u64,
     knobs: &Knobs,
 ) -> Result<Vec<RunResult>, SimError> {
-    let opts = SuiteOptions::default();
-    run_suite_outcome(suite, cfg, warmup, measure, knobs, &opts, None).into_results()
+    run_suite_outcome(suite, cfg, warmup, measure, knobs, Vec::new(), None).into_results()
 }
 
 /// The first interval at which a replayed run's state digest stopped
@@ -595,14 +579,14 @@ mod tests {
         }
     }
 
-    fn outcome(suite: &[WorkloadSpec], knobs: &Knobs, opts: &SuiteOptions) -> SuiteOutcome {
+    fn outcome(suite: &[WorkloadSpec], knobs: &Knobs) -> SuiteRun {
         run_suite_outcome(
             suite,
             &SimConfig::baseline(),
             5_000,
             20_000,
             knobs,
-            opts,
+            Vec::new(),
             None,
         )
     }
@@ -610,56 +594,59 @@ mod tests {
     #[test]
     fn injected_panic_degrades_not_kills() {
         let suite = vec![WorkloadSpec::tiny("a", 1), WorkloadSpec::tiny("b", 2)];
-        let opts = SuiteOptions {
-            max_attempts: 2,
-            ..Default::default()
-        };
-        let out = outcome(&suite, &with_fault("panic:2"), &opts);
-        assert_eq!(out.completed(), 1);
+        let out = outcome(&suite, &with_fault("panic:2"));
+        assert_eq!(out.len(), 1);
         assert!(!out.is_complete());
-        let fails = out.failures();
-        assert_eq!(fails.len(), 1);
-        assert_eq!(fails[0].0, 1, "workload 2 (index 1) is the victim");
-        assert_eq!(fails[0].1.kind(), "workload-panic");
-        assert!(fails[0].1.to_string().contains("`b`"));
+        assert_eq!(out.marker().as_deref(), Some("DEGRADED (1/2)"));
+        assert_eq!(out.failures.len(), 1);
+        let (name, err) = &out.failures[0];
+        assert_eq!(name, "b", "workload 2 (index 1) is the victim");
+        assert_eq!(err.kind(), "workload-panic");
+        assert!(err.to_string().contains("`b`"));
         assert_eq!(
-            out.outcomes[1].attempts, 2,
-            "panic is retryable; both spent"
+            out.attempts,
+            vec![1, MAX_ATTEMPTS],
+            "panic is retryable; every attempt spent"
         );
         // The survivor's manifest names the plan it ran under.
-        let survivor = out.outcomes[0].outcome.as_ref().unwrap();
-        assert_eq!(survivor.knobs["UCP_FAULT"], "panic:2");
+        assert_eq!(out[0].knobs["UCP_FAULT"], "panic:2");
         assert!(out.into_results().is_err());
     }
 
     #[test]
-    fn transient_panic_recovers_on_retry() {
+    fn transient_panic_recovers_on_retry_without_persisting() {
         let suite = vec![WorkloadSpec::tiny("a", 1)];
-        let opts = SuiteOptions {
-            max_attempts: 3,
-            ..Default::default()
-        };
-        let out = outcome(&suite, &with_fault("panic:1:1"), &opts);
+        let persisted = Mutex::new(Vec::new());
+        let persist = |i: usize, _r: &RunResult| persisted.lock().unwrap().push(i);
+        let out = run_suite_outcome(
+            &suite,
+            &SimConfig::baseline(),
+            5_000,
+            20_000,
+            &with_fault("panic:1:1"),
+            Vec::new(),
+            Some(&persist),
+        );
         assert!(out.is_complete());
-        assert_eq!(out.outcomes[0].attempts, 2, "one failure, one success");
+        assert_eq!(out.attempts, vec![2], "one failure, one success");
+        assert!(
+            persisted.lock().unwrap().is_empty(),
+            "a re-seeded result is never persisted"
+        );
     }
 
     #[test]
     fn injected_hang_is_caught_by_watchdog() {
         let suite = vec![WorkloadSpec::tiny("a", 1)];
-        let opts = SuiteOptions {
-            max_attempts: 1,
-            ..Default::default()
-        };
         let knobs = Knobs {
             watchdog: Some(2_000),
             ..with_fault("hang:1")
         };
-        let out = outcome(&suite, &knobs, &opts);
-        let fails = out.failures();
-        assert_eq!(fails.len(), 1);
-        assert_eq!(fails[0].1.kind(), "hang");
-        let snap = fails[0].1.snapshot().expect("hang carries a snapshot");
+        let out = outcome(&suite, &knobs);
+        assert_eq!(out.failures.len(), 1);
+        let err = &out.failures[0].1;
+        assert_eq!(err.kind(), "hang");
+        let snap = err.snapshot().expect("hang carries a snapshot");
         assert_eq!(snap.committed, 0, "hang injected from cycle zero");
     }
 
@@ -668,25 +655,19 @@ mod tests {
         let suite = vec![WorkloadSpec::tiny("a", 1), WorkloadSpec::tiny("b", 2)];
         // Slot 0 prefilled with a sentinel: if the runner re-simulated it,
         // the fake cycles value would be overwritten.
-        let opts = SuiteOptions {
-            prefilled: vec![Some(fake_result("a", 777)), None],
-            ..Default::default()
-        };
         let persisted = Mutex::new(Vec::new());
-        let persist = |i: usize, _r: &RunResult| {
-            persisted.lock().unwrap().push(i);
-        };
+        let persist = |i: usize, _r: &RunResult| persisted.lock().unwrap().push(i);
         let out = run_suite_outcome(
             &suite,
             &SimConfig::baseline(),
             5_000,
             20_000,
             &Knobs::default(),
-            &opts,
+            vec![Some(fake_result("a", 777))],
             Some(&persist),
         );
         assert!(out.is_complete());
-        assert_eq!(out.outcomes[0].attempts, 0, "resumed, not re-run");
+        assert_eq!(out.attempts, vec![0, 1], "slot 0 served, not re-run");
         let r = out.into_results().unwrap();
         assert_eq!(r[0].stats.cycles, 777, "prefilled result kept verbatim");
         assert!(r[1].stats.cycles > 0);

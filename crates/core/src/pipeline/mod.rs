@@ -500,8 +500,10 @@ impl<'p> Simulator<'p> {
         self.skew_invariant = true;
     }
 
-    /// Captures the machine state for failure diagnostics.
-    fn diag_snapshot(&self) -> DiagSnapshot {
+    /// Captures the machine state for failure diagnostics; the
+    /// divergence bisector also dumps a replayed and a recorded machine
+    /// side by side through this.
+    pub fn diag_snapshot(&self) -> DiagSnapshot {
         DiagSnapshot {
             cycle: self.now,
             committed: self.committed,
@@ -555,28 +557,24 @@ impl<'p> Simulator<'p> {
     /// invariant violation. Fallible callers use
     /// [`Simulator::run_full`].
     pub fn run(&mut self, warmup: u64, measure: u64) -> SimStats {
-        self.run_instrumented(warmup, measure).0
+        self.run_full(warmup, measure)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .stats
     }
 
-    /// [`Simulator::run`] plus the telemetry registry's delta over the
-    /// measurement window. Registry counters tick through warm-up too (they
-    /// are not gated on `measuring`); the window is carved out by
-    /// snapshotting at the measurement boundary and diffing at the end —
-    /// the same pattern as the L1I and UCP statistics below. Panics on
-    /// any [`SimError`].
-    pub fn run_instrumented(&mut self, warmup: u64, measure: u64) -> (SimStats, RegistrySnapshot) {
-        let out = self
-            .run_full(warmup, measure)
-            .unwrap_or_else(|e| panic!("{e}"));
-        (out.stats, out.telemetry)
-    }
-
-    /// [`Simulator::run_instrumented`] plus the interval time series, and
-    /// the point where failures become structured: the hang watchdog is
-    /// checked every cycle, and the end-of-run cycle-accounting invariant
-    /// (per-category cycles tile the measured total) is reported as
-    /// [`SimError::InvariantViolation`] instead of aborting the process —
-    /// one bad workload must not kill a 30-workload suite. Under
+    /// Runs `warmup` instructions, then `measure` measured ones, and
+    /// returns the statistics, the telemetry registry's delta over the
+    /// measurement window and the interval time series. Registry counters
+    /// tick through warm-up too (they are not gated on `measuring`); the
+    /// window is carved out by snapshotting at the measurement boundary
+    /// and diffing at the end — the same pattern as the L1I and UCP
+    /// statistics.
+    ///
+    /// This is the point where failures become structured: the hang
+    /// watchdog is checked every cycle, and the end-of-run cycle-accounting
+    /// invariant (per-category cycles tile the measured total) is reported
+    /// as [`SimError::InvariantViolation`] instead of aborting the process
+    /// — one bad workload must not kill a 30-workload suite. Under
     /// `cfg(test)` the invariant stays a hard assert so unit tests fail
     /// loudly at the exact site.
     pub fn run_full(&mut self, warmup: u64, measure: u64) -> Result<RunOutput, SimError> {
@@ -1834,12 +1832,6 @@ impl<'p> Simulator<'p> {
         self.committed
     }
 
-    /// Public diagnostics capture — the divergence bisector dumps a
-    /// replayed and a recorded machine side by side through this.
-    pub fn diagnostics(&self) -> DiagSnapshot {
-        self.diag_snapshot()
-    }
-
     /// Runs cycles until `target` committed instructions (whole-run
     /// count), opening the measurement window at the `warmup` boundary
     /// exactly as [`Simulator::run_full`] would, but never closing it —
@@ -2145,6 +2137,12 @@ impl State for Simulator<'_> {
         self.backend.restore_state(r);
         let mut rq: Vec<(u64, u64)> = Vec::new();
         rq.restore_state(r);
+        // Save writes the heap's entries sorted; accepting another order
+        // would let two byte strings restore the same machine.
+        assert!(
+            rq.is_sorted(),
+            "checkpoint state corrupt: resolve queue not sorted"
+        );
         self.resolve_q = rq.into_iter().map(std::cmp::Reverse).collect();
         r.check(0x5349_4d33);
         self.committed.restore_state(r);

@@ -8,6 +8,7 @@
 //! [`ucp_core::SimError::InvariantViolation`] in all other builds, and
 //! `replay_verify` relies on the structured error.
 
+use sim_isa::{fnv1a64, StateWriter};
 use std::sync::Arc;
 use ucp_core::snapshot::{latest_valid_checkpoint, remove_run_checkpoints, run_slug};
 use ucp_core::{replay_verify, CheckpointPolicy, Knobs, RunOutput, SimConfig, Simulator};
@@ -295,4 +296,93 @@ fn replay_verify_names_first_divergent_interval_on_skewed_run() {
         d.committed
     );
     assert_ne!(d.digest_a, d.digest_b);
+}
+
+/// Offset of section mark `tag` in saved state bytes (the writer stores
+/// each tag XOR-masked, little-endian), searching from `from`.
+fn mark_offset(state: &[u8], tag: u32, from: usize) -> usize {
+    let pattern = (tag ^ 0x5AFE_5AFE).to_le_bytes();
+    from + state[from..]
+        .windows(4)
+        .position(|w| w == pattern)
+        .unwrap_or_else(|| panic!("mark {tag:#x} not found"))
+}
+
+/// Entries in the resolve queue, the last field before mark `SIM3`: a
+/// `u64` length, then `(cycle, record id)` pairs of `u64`s.
+fn resolve_queue_len(state: &[u8], sim3: usize) -> usize {
+    (0..64)
+        .find(|&n| {
+            let at = sim3 - 16 * n - 8;
+            u64::from_le_bytes(state[at..at + 8].try_into().unwrap()) == n as u64
+        })
+        .expect("resolve queue length")
+}
+
+/// Codec field perturbation: restore must accept only bytes that save
+/// writes. Flipping one byte of a mid-run state moves its digest, and
+/// restore either rejects the bytes (panics) or yields a machine that
+/// re-saves exactly them — so no two byte strings restore to the same
+/// machine. The flips sit at evenly spaced offsets in each section before
+/// mark `SIM3`, plus every byte of that section's tail, which holds the
+/// resolve queue (saved sorted). The serde-JSON sections after `SIM3` are
+/// not covered.
+#[test]
+fn perturbed_state_is_rejected_or_resaved_verbatim() {
+    const PER_SECTION: usize = 32;
+    const TAIL: usize = 64;
+    let cfg = SimConfig::ucp();
+    let spec = WorkloadSpec::tiny("perturb", 3);
+    let prog = spec.build();
+    let mut sim = Simulator::new(&prog, spec.seed, &cfg);
+    // A mid-run point where the resolve queue holds several entries, so
+    // reordering them is among the perturbations.
+    let mut target = WARMUP + MEASURE / 2;
+    let (state, marks) = loop {
+        sim.run_to_committed(target, WARMUP).expect("mid-run state");
+        let mut w = StateWriter::new();
+        sim.save_state(&mut w);
+        let state = w.into_bytes();
+        let mut marks = vec![0];
+        for tag in 0x5349_4d31..=0x5349_4d33 {
+            marks.push(mark_offset(&state, tag, marks[marks.len() - 1] + 4));
+        }
+        if resolve_queue_len(&state, marks[3]) >= 2 {
+            break (state, marks);
+        }
+        target += 97;
+        assert!(
+            target < WARMUP + MEASURE,
+            "no state with a busy resolve queue"
+        );
+    };
+    let digest = fnv1a64(&state);
+
+    let mut offsets: Vec<usize> = marks
+        .windows(2)
+        .flat_map(|m| {
+            let (start, end) = (m[0] + 4, m[1]);
+            (0..PER_SECTION).map(move |k| start + (end - start) * k / PER_SECTION)
+        })
+        .collect();
+    offsets.extend(marks[3] - TAIL..marks[3]);
+    for off in offsets {
+        let mut perturbed = state.clone();
+        perturbed[off] ^= 0xFF;
+        assert_ne!(fnv1a64(&perturbed), digest, "digest moves (offset {off})");
+        let resaved = std::panic::catch_unwind(|| {
+            let mut restored = Simulator::new(&prog, spec.seed, &cfg);
+            restored.restore_from_bytes(&perturbed);
+            let mut w = StateWriter::new();
+            restored.save_state(&mut w);
+            w.into_bytes()
+        });
+        if let Ok(resaved) = resaved {
+            assert!(
+                resaved == perturbed,
+                "restore accepted bytes save never writes (offset {off}, {} before SIM3)",
+                marks[3] - off
+            );
+        }
+    }
 }
