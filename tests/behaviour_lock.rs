@@ -1,15 +1,21 @@
 //! Behaviour lock: pins the serialized machine state and the canonical
-//! statistics of eight short runs, so a change meant only to make the
-//! simulator faster or smaller cannot silently change what it simulates.
+//! statistics of short runs, so a change meant only to make the simulator
+//! faster or smaller cannot silently change what it simulates.
 //!
-//! Each case records the state digest halfway through the measured window
-//! (when branch records, checkpoints and queues are all in flight), the
-//! final state digest, and an FNV-1a hash of the canonical `SimStats`
-//! JSON. The `round-trip` cases also move the machine through a
-//! `save_state`/`restore_from_bytes` round trip at the halfway point and
-//! finish the run on the restored copy, so between them they cover the
-//! state codec of every prefetcher, the MRC, UCP without its alternate
-//! indirect predictor and the machine without a µ-op cache.
+//! Each srv04/crypto02 case records the state digest halfway through the
+//! measured window (when branch records, checkpoints and queues are all
+//! in flight), the final state digest, and an FNV-1a hash of the
+//! canonical `SimStats` JSON. The `round-trip` cases also move the
+//! machine through a `save_state`/`restore_from_bytes` round trip at the
+//! halfway point and finish the run on the restored copy, so between them
+//! they cover the state codec of every prefetcher, the MRC, UCP with and
+//! without its alternate indirect predictor (with it, the only case whose
+//! bytes hold live Alt-Ind and walk path-history checkpoints) and the
+//! machine without a µ-op cache.
+//!
+//! The `quick/<spec>/ucp` cases run every quick-suite spec, shorter,
+//! under UCP and pin its final digest and stats hash, so a drift is
+//! caught on every workload, not only srv04 and crypto02.
 //!
 //! After an intended model change, regenerate with
 //! `UCP_UPDATE_GOLDEN=1 cargo test --test behaviour_lock`.
@@ -21,6 +27,9 @@ use ucp_sim::workloads::{suite, Program, WorkloadSpec};
 
 const WARMUP: u64 = 20_000;
 const MEASURE: u64 = 80_000;
+/// Run lengths of the per-workload quick-suite cases.
+const QUICK_WARMUP: u64 = 20_000;
+const QUICK_MEASURE: u64 = 60_000;
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/behaviour_lock.json"
@@ -72,6 +81,23 @@ fn run_case(label: &str, spec_name: &str, cfg: &SimConfig, round_trip: bool) -> 
     )
 }
 
+/// Runs one quick-suite spec under UCP and renders its final digest and
+/// stats hash as one JSON line.
+fn run_quick_ucp(spec: &WorkloadSpec) -> String {
+    let prog = spec.build();
+    let mut sim = simulator(&prog, spec, &SimConfig::ucp());
+    let out = sim
+        .run_full(QUICK_WARMUP, QUICK_MEASURE)
+        .expect("quick run completes");
+    let stats_json = serde_json::to_string(&out.stats).expect("stats serialize");
+    format!(
+        "  \"quick/{}/ucp\": {{\"final_digest\": \"{:#018x}\", \"stats_hash\": \"{:#018x}\"}}",
+        spec.name,
+        sim.state_digest(),
+        fnv1a64(stats_json.as_bytes()),
+    )
+}
+
 fn with_prefetcher(prefetcher: PrefetcherKind) -> SimConfig {
     SimConfig {
         prefetcher,
@@ -82,14 +108,14 @@ fn with_prefetcher(prefetcher: PrefetcherKind) -> SimConfig {
 #[test]
 fn short_runs_match_their_golden_fingerprints() {
     let ep = with_prefetcher(PrefetcherKind::EpPlusPlus);
-    let lines = [
+    let mut lines = vec![
         run_case(
             "crypto02/baseline",
             "crypto02",
             &SimConfig::baseline(),
             false,
         ),
-        run_case("srv04/ucp", "srv04", &SimConfig::ucp(), false),
+        run_case("srv04/ucp/round-trip", "srv04", &SimConfig::ucp(), true),
         run_case("srv04/ep++/round-trip", "srv04", &ep, true),
         run_case(
             "srv04/fnl-mma++/round-trip",
@@ -125,6 +151,7 @@ fn short_runs_match_their_golden_fingerprints() {
             true,
         ),
     ];
+    lines.extend(suite::quick_suite().iter().map(run_quick_ucp));
     let rendered = format!("{{\n{}\n}}\n", lines.join(",\n"));
     if std::env::var("UCP_UPDATE_GOLDEN").is_ok() {
         std::fs::write(GOLDEN, &rendered).expect("write golden file");
