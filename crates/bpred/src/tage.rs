@@ -92,15 +92,20 @@ impl TageParams {
     }
 }
 
+/// One tagged entry in 4 bytes. Bit 15 of `tag` ([`VALID`]) marks an
+/// allocated entry (models tag-mismatch on cold entries; free in
+/// hardware, where cold tags simply never match), so a lookup compares
+/// `tag` against the computed tag with that bit set. Tags are at most 15
+/// bits.
 #[derive(Clone, Copy, Debug, Default)]
 struct TageEntry {
     ctr: i8, // 3-bit signed: -4..=3
+    u: u8,   // 2-bit usefulness
     tag: u16,
-    u: u8, // 2-bit usefulness
-    /// Entry has been allocated (models tag-mismatch on cold entries;
-    /// free in hardware, where cold tags simply never match).
-    valid: bool,
 }
+
+/// The valid bit of [`TageEntry::tag`].
+const VALID: u16 = 1 << 15;
 
 /// Which component of TAGE provided the final direction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -241,7 +246,7 @@ impl Tage {
             indices[t] = self.index(pc, hist, t, fold_base);
             tags[t] = self.tag(pc, hist, t, fold_base);
             let e = &self.tables[self.slot(t, indices[t])];
-            if e.valid && e.tag == tags[t] {
+            if e.tag == tags[t] | VALID {
                 alt = hit;
                 hit = t as i8;
             }
@@ -336,9 +341,8 @@ impl Tage {
                 if e.u == 0 {
                     *e = TageEntry {
                         ctr: if taken { 0 } else { -1 },
-                        tag: pred.tags[j],
                         u: 0,
-                        valid: true,
+                        tag: pred.tags[j] | VALID,
                     };
                     allocated = true;
                     break;
@@ -405,7 +409,32 @@ impl Tage {
 }
 
 sim_isa::state_fields!(Tage { bimodal, tables, use_alt_on_na, lfsr, updates } skip { params });
-sim_isa::state_fields!(TageEntry { ctr, tag, u, valid } skip {});
+/// The bytes of the unpacked entry: `ctr`, the tag without its valid
+/// bit, `u`, then the valid bit as a bool.
+impl sim_isa::State for TageEntry {
+    fn save_state(&self, w: &mut sim_isa::StateWriter) {
+        w.put_i8(self.ctr);
+        w.put_u16(self.tag & !VALID);
+        w.put_u8(self.u);
+        w.put_bool(self.tag & VALID != 0);
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the saved tag has bit 15 set, which save never writes.
+    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
+        self.ctr = r.get_i8();
+        let tag = r.get_u16();
+        assert_eq!(
+            tag & VALID,
+            0,
+            "checkpoint state corrupt: TAGE tag {tag:#x} wider than 15 bits"
+        );
+        self.u = r.get_u8();
+        self.tag = if r.get_bool() { tag | VALID } else { tag };
+    }
+}
+
 sim_isa::state_enum!(TageProvider { 0 => Bimodal, 1 => Hit, 2 => Alt });
 sim_isa::state_fields!(TagePrediction {
     taken, provider, provider_ctr, hit_bank, alt_bank, hit_taken, alt_taken, bim_taken, bim_ctr,
@@ -565,5 +594,62 @@ mod tests {
             ..p
         };
         assert!(!hit_weak.provider_saturated());
+    }
+
+    #[test]
+    fn packed_entry_is_four_bytes() {
+        assert_eq!(std::mem::size_of::<TageEntry>(), 4);
+    }
+
+    #[test]
+    fn packed_entry_saves_ctr_tag_u_valid() {
+        use sim_isa::{State, StateReader, StateWriter};
+        for (entry, valid) in [
+            (
+                TageEntry {
+                    ctr: -3,
+                    u: 2,
+                    tag: 0x7abc | VALID,
+                },
+                true,
+            ),
+            (
+                TageEntry {
+                    ctr: 1,
+                    u: 0,
+                    tag: 0x0123,
+                },
+                false,
+            ),
+        ] {
+            let mut w = StateWriter::new();
+            entry.save_state(&mut w);
+            let mut expected = StateWriter::new();
+            expected.put_i8(entry.ctr);
+            expected.put_u16(entry.tag & !VALID);
+            expected.put_u8(entry.u);
+            expected.put_bool(valid);
+            assert_eq!(w.bytes(), expected.bytes());
+            let mut back = TageEntry::default();
+            let mut r = StateReader::new(w.bytes());
+            back.restore_state(&mut r);
+            r.finish();
+            assert_eq!(
+                (back.ctr, back.u, back.tag),
+                (entry.ctr, entry.u, entry.tag)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint state corrupt: TAGE tag 0x8001")]
+    fn restore_rejects_a_tag_with_bit_15_set() {
+        use sim_isa::{State, StateReader, StateWriter};
+        let mut w = StateWriter::new();
+        w.put_i8(0);
+        w.put_u16(0x8001);
+        w.put_u8(0);
+        w.put_bool(true);
+        TageEntry::default().restore_state(&mut StateReader::new(w.bytes()));
     }
 }
