@@ -11,7 +11,9 @@
 use sim_isa::{fnv1a64, StateWriter};
 use std::sync::Arc;
 use ucp_core::snapshot::{latest_valid_checkpoint, remove_run_checkpoints, run_slug};
-use ucp_core::{replay_verify, CheckpointPolicy, Knobs, RunOutput, SimConfig, Simulator};
+use ucp_core::{
+    replay_verify, CheckpointPolicy, Knobs, PrefetcherKind, RunOutput, SimConfig, Simulator,
+};
 use ucp_telemetry::fault::FaultPlan;
 use ucp_workloads::WorkloadSpec;
 
@@ -383,6 +385,29 @@ fn perturbed_state_is_rejected_or_resaved_verbatim() {
                 "restore accepted bytes save never writes (offset {off}, {} before SIM3)",
                 marks[3] - off
             );
+        }
+    }
+}
+
+/// `state_digest` hashes the state as it serializes; it must equal the
+/// FNV-1a digest of the buffered bytes, mid-run, whatever the machine
+/// holds: UCP's walk and mirror checkpoints, EP++'s tables, no µ-op cache.
+#[test]
+fn streamed_digest_equals_digest_of_saved_bytes() {
+    let ep = SimConfig {
+        prefetcher: PrefetcherKind::EpPlusPlus,
+        ..SimConfig::baseline()
+    };
+    let spec = ucp_workloads::suite::by_name("srv04").expect("srv04 exists");
+    let prog = spec.build();
+    for cfg in [SimConfig::ucp(), ep, SimConfig::no_uop_cache()] {
+        let mut sim = Simulator::new(&prog, spec.seed, &cfg);
+        for target in [WARMUP / 2, WARMUP + MEASURE / 2] {
+            sim.run_to_committed(target, WARMUP).expect("mid-run state");
+            let mut w = StateWriter::new();
+            sim.save_state(&mut w);
+            assert_eq!(sim.state_digest(), fnv1a64(w.bytes()));
+            assert_eq!(w.digest(), fnv1a64(w.bytes()));
         }
     }
 }

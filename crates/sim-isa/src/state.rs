@@ -40,7 +40,9 @@
 //! that is a pure function of that state — no `HashMap` iteration order,
 //! no addresses, no timestamps. The 64-bit FNV-1a digest of the encoded
 //! bytes ([`fnv1a64`]) is then a stable fingerprint of the component
-//! state, comparable across runs, machines and platforms.
+//! state, comparable across runs, machines and platforms. A
+//! [`StateWriter::hasher`] computes that digest as the bytes are written,
+//! without keeping them.
 
 use crate::{Addr, BranchClass};
 use std::collections::VecDeque;
@@ -51,7 +53,14 @@ use std::fmt::Debug;
 /// checksums. Kept dependency-free here so every crate in the workspace
 /// can use it.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a digest `h` over `bytes`.
+#[inline]
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -59,53 +68,110 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Where a [`StateWriter`]'s bytes go.
+#[derive(Debug)]
+enum Sink {
+    /// Kept, for a checkpoint.
+    Bytes(Vec<u8>),
+    /// Folded into a running FNV-1a digest and dropped.
+    Digest(u64),
+}
+
 /// Append-only encoder for component state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StateWriter {
-    buf: Vec<u8>,
+    sink: Sink,
+}
+
+impl Default for StateWriter {
+    fn default() -> Self {
+        StateWriter {
+            sink: Sink::Bytes(Vec::new()),
+        }
+    }
 }
 
 impl StateWriter {
+    /// A writer that keeps the encoded bytes.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// A writer that keeps only the [`fnv1a64`] digest of the encoded
+    /// bytes, folded in as they are written: [`StateWriter::digest`]
+    /// without the buffer.
+    pub fn hasher() -> Self {
+        StateWriter {
+            sink: Sink::Digest(FNV_OFFSET),
+        }
+    }
+
+    /// The [`fnv1a64`] digest of the bytes encoded so far.
+    pub fn digest(&self) -> u64 {
+        match &self.sink {
+            Sink::Bytes(buf) => fnv1a64(buf),
+            Sink::Digest(h) => *h,
+        }
+    }
+
     /// The encoded bytes so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`StateWriter::hasher`], which keeps no bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.buf
+        match &self.sink {
+            Sink::Bytes(buf) => buf,
+            Sink::Digest(_) => panic!("a hashing StateWriter keeps no bytes"),
+        }
     }
 
     /// Consumes the writer, returning the encoded bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`StateWriter::hasher`], which keeps no bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        match self.sink {
+            Sink::Bytes(buf) => buf,
+            Sink::Digest(_) => panic!("a hashing StateWriter keeps no bytes"),
+        }
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.sink {
+            Sink::Bytes(buf) => buf.extend_from_slice(bytes),
+            Sink::Digest(h) => *h = fnv1a64_extend(*h, bytes),
+        }
     }
 
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
+        self.put(&[v as u8]);
     }
 
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     pub fn put_i8(&mut self, v: i8) {
-        self.buf.push(v as u8);
+        self.put(&[v as u8]);
     }
 
     pub fn put_i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Encodes a `usize` as a fixed-width u64 so checkpoints are
@@ -121,7 +187,7 @@ impl StateWriter {
     /// Length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
 
     /// A structural marker. [`StateReader::check`] verifies it during
@@ -652,6 +718,41 @@ mod tests {
         assert_eq!(r.get_str(), "µop");
         r.check(2);
         r.finish();
+    }
+
+    #[test]
+    fn hasher_digest_equals_digest_of_the_buffered_bytes() {
+        // Every blanket impl, the string and mark encoders, and the empty
+        // stream.
+        fn check(write: impl Fn(&mut StateWriter)) {
+            let (mut buffered, mut hashed) = (StateWriter::new(), StateWriter::hasher());
+            write(&mut buffered);
+            write(&mut hashed);
+            assert_eq!(hashed.digest(), fnv1a64(buffered.bytes()));
+            assert_eq!(buffered.digest(), fnv1a64(buffered.bytes()));
+        }
+        check(|_| {});
+        check(|w| {
+            (7u8, true, 0xBEEFu16).save_state(w);
+            (0xDEAD_BEEFu32, u64::MAX - 3, -7i8).save_state(w);
+            (-123_456i32, 42usize, Addr::new(0x4000)).save_state(w);
+            [1u16, 2, 3].save_state(w);
+            [4u32, 5][..].save_state(w);
+            vec![6u64, 7].into_boxed_slice().save_state(w);
+            (Some(8u8), None::<u32>).save_state(w);
+            vec![Addr::new(0x40)].save_state(w);
+            VecDeque::from([9i8, -9]).save_state(w);
+            Tables::new(3, 2, 0xABu8).save_state(w);
+            BranchClass::Return.save_state(w);
+            w.put_str("µop");
+            w.mark(0x11);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "keeps no bytes")]
+    fn hasher_keeps_no_bytes() {
+        let _ = StateWriter::hasher().bytes();
     }
 
     #[test]
