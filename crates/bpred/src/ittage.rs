@@ -2,18 +2,12 @@
 //! (Seznec, JWAC-2 2011). Used at 64 KB as the main indirect predictor and
 //! at 4 KB as UCP's alternate-path indirect predictor (Alt-Ind).
 
-use crate::history::{FoldSpec, HistoryState};
+use crate::history::{FoldSpec, PathHistory};
 use sim_isa::state::Tables;
 use sim_isa::Addr;
 
 /// Upper bound on tagged tables.
 pub const MAX_ITT_TABLES: usize = 10;
-
-/// Folded views in the [`IttageParams::main_64k`] history (8 tables × 3).
-pub const MAIN_ITT_FOLDS: usize = 24;
-
-/// Folded views in the [`IttageParams::alt_4k`] history (4 tables × 3).
-pub const ALT_ITT_FOLDS: usize = 12;
 
 /// Geometry of an ITTAGE predictor.
 #[derive(Clone, Debug)]
@@ -53,7 +47,7 @@ impl IttageParams {
         }
     }
 
-    /// Fold specs for a [`HistoryState`] (3 per table).
+    /// Fold specs for a [`PathHistory`] (3 per table).
     pub fn fold_specs(&self) -> Vec<FoldSpec> {
         let mut v = Vec::with_capacity(self.num_tables * 3);
         for &olen in &self.hist_len {
@@ -103,7 +97,7 @@ pub struct IttagePrediction {
 }
 
 /// The ITTAGE predictor. Path history lives in a caller-owned
-/// [`HistoryState`]; push two target bits per taken control transfer with
+/// [`PathHistory`]; push two target bits per taken control transfer with
 /// [`push_target_history`].
 #[derive(Clone, Debug)]
 pub struct Ittage {
@@ -117,7 +111,7 @@ pub struct Ittage {
 
 /// Pushes the canonical two target bits for a taken control transfer into
 /// an ITTAGE path history.
-pub fn push_target_history(hist: &mut HistoryState, target: Addr) {
+pub fn push_target_history(hist: &mut PathHistory, target: Addr) {
     // Aligned code means the low target bits are constant; mix higher bits
     // down so distinct targets produce distinct history bits.
     let h = (target.raw() >> 2).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56;
@@ -151,9 +145,10 @@ impl Ittage {
         &self.params
     }
 
-    /// Builds a history with this predictor's fold layout.
-    pub fn new_history(&self) -> HistoryState {
-        HistoryState::new(&self.params.fold_specs())
+    /// Builds a path history with this predictor's fold layout; its
+    /// folds are computed when a prediction reads them.
+    pub fn new_history(&self) -> PathHistory {
+        PathHistory::new(&self.params.fold_specs())
     }
 
     /// Flat position of entry `idx` of tagged table `t`.
@@ -163,7 +158,7 @@ impl Ittage {
     }
 
     #[inline]
-    fn index(&self, pc: Addr, hist: &HistoryState, t: usize) -> u16 {
+    fn index(&self, pc: Addr, hist: &PathHistory, t: usize) -> u16 {
         let pcs = pc.raw() >> 2;
         let mask = (1u64 << self.params.log_entries) - 1;
         let h = u64::from(hist.folded(t * 3));
@@ -171,7 +166,7 @@ impl Ittage {
     }
 
     #[inline]
-    fn tag(&self, pc: Addr, hist: &HistoryState, t: usize) -> u16 {
+    fn tag(&self, pc: Addr, hist: &PathHistory, t: usize) -> u16 {
         let pcs = pc.raw() >> 2;
         let mask = (1u64 << self.params.tag_bits) - 1;
         let h1 = u64::from(hist.folded(t * 3 + 1));
@@ -180,7 +175,7 @@ impl Ittage {
     }
 
     /// Predicts the target of the indirect branch at `pc`.
-    pub fn predict(&self, hist: &HistoryState, pc: Addr) -> IttagePrediction {
+    pub fn predict(&self, hist: &PathHistory, pc: Addr) -> IttagePrediction {
         let n = self.params.num_tables;
         let mut indices = [0u16; MAX_ITT_TABLES];
         let mut tags = [0u16; MAX_ITT_TABLES];
@@ -334,16 +329,10 @@ sim_isa::state_fields!(IttagePrediction { target, provider, ctr, indices, tags, 
 mod tests {
     use super::*;
 
-    fn fresh() -> (Ittage, HistoryState) {
+    fn fresh() -> (Ittage, PathHistory) {
         let i = Ittage::new(IttageParams::alt_4k());
         let h = i.new_history();
         (i, h)
-    }
-
-    #[test]
-    fn fold_counts_fit_their_checkpoints() {
-        assert_eq!(IttageParams::main_64k().fold_specs().len(), MAIN_ITT_FOLDS);
-        assert_eq!(IttageParams::alt_4k().fold_specs().len(), ALT_ITT_FOLDS);
     }
 
     #[test]

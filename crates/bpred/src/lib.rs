@@ -10,8 +10,9 @@
 //!   (Alt-Ind),
 //! * [`TageConf`] / [`UcpConf`] — the storage-free H2P confidence
 //!   estimators compared in Fig. 9,
-//! * [`HistoryState`] — speculative global/path history with folded views
-//!   and O(1) checkpoint/restore, shared by all of the above.
+//! * [`HistoryState`] / [`PathHistory`] — speculative global and path
+//!   histories with folded views and O(1) checkpoint/restore; path folds
+//!   are computed when read.
 //!
 //! Tables and histories are deliberately separated: the UCP engine runs an
 //! *alternate-path* history against the same Alt-BP tables, exactly as
@@ -45,10 +46,8 @@ pub mod tage_sc_l;
 
 pub use bimodal::Bimodal;
 pub use confidence::{ConfidenceEstimator, TageConf, UcpConf};
-pub use history::{FoldSpec, HistCheckpoint, HistoryState};
-pub use ittage::{
-    push_target_history, Ittage, IttageParams, IttagePrediction, ALT_ITT_FOLDS, MAIN_ITT_FOLDS,
-};
+pub use history::{FoldSpec, HistCheckpoint, HistoryState, PathCheckpoint, PathHistory};
+pub use ittage::{push_target_history, Ittage, IttageParams, IttagePrediction};
 pub use loop_pred::{LoopPrediction, LoopPredictor};
 pub use sc::{Sc, ScParams, ScPrediction};
 pub use tage::{Tage, TageParams, TagePrediction, TageProvider};

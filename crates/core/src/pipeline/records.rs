@@ -58,9 +58,10 @@ impl<T> RecordRing<T> {
 
 /// The live records with their ids, oldest first, then every slot id
 /// (resolved ones included) oldest first, then the next id — the bytes of
-/// the id-keyed record map and id-order list this ring replaced.
-impl<T: State + Default> State for RecordRing<T> {
-    fn save_state(&self, w: &mut StateWriter) {
+/// the id-keyed record map and id-order list this ring replaced. Each
+/// record's own bytes come from a caller-supplied codec.
+impl<T: Default> RecordRing<T> {
+    pub(crate) fn save_with(&self, w: &mut StateWriter, save: impl Fn(&T, &mut StateWriter)) {
         let RecordRing { slots, next_id } = self;
         let live = || {
             slots
@@ -70,7 +71,7 @@ impl<T: State + Default> State for RecordRing<T> {
         live().count().save_state(w);
         for (id, rec) in live() {
             id.save_state(w);
-            rec.save_state(w);
+            save(rec, w);
         }
         slots.len().save_state(w);
         for (id, _) in slots {
@@ -82,10 +83,21 @@ impl<T: State + Default> State for RecordRing<T> {
     /// # Panics
     ///
     /// Panics if a live record's id is missing from the slot order.
-    fn restore_state(&mut self, r: &mut StateReader) {
+    pub(crate) fn restore_with(
+        &mut self,
+        r: &mut StateReader,
+        restore: impl Fn(&mut T, &mut StateReader),
+    ) {
         let RecordRing { slots, next_id } = self;
         let mut live: VecDeque<(u64, T)> = VecDeque::new();
-        live.restore_state(r);
+        // One record at a time, so a corrupt count underflows the reader
+        // instead of allocating.
+        for _ in 0..r.get_usize() {
+            let id = r.get_u64();
+            let mut rec = T::default();
+            restore(&mut rec, r);
+            live.push_back((id, rec));
+        }
         slots.clear();
         for _ in 0..r.get_usize() {
             let id = r.get_u64();
@@ -167,7 +179,7 @@ mod tests {
 
     fn ring_bytes(ring: &RecordRing<u32>) -> Vec<u8> {
         let mut w = StateWriter::new();
-        ring.save_state(&mut w);
+        ring.save_with(&mut w, u32::save_state);
         w.into_bytes()
     }
 
@@ -215,7 +227,7 @@ mod tests {
         let bytes = ring_bytes(&ring);
         let mut back = RecordRing::with_capacity(0);
         let mut r = StateReader::new(&bytes);
-        back.restore_state(&mut r);
+        back.restore_with(&mut r, u32::restore_state);
         r.finish();
         assert_eq!(ring_bytes(&back), bytes);
         assert_eq!(back.take(2), Some(1));

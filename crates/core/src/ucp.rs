@@ -19,8 +19,8 @@ use crate::stats::UcpStats;
 use sim_isa::{Addr, BranchClass, State, StateReader, StateWriter};
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
-    IttagePrediction, Provider, SclPrediction, SclPreset, TageConf, TageScL, UcpConf,
-    ALT_ITT_FOLDS, ALT_SCL_FOLDS,
+    IttagePrediction, PathCheckpoint, PathHistory, Provider, SclPrediction, SclPreset, TageConf,
+    TageScL, UcpConf, ALT_SCL_FOLDS,
 };
 use ucp_frontend::{BoundedQueue, Btb, Ras, UopCache};
 use ucp_mem::Hierarchy;
@@ -28,8 +28,10 @@ use ucp_telemetry::{Category, Counter, Telemetry, Tracer};
 use ucp_workloads::Program;
 
 /// Checkpoints of the engine's predicted-path mirror histories (Alt-BP,
-/// Alt-Ind), kept in each in-flight branch record.
-pub type AltCheckpoints = (HistCheckpoint<ALT_SCL_FOLDS>, HistCheckpoint<ALT_ITT_FOLDS>);
+/// Alt-Ind), kept in each in-flight branch record. The engine serializes
+/// them ([`UcpEngine::save_checkpoints`]): the Alt-Ind half's folds come
+/// from its mirror.
+pub type AltCheckpoints = (HistCheckpoint<ALT_SCL_FOLDS>, PathCheckpoint);
 
 /// A fetch block generated on the alternate path.
 #[derive(Clone, Copy, Debug, Default)]
@@ -69,7 +71,7 @@ struct Walk {
     /// The walk's conditional history (meaningful while `cur` is set).
     hist: HistoryState,
     /// The walk's path history (meaningful while `cur` is set).
-    path_hist: HistoryState,
+    path_hist: PathHistory,
 }
 
 /// Why a walk ended (maps to [`UcpStats`] counters).
@@ -132,7 +134,7 @@ pub struct UcpEngine {
     /// GHRs"; the second is cloned per walk).
     alt_bp_mirror: HistoryState,
     alt_ind: Option<Ittage>,
-    alt_ind_mirror: HistoryState,
+    alt_ind_mirror: PathHistory,
     alt_ras: Ras,
     walk: Walk,
     alt_ftq: BoundedQueue<AltBlock>,
@@ -155,12 +157,9 @@ impl UcpEngine {
         let alt_bp = TageScL::new(SclPreset::Alt8K);
         let alt_bp_mirror = alt_bp.new_history();
         let alt_ind = cfg.use_alt_ind.then(|| Ittage::new(IttageParams::alt_4k()));
-        let alt_ind_mirror = match &alt_ind {
-            Some(i) => i.new_history(),
-            // A minimal placeholder history keeps checkpoint plumbing
-            // uniform when Alt-Ind is absent.
-            None => Ittage::new(IttageParams::alt_4k()).new_history(),
-        };
+        // Without Alt-Ind the mirror is a placeholder that keeps the
+        // checkpoint plumbing uniform.
+        let alt_ind_mirror = PathHistory::new(&IttageParams::alt_4k().fold_specs());
         UcpEngine {
             walk: Walk {
                 cur: None,
@@ -229,8 +228,23 @@ impl UcpEngine {
     pub fn checkpoints(&self) -> AltCheckpoints {
         (
             self.alt_bp_mirror.checkpoint_sized(),
-            self.alt_ind_mirror.checkpoint_sized(),
+            self.alt_ind_mirror.checkpoint(),
         )
+    }
+
+    /// Writes checkpoints of the mirror histories, taken by
+    /// [`UcpEngine::checkpoints`] and still in flight.
+    pub fn save_checkpoints(&self, cps: &AltCheckpoints, w: &mut StateWriter) {
+        cps.0.save_state(w);
+        self.alt_ind_mirror.save_checkpoint(&cps.1, w);
+    }
+
+    /// Reads checkpoints written by [`UcpEngine::save_checkpoints`]; the
+    /// engine itself must already be restored.
+    pub fn restore_checkpoints(&self, r: &mut StateReader) -> AltCheckpoints {
+        let mut alt_bp = HistCheckpoint::default();
+        alt_bp.restore_state(r);
+        (alt_bp, self.alt_ind_mirror.restore_checkpoint(r))
     }
 
     /// Restores the mirrors on a pipeline flush, pushes the corrected
