@@ -2,7 +2,7 @@
 //! (Seznec, JWAC-2 2011). Used at 64 KB as the main indirect predictor and
 //! at 4 KB as UCP's alternate-path indirect predictor (Alt-Ind).
 
-use crate::history::{FoldSpec, PathHistory};
+use crate::history::{tagged_fold_specs, FoldSpec, PathHistory};
 use sim_isa::state::Tables;
 use sim_isa::Addr;
 
@@ -49,22 +49,7 @@ impl IttageParams {
 
     /// Fold specs for a [`PathHistory`] (3 per table).
     pub fn fold_specs(&self) -> Vec<FoldSpec> {
-        let mut v = Vec::with_capacity(self.num_tables * 3);
-        for &olen in &self.hist_len {
-            v.push(FoldSpec {
-                olen,
-                clen: self.log_entries,
-            });
-            v.push(FoldSpec {
-                olen,
-                clen: self.tag_bits,
-            });
-            v.push(FoldSpec {
-                olen,
-                clen: self.tag_bits - 1,
-            });
-        }
-        v
+        tagged_fold_specs(&self.hist_len, self.log_entries, self.tag_bits)
     }
 }
 

@@ -11,8 +11,8 @@
 //! * [`TageConf`] / [`UcpConf`] — the storage-free H2P confidence
 //!   estimators compared in Fig. 9,
 //! * [`HistoryState`] / [`PathHistory`] — speculative global and path
-//!   histories with folded views and O(1) checkpoint/restore; path folds
-//!   are computed when read.
+//!   histories with folded views; path folds are computed when read, and
+//!   a [`HistCheckpoint`] of either is its write pointer.
 //!
 //! Tables and histories are deliberately separated: the UCP engine runs an
 //! *alternate-path* history against the same Alt-BP tables, exactly as
@@ -46,9 +46,9 @@ pub mod tage_sc_l;
 
 pub use bimodal::Bimodal;
 pub use confidence::{ConfidenceEstimator, TageConf, UcpConf};
-pub use history::{FoldSpec, HistCheckpoint, HistoryState, PathCheckpoint, PathHistory};
+pub use history::{FoldSpec, HistCheckpoint, HistoryState, PathHistory};
 pub use ittage::{push_target_history, Ittage, IttageParams, IttagePrediction};
 pub use loop_pred::{LoopPrediction, LoopPredictor};
 pub use sc::{Sc, ScParams, ScPrediction};
 pub use tage::{Tage, TageParams, TagePrediction, TageProvider};
-pub use tage_sc_l::{Provider, SclPrediction, SclPreset, TageScL, ALT_SCL_FOLDS, SCL_MAX_FOLDS};
+pub use tage_sc_l::{Provider, SclPrediction, SclPreset, TageScL};

@@ -8,7 +8,7 @@
 //! that.
 
 use crate::bimodal::Bimodal;
-use crate::history::{FoldSpec, HistoryState};
+use crate::history::{tagged_fold_specs, FoldSpec, HistoryState};
 use sim_isa::state::Tables;
 use sim_isa::Addr;
 
@@ -73,22 +73,7 @@ impl TageParams {
     /// Fold specs this predictor needs in its [`HistoryState`]
     /// (3 per table: index, tag part 1, tag part 2).
     pub fn fold_specs(&self) -> Vec<FoldSpec> {
-        let mut v = Vec::with_capacity(self.num_tables * 3);
-        for &olen in &self.hist_len {
-            v.push(FoldSpec {
-                olen,
-                clen: self.log_entries,
-            });
-            v.push(FoldSpec {
-                olen,
-                clen: self.tag_bits,
-            });
-            v.push(FoldSpec {
-                olen,
-                clen: self.tag_bits - 1,
-            });
-        }
-        v
+        tagged_fold_specs(&self.hist_len, self.log_entries, self.tag_bits)
     }
 }
 

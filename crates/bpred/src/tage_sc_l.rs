@@ -6,7 +6,7 @@
 //! the bimodal had missed recently), the HitBank, the AltBank, the loop
 //! predictor or the statistical corrector.
 
-use crate::history::{HistCheckpoint, HistoryState};
+use crate::history::HistoryState;
 use crate::loop_pred::{LoopPrediction, LoopPredictor};
 use crate::sc::{Sc, ScParams, ScPrediction};
 use crate::tage::{Tage, TageParams, TagePrediction, TageProvider};
@@ -60,14 +60,6 @@ impl std::fmt::Display for Provider {
         f.write_str(s)
     }
 }
-
-/// Folded views in the history of the largest presets (Main64K and
-/// Big128K: 12 TAGE tables × 3 + 6 SC tables); every preset fits in a
-/// checkpoint of this many slots.
-pub const SCL_MAX_FOLDS: usize = 42;
-
-/// Folded views in the Alt8K history (6 TAGE tables × 3 + 3 SC tables).
-pub const ALT_SCL_FOLDS: usize = 21;
 
 /// Size presets for the composite predictor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -232,12 +224,6 @@ impl TageScL {
         }
     }
 
-    /// Convenience: checkpoint the given history (same as
-    /// [`HistoryState::checkpoint`]).
-    pub fn checkpoint(hist: &HistoryState) -> HistCheckpoint {
-        hist.checkpoint()
-    }
-
     /// Total storage in bits.
     pub fn storage_bits(&self) -> u64 {
         self.tage.storage_bits() + self.sc.storage_bits() + self.lp.storage_bits() + 8
@@ -299,18 +285,6 @@ mod tests {
             big.storage_kb() > 1.8 * main.storage_kb(),
             "128 KB ≈ 2× 64 KB"
         );
-    }
-
-    #[test]
-    fn fold_counts_fit_their_checkpoints() {
-        for preset in [SclPreset::Main64K, SclPreset::Big128K] {
-            assert_eq!(
-                TageScL::new(preset).new_history().num_folds(),
-                SCL_MAX_FOLDS
-            );
-        }
-        let alt = TageScL::new(SclPreset::Alt8K).new_history();
-        assert_eq!(alt.num_folds(), ALT_SCL_FOLDS);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::snapshot::{
     DigestRecord, CKPT_VERSION,
 };
 use crate::stats::{SimStats, UcpStats};
-use crate::ucp::{AltCheckpoints, UcpEngine};
+use crate::ucp::UcpEngine;
 use backend::Backend;
 use records::RecordRing;
 use serde::{Deserialize, Serialize};
@@ -44,8 +44,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
-    IttagePrediction, PathCheckpoint, PathHistory, SclPrediction, TageConf, TageScL, UcpConf,
-    SCL_MAX_FOLDS,
+    IttagePrediction, PathHistory, SclPrediction, TageConf, TageScL, UcpConf,
 };
 use ucp_frontend::{BoundedQueue, Btb, EntryEnd, Ras, RasCheckpoint, UopCache, UopEntrySpec};
 use ucp_mem::{CacheStats, Hierarchy, HitLevel};
@@ -124,10 +123,9 @@ enum RecKind {
     Return,
 }
 
-/// One in-flight branch prediction. Conditional-history checkpoints hold
-/// only the live folds of their history and path-history checkpoints only
-/// the write pointer; both serialize as full, zero-padded fold lists (see
-/// [`PredRecord::save_in`]).
+/// One in-flight branch prediction. History checkpoints hold only the
+/// write pointer, which UCP's mirror histories share; they serialize as
+/// full, zero-padded fold lists (see [`PredRecord::save_in`]).
 #[derive(Default)]
 struct PredRecord {
     pc: Addr,
@@ -139,10 +137,9 @@ struct PredRecord {
     mispredicted: bool,
     /// Indirect with no known target: fetch stalls until execution.
     no_target: bool,
-    cp_bp: HistCheckpoint<SCL_MAX_FOLDS>,
-    cp_it: PathCheckpoint,
+    cp_bp: HistCheckpoint,
+    cp_it: HistCheckpoint,
     cp_ras: RasCheckpoint,
-    cp_alt: Option<AltCheckpoints>,
     scl: Option<SclPrediction>,
     itt: Option<IttagePrediction>,
     alt_scl: Option<SclPrediction>,
@@ -860,10 +857,20 @@ impl<'p> Simulator<'p> {
             });
         // Restore speculative state to just before this branch, then apply
         // the architectural outcome.
+        let transferred = rec.actual_next != rec.pc.next_inst() || rec.kind != RecKind::Cond;
+        if let Some(ucp) = self.ucp.as_mut() {
+            ucp.on_flush(
+                &self.bp_hist,
+                &self.it_hist,
+                &rec.cp_bp,
+                &rec.cp_it,
+                (rec.kind == RecKind::Cond).then_some(rec.actual_taken),
+                transferred.then_some(rec.actual_next),
+            );
+        }
         self.bp_hist.restore(&rec.cp_bp);
         self.it_hist.restore(&rec.cp_it);
         self.ras.restore(&rec.cp_ras);
-        let transferred = rec.actual_next != rec.pc.next_inst() || rec.kind != RecKind::Cond;
         if rec.kind == RecKind::Cond {
             self.bp_hist.push(rec.actual_taken);
         }
@@ -876,14 +883,6 @@ impl<'p> Simulator<'p> {
                 let _ = self.ras.pop();
             }
             _ => {}
-        }
-        if let Some(ucp) = self.ucp.as_mut() {
-            let cps = rec.cp_alt.expect("UCP checkpoints present when enabled");
-            ucp.on_flush(
-                cps,
-                (rec.kind == RecKind::Cond).then_some(rec.actual_taken),
-                transferred.then_some(rec.actual_next),
-            );
         }
         // Free the flushed record's slot and every younger record.
         self.records.truncate_from(rec_id);
@@ -1384,10 +1383,9 @@ impl<'p> Simulator<'p> {
             let btb_missed = btb_entry.is_none();
 
             // Checkpoints before any speculative update for this branch.
-            let cp_bp = self.bp_hist.checkpoint_sized();
+            let cp_bp = self.bp_hist.checkpoint();
             let cp_it = self.it_hist.checkpoint();
             let cp_ras = self.ras.checkpoint();
-            let cp_alt = self.ucp.as_ref().map(|u| u.checkpoints());
 
             let (
                 predicted_taken,
@@ -1576,7 +1574,6 @@ impl<'p> Simulator<'p> {
                 cp_bp,
                 cp_it,
                 cp_ras,
-                cp_alt,
                 scl,
                 itt,
                 alt_scl,
@@ -1893,12 +1890,18 @@ sim_isa::state_enum!(RecKind {
     2 => Indirect { is_call: true },
     3 => Return,
 });
-/// The field-list bytes, hand-written because the path-history
-/// checkpoints (`cp_it` and the Alt-Ind half of `cp_alt`) hold only a
-/// write pointer: the histories they were taken on write and check their
-/// folds.
+/// The field-list bytes, hand-written because the history checkpoints
+/// hold only a write pointer: the histories they were taken on write and
+/// check their folds. With UCP, the mirror histories' checkpoints at the
+/// same pointers follow the RAS checkpoint.
 impl PredRecord {
-    fn save_in(&self, it_hist: &PathHistory, ucp: Option<&UcpEngine>, w: &mut StateWriter) {
+    fn save_in(
+        &self,
+        bp_hist: &HistoryState,
+        it_hist: &PathHistory,
+        ucp: Option<&UcpEngine>,
+        w: &mut StateWriter,
+    ) {
         let PredRecord {
             pc,
             kind,
@@ -1910,7 +1913,6 @@ impl PredRecord {
             cp_bp,
             cp_it,
             cp_ras,
-            cp_alt,
             scl,
             itt,
             alt_scl,
@@ -1925,13 +1927,12 @@ impl PredRecord {
         actual_next.save_state(w);
         mispredicted.save_state(w);
         no_target.save_state(w);
-        cp_bp.save_state(w);
+        bp_hist.save_checkpoint(cp_bp, w);
         it_hist.save_checkpoint(cp_it, w);
         cp_ras.save_state(w);
-        w.put_bool(cp_alt.is_some());
-        if let Some(cps) = cp_alt {
-            ucp.expect("UCP checkpoints imply UCP")
-                .save_checkpoints(cps, w);
+        w.put_bool(ucp.is_some());
+        if let Some(ucp) = ucp {
+            ucp.save_checkpoints(cp_bp, cp_it, w);
         }
         scl.save_state(w);
         itt.save_state(w);
@@ -1941,9 +1942,15 @@ impl PredRecord {
         h2p_ucp.save_state(w);
     }
 
-    /// Restores what [`PredRecord::save_in`] wrote; `it_hist` and `ucp`
-    /// must already be restored.
-    fn restore_in(&mut self, it_hist: &PathHistory, ucp: Option<&UcpEngine>, r: &mut StateReader) {
+    /// Restores what [`PredRecord::save_in`] wrote; the histories and the
+    /// UCP engine must already be restored.
+    fn restore_in(
+        &mut self,
+        bp_hist: &HistoryState,
+        it_hist: &PathHistory,
+        ucp: Option<&UcpEngine>,
+        r: &mut StateReader,
+    ) {
         let PredRecord {
             pc,
             kind,
@@ -1955,7 +1962,6 @@ impl PredRecord {
             cp_bp,
             cp_it,
             cp_ras,
-            cp_alt,
             scl,
             itt,
             alt_scl,
@@ -1970,13 +1976,17 @@ impl PredRecord {
         actual_next.restore_state(r);
         mispredicted.restore_state(r);
         no_target.restore_state(r);
-        cp_bp.restore_state(r);
+        *cp_bp = bp_hist.restore_checkpoint(r);
         *cp_it = it_hist.restore_checkpoint(r);
         cp_ras.restore_state(r);
-        *cp_alt = r.get_bool().then(|| {
-            ucp.expect("checkpoint state corrupt: UCP checkpoints without UCP")
-                .restore_checkpoints(r)
-        });
+        assert_eq!(
+            r.get_bool(),
+            ucp.is_some(),
+            "checkpoint state corrupt: UCP mirror checkpoints disagree with the configuration"
+        );
+        if let Some(ucp) = ucp {
+            ucp.restore_checkpoints(cp_bp, cp_it, r);
+        }
         scl.restore_state(r);
         itt.restore_state(r);
         alt_scl.restore_state(r);
@@ -2143,7 +2153,7 @@ impl State for Simulator<'_> {
         consec_uop_hits.save_state(w);
         head_delivered.save_state(w);
         ideal_brcond_left.save_state(w);
-        records.save_with(w, |rec, w| rec.save_in(it_hist, ucp.as_ref(), w));
+        records.save_with(w, |rec, w| rec.save_in(bp_hist, it_hist, ucp.as_ref(), w));
         backend.save_state(w);
         let mut rq: Vec<(u64, u64)> = resolve_q.iter().map(|x| x.0).collect();
         rq.sort_unstable();
@@ -2224,9 +2234,9 @@ impl State for Simulator<'_> {
         self.consec_uop_hits.restore_state(r);
         self.head_delivered.restore_state(r);
         self.ideal_brcond_left.restore_state(r);
-        let (it_hist, ucp) = (&self.it_hist, self.ucp.as_ref());
+        let (bp_hist, it_hist, ucp) = (&self.bp_hist, &self.it_hist, self.ucp.as_ref());
         self.records
-            .restore_with(r, |rec, r| rec.restore_in(it_hist, ucp, r));
+            .restore_with(r, |rec, r| rec.restore_in(bp_hist, it_hist, ucp, r));
         self.backend.restore_state(r);
         let mut rq: Vec<(u64, u64)> = Vec::new();
         rq.restore_state(r);

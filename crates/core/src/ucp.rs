@@ -19,19 +19,12 @@ use crate::stats::UcpStats;
 use sim_isa::{Addr, BranchClass, State, StateReader, StateWriter};
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
-    IttagePrediction, PathCheckpoint, PathHistory, Provider, SclPrediction, SclPreset, TageConf,
-    TageScL, UcpConf, ALT_SCL_FOLDS,
+    IttagePrediction, PathHistory, Provider, SclPrediction, SclPreset, TageConf, TageScL, UcpConf,
 };
 use ucp_frontend::{BoundedQueue, Btb, Ras, UopCache};
 use ucp_mem::Hierarchy;
 use ucp_telemetry::{Category, Counter, Telemetry, Tracer};
 use ucp_workloads::Program;
-
-/// Checkpoints of the engine's predicted-path mirror histories (Alt-BP,
-/// Alt-Ind), kept in each in-flight branch record. The engine serializes
-/// them ([`UcpEngine::save_checkpoints`]): the Alt-Ind half's folds come
-/// from its mirror.
-pub type AltCheckpoints = (HistCheckpoint<ALT_SCL_FOLDS>, PathCheckpoint);
 
 /// A fetch block generated on the alternate path.
 #[derive(Clone, Copy, Debug, Default)]
@@ -131,9 +124,13 @@ pub struct UcpEngine {
     cfg: UcpConfig,
     alt_bp: TageScL,
     /// Predicted-path GHR mirror for Alt-BP (§IV-C: "Alt-BP implements two
-    /// GHRs"; the second is cloned per walk).
+    /// GHRs"; the second is cloned per walk). Pushed in step with the
+    /// main conditional history, so the main history's checkpoints serve
+    /// it too.
     alt_bp_mirror: HistoryState,
     alt_ind: Option<Ittage>,
+    /// Predicted-path mirror for Alt-Ind, pushed in step with the main
+    /// path history.
     alt_ind_mirror: PathHistory,
     alt_ras: Ras,
     walk: Walk,
@@ -224,40 +221,66 @@ impl UcpEngine {
         pred
     }
 
-    /// Checkpoints the mirror histories (stored in the branch record).
-    pub fn checkpoints(&self) -> AltCheckpoints {
-        (
-            self.alt_bp_mirror.checkpoint_sized(),
-            self.alt_ind_mirror.checkpoint(),
-        )
+    /// Writes the mirror histories' checkpoints for a branch record whose
+    /// main-history checkpoints, still in flight, are `cp_bp` and `cp_it`:
+    /// the mirrors share their pointers.
+    pub fn save_checkpoints(
+        &self,
+        cp_bp: &HistCheckpoint,
+        cp_it: &HistCheckpoint,
+        w: &mut StateWriter,
+    ) {
+        self.alt_bp_mirror.save_checkpoint(cp_bp, w);
+        self.alt_ind_mirror.save_checkpoint(cp_it, w);
     }
 
-    /// Writes checkpoints of the mirror histories, taken by
-    /// [`UcpEngine::checkpoints`] and still in flight.
-    pub fn save_checkpoints(&self, cps: &AltCheckpoints, w: &mut StateWriter) {
-        cps.0.save_state(w);
-        self.alt_ind_mirror.save_checkpoint(&cps.1, w);
-    }
-
-    /// Reads checkpoints written by [`UcpEngine::save_checkpoints`]; the
+    /// Reads the checkpoints [`UcpEngine::save_checkpoints`] wrote for a
+    /// record whose main-history checkpoints are `cp_bp` and `cp_it`; the
     /// engine itself must already be restored.
-    pub fn restore_checkpoints(&self, r: &mut StateReader) -> AltCheckpoints {
-        let mut alt_bp = HistCheckpoint::default();
-        alt_bp.restore_state(r);
-        (alt_bp, self.alt_ind_mirror.restore_checkpoint(r))
+    ///
+    /// # Panics
+    ///
+    /// Panics if a mirror checkpoint is corrupt or its pointer differs
+    /// from the main one's.
+    pub fn restore_checkpoints(
+        &self,
+        cp_bp: &HistCheckpoint,
+        cp_it: &HistCheckpoint,
+        r: &mut StateReader,
+    ) {
+        let alt_bp = self.alt_bp_mirror.restore_checkpoint(r);
+        let alt_ind = self.alt_ind_mirror.restore_checkpoint(r);
+        assert!(
+            alt_bp == *cp_bp && alt_ind == *cp_it,
+            "checkpoint state corrupt: UCP mirror checkpoints {alt_bp:?}, {alt_ind:?} \
+             differ from the main histories' {cp_bp:?}, {cp_it:?}"
+        );
     }
 
-    /// Restores the mirrors on a pipeline flush, pushes the corrected
+    /// Restores the mirrors on a pipeline flush to the flushed record's
+    /// main-history checkpoints `cp_bp` and `cp_it`, pushes the corrected
     /// outcome, and aborts any in-flight alternate work (the paper:
     /// terminating the alternate path only requires flushing the Alt-FTQ).
+    /// `bp_hist` and `it_hist` are the main histories, not yet restored.
     pub fn on_flush(
         &mut self,
-        cps: AltCheckpoints,
+        bp_hist: &HistoryState,
+        it_hist: &PathHistory,
+        cp_bp: &HistCheckpoint,
+        cp_it: &HistCheckpoint,
         actual_cond: Option<bool>,
         actual_target: Option<Addr>,
     ) {
-        self.alt_bp_mirror.restore(&cps.0);
-        self.alt_ind_mirror.restore(&cps.1);
+        debug_assert_eq!(
+            (
+                self.alt_bp_mirror.position(),
+                self.alt_ind_mirror.position()
+            ),
+            (bp_hist.position(), it_hist.position()),
+            "UCP mirrors out of step with the main histories"
+        );
+        self.alt_bp_mirror.restore(cp_bp);
+        self.alt_ind_mirror.restore(cp_it);
         if let Some(t) = actual_cond {
             self.alt_bp_mirror.push(t);
         }
@@ -820,9 +843,11 @@ mod tests {
             ..UcpConfig::default()
         });
         let ras = Ras::new(64);
-        let cps = e.checkpoints();
+        let bp_hist = TageScL::new(SclPreset::Main64K).new_history();
+        let it_hist = Ittage::new(IttageParams::main_64k()).new_history();
+        let (cp_bp, cp_it) = (bp_hist.checkpoint(), it_hist.checkpoint());
         e.trigger(Addr::new(0x1000), true, &ras);
-        e.on_flush(cps, Some(true), None);
+        e.on_flush(&bp_hist, &it_hist, &cp_bp, &cp_it, Some(true), None);
         assert!(!e.walking());
         assert!(e.alt_ftq.is_empty());
     }

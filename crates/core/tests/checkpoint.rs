@@ -411,3 +411,68 @@ fn streamed_digest_equals_digest_of_saved_bytes() {
         }
     }
 }
+
+/// UCP's mirror histories are pushed in step with the main ones, so a
+/// branch record's mirror checkpoints sit at its main checkpoints'
+/// pointers. Copying another in-flight record's Alt-BP or Alt-Ind
+/// checkpoint over one record's plants a checkpoint the mirror could have
+/// written, at another pointer: restore must reject it.
+#[test]
+fn a_mirror_checkpoint_off_its_main_pointer_is_rejected() {
+    // A saved checkpoint: pointer, fold count, 56 fold slots.
+    const CP: usize = 8 + 1 + 56 * 4;
+    // A record's main conditional and path checkpoints, its RAS
+    // checkpoint (stack pointer, depth, top), the mirrors' presence byte,
+    // then the Alt-BP and Alt-Ind checkpoints.
+    const ALT_BP: usize = 2 * CP + 24 + 1;
+    const ALT_IND: usize = ALT_BP + CP;
+    let u64_at = |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().unwrap());
+
+    let cfg = SimConfig::ucp();
+    let spec = ucp_workloads::suite::by_name("srv04").expect("srv04 exists");
+    let prog = spec.build();
+    let mut sim = Simulator::new(&prog, spec.seed, &cfg);
+    sim.run_to_committed(WARMUP + MEASURE / 2, WARMUP)
+        .expect("mid-run state");
+    let mut w = StateWriter::new();
+    sim.save_state(&mut w);
+    let state = w.into_bytes();
+    let sim2 = mark_offset(&state, 0x5349_4d32, 0);
+    let sim3 = mark_offset(&state, 0x5349_4d33, sim2 + 4);
+
+    // Records, by the fold counts of their four checkpoints (Main64K
+    // TAGE-SC-L 42, ITTAGE-64K 24, Alt8K 21, Alt-4K 12) and the mirrors'
+    // pointers equal to the main ones.
+    let records: Vec<usize> = (sim2..sim3 - ALT_IND - CP)
+        .filter(|&o| {
+            state[o + 8] == 42
+                && state[o + CP + 8] == 24
+                && state[o + ALT_BP + 8] == 21
+                && state[o + ALT_IND + 8] == 12
+                && u64_at(&state, o + ALT_BP) == u64_at(&state, o)
+                && u64_at(&state, o + ALT_IND) == u64_at(&state, o + CP)
+        })
+        .collect();
+    for (mirror, main) in [(ALT_BP, 0), (ALT_IND, CP)] {
+        let (a, b) = records
+            .iter()
+            .flat_map(|&a| records.iter().map(move |&b| (a, b)))
+            .find(|&(a, b)| u64_at(&state, a + main) != u64_at(&state, b + main))
+            .expect("two in-flight records at different pointers");
+        let mut bad = state.clone();
+        bad.copy_within(b + mirror..b + mirror + CP, a + mirror);
+        let err = std::panic::catch_unwind(|| {
+            Simulator::new(&prog, spec.seed, &cfg).restore_from_bytes(&bad);
+        })
+        .expect_err("a mirror checkpoint off its main pointer must be rejected");
+        let text = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            text.contains("checkpoint state corrupt: UCP mirror checkpoints"),
+            "mirror at +{mirror}: {text}"
+        );
+    }
+}
