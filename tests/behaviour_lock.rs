@@ -13,6 +13,12 @@
 //! bytes hold live Alt-Ind and walk path-history checkpoints) and the
 //! machine without a µ-op cache.
 //!
+//! The `srv04/ucp/digest-stream` case digests srv04 under UCP every
+//! [`DENSE_DIGEST_EVERY`] committed instructions of a [`MEASURE`]-long
+//! window, so saves taken while wrong-path branch records are in flight
+//! (and while Alt-BP trains under them) are pinned, not only the two
+//! points of the other cases.
+//!
 //! The `quick/<spec>/ucp` cases run every quick-suite spec, shorter,
 //! under UCP and pin its final digest and stats hash, so a drift is
 //! caught on every workload, not only srv04 and crypto02.
@@ -30,6 +36,8 @@ const MEASURE: u64 = 80_000;
 /// Run lengths of the per-workload quick-suite cases.
 const QUICK_WARMUP: u64 = 20_000;
 const QUICK_MEASURE: u64 = 60_000;
+/// Cadence of the dense digest stream.
+const DENSE_DIGEST_EVERY: u64 = 4_000;
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/behaviour_lock.json"
@@ -78,6 +86,25 @@ fn run_case(label: &str, spec_name: &str, cfg: &SimConfig, round_trip: bool) -> 
         "  \"{label}\": {{\"mid_digest\": \"{mid_digest:#018x}\", \"final_digest\": \"{:#018x}\", \"stats_hash\": \"{:#018x}\"}}",
         sim.state_digest(),
         fnv1a64(stats_json.as_bytes()),
+    )
+}
+
+/// Runs srv04 under UCP with a digest every [`DENSE_DIGEST_EVERY`]
+/// committed instructions and renders the digest stream as one JSON line.
+fn run_dense_digests() -> String {
+    let spec = spec("srv04");
+    let prog = spec.build();
+    let mut sim = simulator(&prog, &spec, &SimConfig::ucp());
+    sim.set_digest_interval(Some(DENSE_DIGEST_EVERY));
+    let out = sim.run_full(WARMUP, MEASURE).expect("dense run completes");
+    let digests: Vec<String> = out
+        .digests
+        .iter()
+        .map(|d| format!("\"{:#018x}\"", d.digest))
+        .collect();
+    format!(
+        "  \"srv04/ucp/digest-stream\": {{\"every\": {DENSE_DIGEST_EVERY}, \"digests\": [{}]}}",
+        digests.join(", ")
     )
 }
 
@@ -151,6 +178,7 @@ fn short_runs_match_their_golden_fingerprints() {
             true,
         ),
     ];
+    lines.push(run_dense_digests());
     lines.extend(suite::quick_suite().iter().map(run_quick_ucp));
     let rendered = format!("{{\n{}\n}}\n", lines.join(",\n"));
     if std::env::var("UCP_UPDATE_GOLDEN").is_ok() {
