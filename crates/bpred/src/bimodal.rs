@@ -65,6 +65,12 @@ impl Bimodal {
     pub fn storage_bits(&self) -> u64 {
         self.ctrs.len() as u64 * 2
     }
+
+    /// Copies `source`'s counters into this table's buffer.
+    pub(crate) fn copy_from(&mut self, source: &Self) {
+        let Bimodal { ctrs, mask: _ } = source;
+        self.ctrs.copy_from_slice(ctrs);
+    }
 }
 
 sim_isa::state_fields!(Bimodal { ctrs } skip { mask });

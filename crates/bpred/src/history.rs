@@ -342,6 +342,17 @@ impl PathHistory {
         self.push(second);
     }
 
+    /// Makes this history a copy of `source` restored to `cp`, a
+    /// checkpoint still in flight on `source`, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cp`'s window is no longer in `source`'s buffer.
+    pub fn copy_restored(&mut self, source: &Self, cp: &HistCheckpoint) {
+        self.clone_from(source);
+        self.restore(cp);
+    }
+
     /// The folded value of view `i`, computed from the buffer.
     pub fn folded(&self, i: usize) -> u32 {
         self.ring.fold_at(self.ring.ptr, self.specs[i])
@@ -570,6 +581,14 @@ impl HistoryState {
         ring.ptr = ptr + 1;
     }
 
+    /// Pushes one history bit into the buffer only. The fold registers go
+    /// stale: they must not be read, and this history must not be pushed
+    /// with [`HistoryState::push`], until a restore re-derives them.
+    #[inline]
+    pub fn push_unfolded(&mut self, bit: bool) {
+        self.path.push(bit);
+    }
+
     /// The folded value of view `i`.
     #[inline]
     pub fn folded(&self, i: usize) -> u32 {
@@ -607,6 +626,17 @@ impl HistoryState {
     pub fn restore(&mut self, cp: &HistCheckpoint) {
         self.path.restore(cp);
         self.comps = self.path.folds_at(cp.ptr);
+    }
+
+    /// Makes this history a copy of `source` restored to `cp`, a
+    /// checkpoint still in flight on `source` (see
+    /// [`PathHistory::copy_restored`]); the fold registers come from the
+    /// buffer, so `source`'s may be stale.
+    pub fn copy_restored(&mut self, source: &Self, cp: &HistCheckpoint) {
+        self.path.copy_restored(&source.path, cp);
+        self.comps = self.path.folds_at(cp.ptr);
+        self.shapes = source.shapes;
+        self.groups.clone_from(&source.groups);
     }
 
     /// Writes `cp`, a checkpoint of this history still in flight (see

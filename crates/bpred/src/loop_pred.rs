@@ -204,6 +204,20 @@ impl LoopPredictor {
     pub fn storage_bits(&self) -> u64 {
         (self.sets * self.ways) as u64 * 54 + 4
     }
+
+    /// Copies `source`'s state into this predictor's buffer.
+    pub(crate) fn copy_from(&mut self, source: &Self) {
+        let LoopPredictor {
+            entries,
+            sets: _,
+            ways: _,
+            with_loop,
+            tick,
+        } = source;
+        self.entries.copy_from_slice(entries);
+        self.with_loop = *with_loop;
+        self.tick = *tick;
+    }
 }
 
 sim_isa::state_fields!(LoopPredictor { entries, with_loop, tick } skip { sets, ways });

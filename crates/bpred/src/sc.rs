@@ -207,6 +207,21 @@ impl Sc {
         let bias = (1u64 << self.params.log_bias) * 6;
         gehl + bias + 16
     }
+
+    /// Copies `source`'s state into this corrector's buffers.
+    pub(crate) fn copy_from(&mut self, source: &Self) {
+        let Sc {
+            params: _,
+            tables,
+            bias,
+            thr,
+            tc,
+        } = source;
+        self.tables.copy_from_slice(tables);
+        self.bias.copy_from_slice(bias);
+        self.thr = *thr;
+        self.tc = *tc;
+    }
 }
 
 sim_isa::state_fields!(Sc { tables, bias, thr, tc } skip { params });

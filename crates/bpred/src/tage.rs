@@ -391,6 +391,23 @@ impl Tage {
         let tagged = self.params.num_tables as u64 * (1u64 << self.params.log_entries) * per_entry;
         tagged + self.bimodal.storage_bits()
     }
+
+    /// Copies `source`'s state into this predictor's buffers.
+    pub(crate) fn copy_from(&mut self, source: &Self) {
+        let Tage {
+            params: _,
+            bimodal,
+            tables,
+            use_alt_on_na,
+            lfsr,
+            updates,
+        } = source;
+        self.bimodal.copy_from(bimodal);
+        self.tables.copy_from_slice(tables);
+        self.use_alt_on_na = *use_alt_on_na;
+        self.lfsr = *lfsr;
+        self.updates = *updates;
+    }
 }
 
 sim_isa::state_fields!(Tage { bimodal, tables, use_alt_on_na, lfsr, updates } skip { params });

@@ -224,6 +224,28 @@ impl TageScL {
         }
     }
 
+    /// Copies `source`'s tables and state into this predictor's own
+    /// buffers, allocating nothing (UCP snapshots its Alt-BP this way).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two predictors were built from different presets.
+    pub fn copy_from(&mut self, source: &Self) {
+        let TageScL {
+            tage,
+            sc,
+            lp,
+            bim_miss_hist,
+            sc_fold_base: _,
+            preset,
+        } = source;
+        assert_eq!(self.preset, *preset, "copy between predictor presets");
+        self.tage.copy_from(tage);
+        self.sc.copy_from(sc);
+        self.lp.copy_from(lp);
+        self.bim_miss_hist = *bim_miss_hist;
+    }
+
     /// Total storage in bits.
     pub fn storage_bits(&self) -> u64 {
         self.tage.storage_bits() + self.sc.storage_bits() + self.lp.storage_bits() + 8

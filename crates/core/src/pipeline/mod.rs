@@ -33,7 +33,7 @@ use crate::snapshot::{
     DigestRecord, CKPT_VERSION,
 };
 use crate::stats::{SimStats, UcpStats};
-use crate::ucp::UcpEngine;
+use crate::ucp::{AltPred, LazyPredictions, UcpEngine};
 use backend::Backend;
 use records::RecordRing;
 use serde::{Deserialize, Serialize};
@@ -142,8 +142,8 @@ struct PredRecord {
     cp_ras: RasCheckpoint,
     scl: Option<SclPrediction>,
     itt: Option<IttagePrediction>,
-    alt_scl: Option<SclPrediction>,
-    alt_itt: Option<IttagePrediction>,
+    alt_scl: AltPred<SclPrediction>,
+    alt_itt: AltPred<IttagePrediction>,
     h2p_tage: bool,
     h2p_ucp: bool,
 }
@@ -800,9 +800,6 @@ impl<'p> Simulator<'p> {
                         }
                     }
                 }
-                if let (Some(ucp), Some(alt)) = (self.ucp.as_mut(), rec.alt_scl.as_ref()) {
-                    ucp.train_cond(rec.pc, alt, rec.actual_taken);
-                }
                 if rec.actual_taken {
                     // Keep the BTB's taken target fresh (and allocate
                     // never-taken-before branches).
@@ -813,9 +810,6 @@ impl<'p> Simulator<'p> {
             RecKind::Indirect { is_call } => {
                 if let Some(itt) = &rec.itt {
                     self.ittage.update(rec.pc, itt, rec.actual_next);
-                }
-                if let (Some(ucp), Some(alt)) = (self.ucp.as_mut(), rec.alt_itt.as_ref()) {
-                    ucp.train_indirect(rec.pc, alt, rec.actual_next);
                 }
                 self.btb.insert(
                     rec.pc,
@@ -837,11 +831,23 @@ impl<'p> Simulator<'p> {
             }
         }
         if rec.mispredicted {
-            self.do_flush(rec, id);
+            self.do_flush(&rec, id);
+        }
+        // Alt-BP and Alt-Ind train after the flush, which closes their
+        // wrong-path windows: inside one, a training snapshots the
+        // predictor for the window's lazy records (DESIGN.md §11), and
+        // the flush discards them all.
+        if let Some(ucp) = self.ucp.as_mut() {
+            if let AltPred::Eager(alt) = &rec.alt_scl {
+                ucp.train_cond(rec.pc, alt, rec.actual_taken);
+            }
+            if let AltPred::Eager(alt) = &rec.alt_itt {
+                ucp.train_indirect(rec.pc, alt, rec.actual_next);
+            }
         }
     }
 
-    fn do_flush(&mut self, rec: PredRecord, rec_id: u64) {
+    fn do_flush(&mut self, rec: &PredRecord, rec_id: u64) {
         let pos = rec.pos.expect("flush on a correct-path record");
         self.tele.flushes.inc();
         self.tele
@@ -1407,7 +1413,7 @@ impl<'p> Simulator<'p> {
                     let h2p_ucp_f = UcpConf.is_h2p(&p);
                     // UCP trigger happens before the mirror push (the
                     // alternate GHR starts from the pre-branch state).
-                    let mut a_scl = None;
+                    let mut a_scl = AltPred::Absent;
                     if let Some(ucp) = self.ucp.as_mut() {
                         // Trigger only on the demand path the paper's
                         // model fetches: ChampSim's frontend stops at an
@@ -1421,7 +1427,7 @@ impl<'p> Simulator<'p> {
                             };
                             ucp.trigger(alt_target, p.taken, &self.ras);
                         }
-                        a_scl = Some(ucp.on_cond_predicted(pc, p.taken));
+                        a_scl = ucp.on_cond_predicted(pc, p.taken, cur_pos.is_none());
                     }
                     self.bp_hist.push(p.taken);
                     predicted_taken = p.taken;
@@ -1429,7 +1435,7 @@ impl<'p> Simulator<'p> {
                     if p.taken {
                         push_target_history(&mut self.it_hist, target);
                         if let Some(ucp) = self.ucp.as_mut() {
-                            let _ = ucp.on_taken_target(pc, target, false);
+                            ucp.on_taken_target(target);
                         }
                         if btb_missed {
                             self.charge_resteer();
@@ -1440,7 +1446,7 @@ impl<'p> Simulator<'p> {
                     scl = Some(p);
                     itt = None;
                     alt_scl = a_scl;
-                    alt_itt = None;
+                    alt_itt = AltPred::Absent;
                     h2p_t = h2p_tage_f;
                     h2p_u = h2p_ucp_f;
                     no_target = false;
@@ -1452,7 +1458,7 @@ impl<'p> Simulator<'p> {
                     }
                     push_target_history(&mut self.it_hist, target);
                     if let Some(ucp) = self.ucp.as_mut() {
-                        let _ = ucp.on_taken_target(pc, target, false);
+                        ucp.on_taken_target(target);
                     }
                     if btb_missed {
                         self.charge_resteer();
@@ -1497,7 +1503,7 @@ impl<'p> Simulator<'p> {
                             predicted_next = t;
                             push_target_history(&mut self.it_hist, t);
                             if let Some(ucp) = self.ucp.as_mut() {
-                                let _ = ucp.on_taken_target(pc, t, false);
+                                ucp.on_taken_target(t);
                             }
                             no_target = false;
                         }
@@ -1510,8 +1516,8 @@ impl<'p> Simulator<'p> {
                     kind = RecKind::Return;
                     scl = None;
                     itt = None;
-                    alt_scl = None;
-                    alt_itt = None;
+                    alt_scl = AltPred::Absent;
+                    alt_itt = AltPred::Absent;
                     h2p_t = false;
                     h2p_u = false;
                 }
@@ -1523,14 +1529,14 @@ impl<'p> Simulator<'p> {
                     if btb_missed {
                         self.charge_resteer();
                     }
-                    let mut a_itt = None;
+                    let mut a_itt = AltPred::Absent;
                     match t {
                         Some(t) => {
                             if is_call {
                                 self.ras.push(pc.next_inst());
                             }
                             if let Some(ucp) = self.ucp.as_mut() {
-                                a_itt = ucp.on_taken_target(pc, t, true);
+                                a_itt = ucp.on_indirect_predicted(pc, t, cur_pos.is_none());
                             }
                             push_target_history(&mut self.it_hist, t);
                             predicted_taken = true;
@@ -1546,7 +1552,7 @@ impl<'p> Simulator<'p> {
                     kind = RecKind::Indirect { is_call };
                     scl = None;
                     itt = Some(p);
-                    alt_scl = None;
+                    alt_scl = AltPred::Absent;
                     alt_itt = a_itt;
                     h2p_t = false;
                     h2p_u = false;
@@ -1893,13 +1899,16 @@ sim_isa::state_enum!(RecKind {
 /// The field-list bytes, hand-written because the history checkpoints
 /// hold only a write pointer: the histories they were taken on write and
 /// check their folds. With UCP, the mirror histories' checkpoints at the
-/// same pointers follow the RAS checkpoint.
+/// same pointers follow the RAS checkpoint, and the alternate predictions
+/// are written in full, derived if the record holds them lazily.
 impl PredRecord {
+    /// `ucp` derives lazy predictions, so records must be saved oldest
+    /// first.
     fn save_in(
         &self,
         bp_hist: &HistoryState,
         it_hist: &PathHistory,
-        ucp: Option<&UcpEngine>,
+        ucp: Option<&mut LazyPredictions>,
         w: &mut StateWriter,
     ) {
         let PredRecord {
@@ -1931,9 +1940,16 @@ impl PredRecord {
         it_hist.save_checkpoint(cp_it, w);
         cp_ras.save_state(w);
         w.put_bool(ucp.is_some());
-        if let Some(ucp) = ucp {
-            ucp.save_checkpoints(cp_bp, cp_it, w);
-        }
+        let (alt_scl, alt_itt) = match ucp {
+            Some(ucp) => {
+                ucp.engine().save_checkpoints(cp_bp, cp_it, w);
+                (
+                    ucp.cond(alt_scl, *pc, cp_bp),
+                    ucp.indirect(alt_itt, *pc, cp_it),
+                )
+            }
+            None => (None, None),
+        };
         scl.save_state(w);
         itt.save_state(w);
         alt_scl.save_state(w);
@@ -1989,8 +2005,11 @@ impl PredRecord {
         }
         scl.restore_state(r);
         itt.restore_state(r);
-        alt_scl.restore_state(r);
-        alt_itt.restore_state(r);
+        let mut a_scl: Option<SclPrediction> = None;
+        let mut a_itt: Option<IttagePrediction> = None;
+        a_scl.restore_state(r);
+        a_itt.restore_state(r);
+        (*alt_scl, *alt_itt) = (a_scl.into(), a_itt.into());
         h2p_tage.restore_state(r);
         h2p_ucp.restore_state(r);
     }
@@ -2153,7 +2172,8 @@ impl State for Simulator<'_> {
         consec_uop_hits.save_state(w);
         head_delivered.save_state(w);
         ideal_brcond_left.save_state(w);
-        records.save_with(w, |rec, w| rec.save_in(bp_hist, it_hist, ucp.as_ref(), w));
+        let mut lazy = ucp.as_ref().map(UcpEngine::lazy_predictions);
+        records.save_with(w, |rec, w| rec.save_in(bp_hist, it_hist, lazy.as_mut(), w));
         backend.save_state(w);
         let mut rq: Vec<(u64, u64)> = resolve_q.iter().map(|x| x.0).collect();
         rq.sort_unstable();
@@ -2276,5 +2296,18 @@ impl State for Simulator<'_> {
         self.delivered_uop = false;
         self.delivered_decode = false;
         self.deliver_blocked = None;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The record ring's allocation size moves set-up time through the
+    /// allocator's thresholds, so a record must not grow.
+    #[test]
+    fn a_branch_record_stays_within_416_bytes() {
+        let size = std::mem::size_of::<PredRecord>();
+        assert!(size <= 416, "PredRecord is {size} bytes");
     }
 }

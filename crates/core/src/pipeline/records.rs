@@ -61,7 +61,11 @@ impl<T> RecordRing<T> {
 /// the id-keyed record map and id-order list this ring replaced. Each
 /// record's own bytes come from a caller-supplied codec.
 impl<T: Default> RecordRing<T> {
-    pub(crate) fn save_with(&self, w: &mut StateWriter, save: impl Fn(&T, &mut StateWriter)) {
+    pub(crate) fn save_with(
+        &self,
+        w: &mut StateWriter,
+        mut save: impl FnMut(&T, &mut StateWriter),
+    ) {
         let RecordRing { slots, next_id } = self;
         let live = || {
             slots

@@ -13,6 +13,11 @@
 //! saturating counter and terminates the walk at a threshold (500 by
 //! default, swept in Fig. 15), on a BTB miss, on an indirect branch without
 //! Alt-Ind, or after 63 branch-free instructions.
+//!
+//! Alt-BP and Alt-Ind also predict every predicted-path branch, for
+//! training when it resolves. Wrong-path branches never resolve, so their
+//! predictions are not made when the branch is; a save derives them
+//! ([`LazyPredictions`], DESIGN.md §11).
 
 use crate::config::{ConfKind, UcpConfig};
 use crate::stats::UcpStats;
@@ -35,6 +40,248 @@ pub struct AltBlock {
     pub n: u8,
     /// The H2P trigger instance that generated this block.
     pub trigger: u64,
+}
+
+/// An alternate predictor's output for one branch record: made when the
+/// branch was predicted, or, for a wrong-path branch, derived when a save
+/// asks for it ([`LazyPredictions`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub enum AltPred<P> {
+    /// No alternate prediction: UCP is off, or the branch is of another
+    /// kind.
+    #[default]
+    Absent,
+    /// Made when the branch was predicted.
+    Eager(P),
+    /// A wrong-path prediction not made: how many of its window's
+    /// trainings preceded it.
+    Lazy(u32),
+}
+
+impl<P> From<Option<P>> for AltPred<P> {
+    fn from(p: Option<P>) -> Self {
+        p.map_or(AltPred::Absent, AltPred::Eager)
+    }
+}
+
+/// An alternate predictor whose trainings can be logged and replayed.
+trait Replay: Clone {
+    /// One training's arguments.
+    type Training: Copy + std::fmt::Debug;
+    fn train(&mut self, t: &Self::Training);
+    /// Copies `source` without allocating.
+    fn copy_from(&mut self, source: &Self);
+}
+
+impl Replay for TageScL {
+    type Training = (Addr, SclPrediction, bool);
+
+    fn train(&mut self, (pc, pred, taken): &Self::Training) {
+        self.update(*pc, pred, *taken);
+    }
+
+    fn copy_from(&mut self, source: &Self) {
+        TageScL::copy_from(self, source);
+    }
+}
+
+impl Replay for Ittage {
+    type Training = (Addr, IttagePrediction, Addr);
+
+    fn train(&mut self, (pc, pred, target): &Self::Training) {
+        self.update(*pc, pred, *target);
+    }
+
+    fn copy_from(&mut self, source: &Self) {
+        Ittage::copy_from(self, source);
+    }
+}
+
+/// A wrong-path window of one alternate predictor: from the first record
+/// predicted lazily on it to the pipeline flush that discards every such
+/// record. Trainings inside the window (of older, correct-path branches)
+/// change the predictor under those records, so the first snapshots it
+/// and each is logged.
+#[derive(Debug)]
+struct Window<P: Replay> {
+    /// A lazy record has been handed out since the last flush.
+    open: bool,
+    /// The predictor before the window's first training. Kept across
+    /// windows, so later snapshots reuse its buffers.
+    snapshot: Option<P>,
+    /// The window's trainings, in order.
+    log: Vec<P::Training>,
+}
+
+impl<P: Replay> Default for Window<P> {
+    fn default() -> Self {
+        Window {
+            open: false,
+            snapshot: None,
+            log: Vec::new(),
+        }
+    }
+}
+
+impl<P: Replay> Window<P> {
+    /// Opens the window (if closed) for a record predicted lazily now.
+    fn lazy<Q>(&mut self) -> AltPred<Q> {
+        self.open = true;
+        AltPred::Lazy(self.log.len() as u32)
+    }
+
+    /// Trains `live`, first logging the training if the window is open.
+    fn train(&mut self, live: &mut P, t: P::Training) {
+        if self.open {
+            if self.log.is_empty() {
+                match &mut self.snapshot {
+                    Some(s) => s.copy_from(live),
+                    None => self.snapshot = Some(live.clone()),
+                }
+            }
+            self.log.push(t);
+        }
+        live.train(&t);
+    }
+
+    fn close(&mut self) {
+        self.open = false;
+        self.log.clear();
+    }
+}
+
+/// The Alt-BP and Alt-Ind wrong-path windows. Never serialized: restored
+/// records hold predictions written out in full, so a restore closes both
+/// windows.
+#[derive(Debug, Default)]
+struct Windows {
+    bp: Window<TageScL>,
+    ind: Window<Ittage>,
+}
+
+impl Windows {
+    fn close(&mut self) {
+        self.bp.close();
+        self.ind.close();
+    }
+}
+
+impl State for Windows {
+    fn save_state(&self, _: &mut StateWriter) {}
+
+    fn restore_state(&mut self, _: &mut StateReader) {
+        self.close();
+    }
+}
+
+/// Replays one window's log on a scratch copy of its snapshot, records
+/// visited oldest first.
+struct Replayer<'a, P: Replay> {
+    window: &'a Window<P>,
+    scratch: Option<P>,
+    /// Log entries applied to `scratch`.
+    applied: usize,
+}
+
+impl<'a, P: Replay> Replayer<'a, P> {
+    fn new(window: &'a Window<P>) -> Self {
+        Replayer {
+            window,
+            scratch: None,
+            applied: 0,
+        }
+    }
+
+    /// The predictor as it stood after `epoch` of the window's trainings;
+    /// `live` has had them all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `epoch` is below one asked for before.
+    fn at<'s>(&'s mut self, live: &'s P, epoch: u32) -> &'s P {
+        let epoch = epoch as usize;
+        let log = &self.window.log;
+        if epoch == log.len() {
+            return live;
+        }
+        let window = self.window;
+        let scratch = self.scratch.get_or_insert_with(|| {
+            window
+                .snapshot
+                .clone()
+                .expect("a window with trainings has a snapshot")
+        });
+        assert!(self.applied <= epoch, "lazy records visited out of order");
+        for t in &log[self.applied..epoch] {
+            scratch.train(t);
+        }
+        self.applied = epoch;
+        scratch
+    }
+}
+
+/// Derives, when the engine is saved, the Alt-BP and Alt-Ind predictions
+/// it did not make for wrong-path records: the predictor of the record's
+/// epoch (snapshot plus replayed log) against the mirror history restored
+/// to the record's checkpoint. Records must be visited oldest first.
+pub struct LazyPredictions<'a> {
+    engine: &'a UcpEngine,
+    bp: Replayer<'a, TageScL>,
+    ind: Replayer<'a, Ittage>,
+    bp_hist: Option<HistoryState>,
+    ind_hist: Option<PathHistory>,
+}
+
+impl<'a> LazyPredictions<'a> {
+    /// The engine the predictions are derived from.
+    pub fn engine(&self) -> &'a UcpEngine {
+        self.engine
+    }
+
+    /// The Alt-BP prediction of the conditional branch at `pc` whose
+    /// main-history checkpoint is `cp`.
+    pub fn cond(
+        &mut self,
+        pred: &AltPred<SclPrediction>,
+        pc: Addr,
+        cp: &HistCheckpoint,
+    ) -> Option<SclPrediction> {
+        match *pred {
+            AltPred::Absent => None,
+            AltPred::Eager(p) => Some(p),
+            AltPred::Lazy(epoch) => {
+                let mirror = &self.engine.alt_bp_mirror;
+                let hist = self.bp_hist.get_or_insert_with(|| mirror.clone());
+                hist.copy_restored(mirror, cp);
+                Some(self.bp.at(&self.engine.alt_bp, epoch).predict(hist, pc))
+            }
+        }
+    }
+
+    /// The Alt-Ind prediction of the indirect branch at `pc` whose
+    /// main-history checkpoint is `cp`.
+    pub fn indirect(
+        &mut self,
+        pred: &AltPred<IttagePrediction>,
+        pc: Addr,
+        cp: &HistCheckpoint,
+    ) -> Option<IttagePrediction> {
+        match *pred {
+            AltPred::Absent => None,
+            AltPred::Eager(p) => Some(p),
+            AltPred::Lazy(epoch) => {
+                let live = self
+                    .engine
+                    .alt_ind
+                    .as_ref()
+                    .expect("a lazy Alt-Ind record needs Alt-Ind");
+                let mirror = &self.engine.alt_ind_mirror;
+                let hist = self.ind_hist.get_or_insert_with(|| mirror.clone());
+                hist.copy_restored(mirror, cp);
+                Some(self.ind.at(live, epoch).predict(hist, pc))
+            }
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -126,7 +373,9 @@ pub struct UcpEngine {
     /// Predicted-path GHR mirror for Alt-BP (§IV-C: "Alt-BP implements two
     /// GHRs"; the second is cloned per walk). Pushed in step with the
     /// main conditional history, so the main history's checkpoints serve
-    /// it too.
+    /// it too. Inside an open Alt-BP window its fold registers are stale
+    /// (wrong-path pushes write only the buffer) until the flush that
+    /// closes the window restores it.
     alt_bp_mirror: HistoryState,
     alt_ind: Option<Ittage>,
     /// Predicted-path mirror for Alt-Ind, pushed in step with the main
@@ -134,6 +383,7 @@ pub struct UcpEngine {
     alt_ind_mirror: PathHistory,
     alt_ras: Ras,
     walk: Walk,
+    windows: Windows,
     alt_ftq: BoundedQueue<AltBlock>,
     l1i_pq: BoundedQueue<AltBlock>,
     pending: Vec<PendingPf>,
@@ -168,6 +418,7 @@ impl UcpEngine {
             alt_ind,
             alt_ind_mirror,
             alt_ras: Ras::new(16),
+            windows: Windows::default(),
             alt_ftq: BoundedQueue::new(cfg.alt_ftq_entries),
             l1i_pq: BoundedQueue::new(8),
             pending: Vec::with_capacity(cfg.uop_mshr_entries),
@@ -195,30 +446,61 @@ impl UcpEngine {
     // ---- predicted-path mirror maintenance (called by the demand BPU) ----
 
     /// Mirrors a conditional-outcome push and returns the Alt-BP's own
-    /// prediction for training at resolution.
-    pub fn on_cond_predicted(&mut self, pc: Addr, predicted_taken: bool) -> SclPrediction {
+    /// prediction for training at resolution. On the wrong path the
+    /// prediction is left to a save to derive, and the push writes only
+    /// the mirror's buffer.
+    pub fn on_cond_predicted(
+        &mut self,
+        pc: Addr,
+        predicted_taken: bool,
+        wrong_path: bool,
+    ) -> AltPred<SclPrediction> {
+        if wrong_path {
+            self.alt_bp_mirror.push_unfolded(predicted_taken);
+            return self.windows.bp.lazy();
+        }
+        debug_assert!(
+            !self.windows.bp.open,
+            "a correct-path branch inside a wrong-path window"
+        );
         let p = self.alt_bp.predict(&self.alt_bp_mirror, pc);
         self.alt_bp_mirror.push(predicted_taken);
-        p
+        AltPred::Eager(p)
     }
 
-    /// Mirrors a taken-transfer target push and returns the Alt-Ind
-    /// prediction (for indirect branches) for training at resolution.
-    pub fn on_taken_target(
+    /// Mirrors a taken-transfer target push.
+    pub fn on_taken_target(&mut self, target: Addr) {
+        push_target_history(&mut self.alt_ind_mirror, target);
+    }
+
+    /// Mirrors an indirect branch's target push and returns the Alt-Ind
+    /// prediction for training at resolution, left to a save to derive on
+    /// the wrong path.
+    pub fn on_indirect_predicted(
         &mut self,
         pc: Addr,
         target: Addr,
-        indirect: bool,
-    ) -> Option<IttagePrediction> {
-        let pred = if indirect {
-            self.alt_ind
-                .as_ref()
-                .map(|i| i.predict(&self.alt_ind_mirror, pc))
-        } else {
-            None
+        wrong_path: bool,
+    ) -> AltPred<IttagePrediction> {
+        let pred = match &self.alt_ind {
+            None => AltPred::Absent,
+            Some(_) if wrong_path => self.windows.ind.lazy(),
+            Some(ind) => AltPred::Eager(ind.predict(&self.alt_ind_mirror, pc)),
         };
-        push_target_history(&mut self.alt_ind_mirror, target);
+        self.on_taken_target(target);
         pred
+    }
+
+    /// A deriver for the predictions of this engine's lazy records, for
+    /// one save.
+    pub fn lazy_predictions(&self) -> LazyPredictions<'_> {
+        LazyPredictions {
+            engine: self,
+            bp: Replayer::new(&self.windows.bp),
+            ind: Replayer::new(&self.windows.ind),
+            bp_hist: None,
+            ind_hist: None,
+        }
     }
 
     /// Writes the mirror histories' checkpoints for a branch record whose
@@ -259,7 +541,8 @@ impl UcpEngine {
 
     /// Restores the mirrors on a pipeline flush to the flushed record's
     /// main-history checkpoints `cp_bp` and `cp_it`, pushes the corrected
-    /// outcome, and aborts any in-flight alternate work (the paper:
+    /// outcome, closes the wrong-path windows (the flush discards every
+    /// lazy record) and aborts any in-flight alternate work (the paper:
     /// terminating the alternate path only requires flushing the Alt-FTQ).
     /// `bp_hist` and `it_hist` are the main histories, not yet restored.
     pub fn on_flush(
@@ -281,6 +564,7 @@ impl UcpEngine {
         );
         self.alt_bp_mirror.restore(cp_bp);
         self.alt_ind_mirror.restore(cp_it);
+        self.windows.close();
         if let Some(t) = actual_cond {
             self.alt_bp_mirror.push(t);
         }
@@ -298,13 +582,13 @@ impl UcpEngine {
 
     /// Trains Alt-BP with the resolved conditional outcome.
     pub fn train_cond(&mut self, pc: Addr, pred: &SclPrediction, taken: bool) {
-        self.alt_bp.update(pc, pred, taken);
+        self.windows.bp.train(&mut self.alt_bp, (pc, *pred, taken));
     }
 
     /// Trains Alt-Ind with the resolved indirect target.
     pub fn train_indirect(&mut self, pc: Addr, pred: &IttagePrediction, target: Addr) {
         if let Some(ind) = self.alt_ind.as_mut() {
-            ind.update(pc, pred, target);
+            self.windows.ind.train(ind, (pc, *pred, target));
         }
     }
 
@@ -341,6 +625,10 @@ impl UcpEngine {
             self.recent_triggers.pop_front();
         }
         self.recent_triggers.push_back(self.trigger_seq);
+        debug_assert!(
+            !self.windows.bp.open,
+            "a trigger reads the mirror's fold registers, stale in a window"
+        );
         // Alternate GHR: copy the pre-H2P predicted-path history... the
         // mirror already holds the history *including* the H2P branch's
         // predicted outcome (pushed by on_cond_predicted). Clone it and
@@ -459,6 +747,9 @@ impl UcpEngine {
             }
         }
 
+        // BTB entries sit only at static branches: where every PC of the
+        // image has its own (set, tag), no other PC can hit.
+        let probe_all = !btb.tags_distinguish(prog.base(), prog.end());
         let start = walk.pc;
         let window_end = Addr::new(start.uop_window().raw() + 32);
         let mut pc = start;
@@ -471,14 +762,19 @@ impl UcpEngine {
                 break;
             }
             // Walked off the code image: nothing to prefetch here.
-            if prog.inst_at(pc).is_none() {
+            let Some(inst) = prog.inst_at(pc) else {
                 stop = Some(StopReason::BtbMiss);
                 next = pc;
                 break;
-            }
+            };
             n += 1;
             walk.insts_since_branch += 1;
-            if let Some(entry) = btb.probe(pc) {
+            let entry = if probe_all || inst.kind.branch_class().is_some() {
+                btb.probe(pc)
+            } else {
+                None
+            };
+            if let Some(entry) = entry {
                 walk.insts_since_branch = 0;
                 match entry.class {
                     BranchClass::CondDirect => {
@@ -698,7 +994,7 @@ impl UcpEngine {
 // Telemetry handles are rebound on attach, not checkpointed.
 sim_isa::state_fields!(UcpEngine {
     mark(0x7cb0), alt_bp, alt_bp_mirror, configured(alt_ind), alt_ind_mirror, alt_ras, walk,
-    alt_ftq, l1i_pq, pending, decode_q, decode_progress, trigger_seq, recent_triggers, stats,
+    windows, alt_ftq, l1i_pq, pending, decode_q, decode_progress, trigger_seq, recent_triggers, stats,
     mark(0x7cb1),
 } skip { cfg, tele });
 
@@ -870,19 +1166,220 @@ mod tests {
         assert_eq!(e.stats.late_used, 1);
     }
 
+    fn bytes<T: State>(v: &T) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        v.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// A branch pushed through the engine, with the prediction an eagerly
+    /// predicting engine makes at push time (as checkpoint bytes).
+    struct Pushed {
+        pc: Addr,
+        cp: HistCheckpoint,
+        taken: bool,
+        target: Addr,
+        scl: AltPred<SclPrediction>,
+        itt: AltPred<IttagePrediction>,
+        want: Vec<u8>,
+    }
+
+    /// Eagerly folded twins of the engine's mirror histories.
+    struct Twins {
+        bp: HistoryState,
+        it: PathHistory,
+    }
+
+    impl Twins {
+        fn cond(&mut self, e: &mut UcpEngine, pc: Addr, taken: bool, wrong_path: bool) -> Pushed {
+            let want = bytes(&Some(e.alt_bp.clone().predict(&self.bp, pc)));
+            let cp = e.alt_bp_mirror.checkpoint();
+            let scl = e.on_cond_predicted(pc, taken, wrong_path);
+            self.bp.push(taken);
+            Pushed {
+                pc,
+                cp,
+                taken,
+                target: Addr::NULL,
+                scl,
+                itt: AltPred::Absent,
+                want,
+            }
+        }
+
+        fn indirect(
+            &mut self,
+            e: &mut UcpEngine,
+            pc: Addr,
+            target: Addr,
+            wrong_path: bool,
+        ) -> Pushed {
+            let ind = e.alt_ind.clone().expect("Alt-Ind configured");
+            let want = bytes(&Some(ind.predict(&self.it, pc)));
+            let cp = e.alt_ind_mirror.checkpoint();
+            let itt = e.on_indirect_predicted(pc, target, wrong_path);
+            push_target_history(&mut self.it, target);
+            Pushed {
+                pc,
+                cp,
+                taken: true,
+                target,
+                scl: AltPred::Absent,
+                itt,
+                want,
+            }
+        }
+    }
+
+    /// Trains the engine with `r`'s own (eager) prediction.
+    fn train(e: &mut UcpEngine, r: &Pushed) {
+        match (&r.scl, &r.itt) {
+            (AltPred::Eager(p), _) => e.train_cond(r.pc, p, r.taken),
+            (_, AltPred::Eager(p)) => e.train_indirect(r.pc, p, r.target),
+            _ => panic!("only correct-path records train"),
+        }
+    }
+
+    /// Every record's prediction as a save writes it, records oldest first.
+    fn derived(e: &UcpEngine, recs: &[Pushed]) -> Vec<Vec<u8>> {
+        let mut lazy = e.lazy_predictions();
+        recs.iter()
+            .map(|r| match r.itt {
+                AltPred::Absent => bytes(&lazy.cond(&r.scl, r.pc, &r.cp)),
+                _ => bytes(&lazy.indirect(&r.itt, r.pc, &r.cp)),
+            })
+            .collect()
+    }
+
+    fn wants(recs: &[Pushed]) -> Vec<Vec<u8>> {
+        recs.iter().map(|r| r.want.clone()).collect()
+    }
+
     #[test]
-    fn mirror_predictions_are_returned_for_training() {
-        let mut e = UcpEngine::new(UcpConfig {
+    fn lazy_wrong_path_predictions_equal_eager_ones() {
+        let cfg = UcpConfig {
             enabled: true,
             ..UcpConfig::default()
-        });
-        let pc = Addr::new(0x400);
-        for i in 0..200u32 {
-            let p = e.on_cond_predicted(pc, i % 2 == 0);
-            e.train_cond(pc, &p, i % 2 == 0);
+        };
+        let mut e = UcpEngine::new(cfg.clone());
+        let mut twins = Twins {
+            bp: e.alt_bp.new_history(),
+            it: e
+                .alt_ind
+                .as_ref()
+                .expect("Alt-Ind configured")
+                .new_history(),
+        };
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut push = |e: &mut UcpEngine, twins: &mut Twins, i: u32, wrong_path: bool| {
+            let r = rand();
+            let pc = Addr::new(0x1000 + (r >> 8) % 16 * 4);
+            if i % 4 == 3 {
+                let target = Addr::new(0x8000 + (r >> 20) % 4 * 0x40);
+                twins.indirect(e, pc, target, wrong_path)
+            } else {
+                twins.cond(e, pc, r & 3 != 0, wrong_path)
+            }
+        };
+
+        // 1. The correct path: every prediction is made at push time, and
+        // branches resolve (train) 32 records behind the predictions.
+        let mut pending = std::collections::VecDeque::new();
+        for i in 0..400 {
+            let r = push(&mut e, &mut twins, i, false);
+            let one = std::slice::from_ref(&r);
+            assert_eq!(derived(&e, one), wants(one));
+            pending.push_back(r);
+            if pending.len() > 32 {
+                train(&mut e, &pending.pop_front().expect("pending"));
+            }
         }
-        // After training, the Alt-BP should track the alternating pattern.
-        let p = e.on_cond_predicted(pc, true);
-        let _ = p;
+        // A mispredicted branch opens the wrong path.
+        let (cp_bp, cp_it) = (e.alt_bp_mirror.checkpoint(), e.alt_ind_mirror.checkpoint());
+        let mispredicted = twins.cond(&mut e, Addr::new(0x1400), true, false);
+
+        // 2. A wrong-path window, older branches training between pushes.
+        let mut wrong = Vec::new();
+        for i in 0..40 {
+            wrong.push(push(&mut e, &mut twins, i, true));
+            if i % 3 == 0 {
+                train(&mut e, &pending.pop_front().expect("pending"));
+            }
+            assert_eq!(derived(&e, &wrong), wants(&wrong), "push {i}");
+        }
+        // Both predictors trained under lazy records.
+        assert!(wrong
+            .iter()
+            .any(|r| matches!(r.scl, AltPred::Lazy(n) if n > 0)));
+        assert!(wrong
+            .iter()
+            .any(|r| matches!(r.itt, AltPred::Lazy(n) if n > 0)));
+
+        // 3. A save and restore in the middle of the window: the restored
+        // records hold their predictions in full, and the window goes on.
+        let saved = bytes(&e);
+        let written = derived(&e, &wrong);
+        for (r, b) in wrong.iter_mut().zip(written) {
+            let mut rd = StateReader::new(&b);
+            match r.itt {
+                AltPred::Absent => {
+                    let mut p: Option<SclPrediction> = None;
+                    p.restore_state(&mut rd);
+                    r.scl = p.into();
+                }
+                _ => {
+                    let mut p: Option<IttagePrediction> = None;
+                    p.restore_state(&mut rd);
+                    r.itt = p.into();
+                }
+            }
+        }
+        let mut e = {
+            let mut restored = UcpEngine::new(cfg);
+            let mut rd = StateReader::new(&saved);
+            restored.restore_state(&mut rd);
+            rd.finish();
+            restored
+        };
+        assert_eq!(bytes(&e), saved);
+        for i in 40..80 {
+            wrong.push(push(&mut e, &mut twins, i, true));
+            if i % 3 == 0 {
+                train(&mut e, &pending.pop_front().expect("pending"));
+            }
+            assert_eq!(derived(&e, &wrong), wants(&wrong), "push {i}");
+        }
+
+        // The flush closes the window: the mirror refolds, and predictions
+        // are made at push time again.
+        e.train_cond(
+            mispredicted.pc,
+            &match mispredicted.scl {
+                AltPred::Eager(p) => p,
+                _ => panic!("correct-path prediction"),
+            },
+            false,
+        );
+        e.on_flush(&twins.bp, &twins.it, &cp_bp, &cp_it, Some(false), None);
+        twins.bp.restore(&cp_bp);
+        twins.bp.push(false);
+        twins.it.restore(&cp_it);
+        assert!(!e.windows.bp.open && e.windows.bp.log.is_empty());
+        for i in 0..twins.bp.num_folds() {
+            assert_eq!(e.alt_bp_mirror.folded(i), twins.bp.folded(i), "fold {i}");
+        }
+        for i in 0..40 {
+            let r = push(&mut e, &mut twins, i, false);
+            assert!(!matches!(r.scl, AltPred::Lazy(_)) && !matches!(r.itt, AltPred::Lazy(_)));
+            let one = std::slice::from_ref(&r);
+            assert_eq!(derived(&e, one), wants(one));
+            train(&mut e, &r);
+        }
     }
 }

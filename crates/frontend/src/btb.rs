@@ -163,6 +163,16 @@ impl Btb {
             })
     }
 
+    /// Whether every instruction address in `[lo, hi)` has its own
+    /// (set, tag) pair, so that an entry inserted at one of them never
+    /// matches a probe at another. The pair holds address bits
+    /// `2 .. 2 + log2(sets) + 16`.
+    pub fn tags_distinguish(&self, lo: Addr, hi: Addr) -> bool {
+        let slots = (hi.raw().saturating_sub(lo.raw()) + 3) >> 2;
+        let bits = self.sets.trailing_zeros() + 16;
+        1u64.checked_shl(bits).is_none_or(|pairs| slots <= pairs)
+    }
+
     /// Inserts or updates the entry for the branch at `pc`.
     pub fn insert(&mut self, pc: Addr, target: Addr, class: BranchClass) {
         self.stamp += 1;
@@ -221,6 +231,32 @@ mod tests {
             ways: 4,
             banks: 8,
         })
+    }
+
+    #[test]
+    fn tags_distinguish_exactly_the_spans_without_aliases() {
+        // One set: the (set, tag) pair is the 16 address bits above bit 1,
+        // so PCs 2^18 bytes apart alias.
+        let mut btb = Btb::new(BtbConfig {
+            total_entries: 4,
+            ways: 4,
+            banks: 1,
+        });
+        let lo = Addr::new(0x40_0000);
+        let span = 4 << 16;
+        assert!(btb.tags_distinguish(lo, Addr::new(lo.raw() + span)));
+        assert!(!btb.tags_distinguish(lo, Addr::new(lo.raw() + span + 4)));
+        let alias = Addr::new(lo.raw() + span);
+        btb.insert(lo, Addr::new(0x100), BranchClass::UncondDirect);
+        assert!(
+            btb.probe(alias).is_some(),
+            "the first PC past the span aliases"
+        );
+        assert!(btb.probe(Addr::new(alias.raw() - 4)).is_none());
+        // The baseline geometry tells apart every PC in 4 GiB of code.
+        let big = Btb::new(BtbConfig::baseline());
+        assert!(big.tags_distinguish(lo, Addr::new(lo.raw() + (1 << 32))));
+        assert!(!big.tags_distinguish(lo, Addr::new(lo.raw() + (1 << 32) + 4)));
     }
 
     #[test]
