@@ -22,6 +22,7 @@
 use crate::config::{ConfKind, UcpConfig};
 use crate::stats::UcpStats;
 use sim_isa::{Addr, BranchClass, State, StateReader, StateWriter};
+use std::cell::{RefCell, RefMut};
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
     IttagePrediction, PathHistory, Provider, SclPrediction, SclPreset, TageConf, TageScL, UcpConf,
@@ -97,33 +98,38 @@ impl Replay for Ittage {
     }
 }
 
+/// Window logs are sized for the longest window seen over the quick suite
+/// (109 trainings), so that they do not grow mid-run.
+const LOG_CAPACITY: usize = 128;
+
 /// A wrong-path window of one alternate predictor: from the first record
 /// predicted lazily on it to the pipeline flush that discards every such
 /// record. Trainings inside the window (of older, correct-path branches)
 /// change the predictor under those records, so the first snapshots it
-/// and each is logged.
+/// and each is logged. Every buffer lives as long as the engine: neither
+/// a window nor a save allocates.
 #[derive(Debug)]
 struct Window<P: Replay> {
     /// A lazy record has been handed out since the last flush.
     open: bool,
-    /// The predictor before the window's first training. Kept across
-    /// windows, so later snapshots reuse its buffers.
-    snapshot: Option<P>,
+    /// The predictor before the window's first training.
+    snapshot: P,
     /// The window's trainings, in order.
     log: Vec<P::Training>,
-}
-
-impl<P: Replay> Default for Window<P> {
-    fn default() -> Self {
-        Window {
-            open: false,
-            snapshot: None,
-            log: Vec::new(),
-        }
-    }
+    /// The snapshot with a prefix of the log replayed, during a save.
+    scratch: RefCell<P>,
 }
 
 impl<P: Replay> Window<P> {
+    fn new(live: &P) -> Self {
+        Window {
+            open: false,
+            snapshot: live.clone(),
+            log: Vec::with_capacity(LOG_CAPACITY),
+            scratch: RefCell::new(live.clone()),
+        }
+    }
+
     /// Opens the window (if closed) for a record predicted lazily now.
     fn lazy<Q>(&mut self) -> AltPred<Q> {
         self.open = true;
@@ -134,10 +140,7 @@ impl<P: Replay> Window<P> {
     fn train(&mut self, live: &mut P, t: P::Training) {
         if self.open {
             if self.log.is_empty() {
-                match &mut self.snapshot {
-                    Some(s) => s.copy_from(live),
-                    None => self.snapshot = Some(live.clone()),
-                }
+                self.snapshot.copy_from(live);
             }
             self.log.push(t);
         }
@@ -150,19 +153,25 @@ impl<P: Replay> Window<P> {
     }
 }
 
-/// The Alt-BP and Alt-Ind wrong-path windows. Never serialized: restored
-/// records hold predictions written out in full, so a restore closes both
-/// windows.
-#[derive(Debug, Default)]
+/// The Alt-BP and Alt-Ind wrong-path windows, and the mirror-history
+/// scratch a save restores to each lazy record's checkpoint. Never
+/// serialized: restored records hold predictions written out in full, so
+/// a restore closes both windows.
+#[derive(Debug)]
 struct Windows {
     bp: Window<TageScL>,
-    ind: Window<Ittage>,
+    /// Present with Alt-Ind.
+    ind: Option<Window<Ittage>>,
+    bp_hist: RefCell<HistoryState>,
+    ind_hist: RefCell<PathHistory>,
 }
 
 impl Windows {
     fn close(&mut self) {
         self.bp.close();
-        self.ind.close();
+        if let Some(ind) = &mut self.ind {
+            ind.close();
+        }
     }
 }
 
@@ -174,21 +183,22 @@ impl State for Windows {
     }
 }
 
-/// Replays one window's log on a scratch copy of its snapshot, records
-/// visited oldest first.
+/// Replays one window's log on its scratch predictor, records visited
+/// oldest first.
 struct Replayer<'a, P: Replay> {
     window: &'a Window<P>,
-    scratch: Option<P>,
-    /// Log entries applied to `scratch`.
-    applied: usize,
+    scratch: RefMut<'a, P>,
+    /// Log entries applied to `scratch`; `None` until it is loaded with
+    /// the snapshot.
+    applied: Option<usize>,
 }
 
 impl<'a, P: Replay> Replayer<'a, P> {
     fn new(window: &'a Window<P>) -> Self {
         Replayer {
             window,
-            scratch: None,
-            applied: 0,
+            scratch: window.scratch.borrow_mut(),
+            applied: None,
         }
     }
 
@@ -204,19 +214,21 @@ impl<'a, P: Replay> Replayer<'a, P> {
         if epoch == log.len() {
             return live;
         }
-        let window = self.window;
-        let scratch = self.scratch.get_or_insert_with(|| {
-            window
-                .snapshot
-                .clone()
-                .expect("a window with trainings has a snapshot")
-        });
-        assert!(self.applied <= epoch, "lazy records visited out of order");
-        for t in &log[self.applied..epoch] {
-            scratch.train(t);
+        let from = match self.applied {
+            Some(applied) => {
+                assert!(applied <= epoch, "lazy records visited out of order");
+                applied
+            }
+            None => {
+                self.scratch.copy_from(&self.window.snapshot);
+                0
+            }
+        };
+        for t in &log[from..epoch] {
+            self.scratch.train(t);
         }
-        self.applied = epoch;
-        scratch
+        self.applied = Some(epoch);
+        &self.scratch
     }
 }
 
@@ -227,9 +239,9 @@ impl<'a, P: Replay> Replayer<'a, P> {
 pub struct LazyPredictions<'a> {
     engine: &'a UcpEngine,
     bp: Replayer<'a, TageScL>,
-    ind: Replayer<'a, Ittage>,
-    bp_hist: Option<HistoryState>,
-    ind_hist: Option<PathHistory>,
+    ind: Option<Replayer<'a, Ittage>>,
+    bp_hist: RefMut<'a, HistoryState>,
+    ind_hist: RefMut<'a, PathHistory>,
 }
 
 impl<'a> LazyPredictions<'a> {
@@ -250,10 +262,12 @@ impl<'a> LazyPredictions<'a> {
             AltPred::Absent => None,
             AltPred::Eager(p) => Some(p),
             AltPred::Lazy(epoch) => {
-                let mirror = &self.engine.alt_bp_mirror;
-                let hist = self.bp_hist.get_or_insert_with(|| mirror.clone());
-                hist.copy_restored(mirror, cp);
-                Some(self.bp.at(&self.engine.alt_bp, epoch).predict(hist, pc))
+                self.bp_hist.copy_restored(&self.engine.alt_bp_mirror, cp);
+                Some(
+                    self.bp
+                        .at(&self.engine.alt_bp, epoch)
+                        .predict(&self.bp_hist, pc),
+                )
             }
         }
     }
@@ -270,15 +284,11 @@ impl<'a> LazyPredictions<'a> {
             AltPred::Absent => None,
             AltPred::Eager(p) => Some(p),
             AltPred::Lazy(epoch) => {
-                let live = self
-                    .engine
-                    .alt_ind
-                    .as_ref()
-                    .expect("a lazy Alt-Ind record needs Alt-Ind");
-                let mirror = &self.engine.alt_ind_mirror;
-                let hist = self.ind_hist.get_or_insert_with(|| mirror.clone());
-                hist.copy_restored(mirror, cp);
-                Some(self.ind.at(live, epoch).predict(hist, pc))
+                let (Some(live), Some(ind)) = (&self.engine.alt_ind, &mut self.ind) else {
+                    panic!("a lazy Alt-Ind record needs Alt-Ind");
+                };
+                self.ind_hist.copy_restored(&self.engine.alt_ind_mirror, cp);
+                Some(ind.at(live, epoch).predict(&self.ind_hist, pc))
             }
         }
     }
@@ -407,6 +417,12 @@ impl UcpEngine {
         // Without Alt-Ind the mirror is a placeholder that keeps the
         // checkpoint plumbing uniform.
         let alt_ind_mirror = PathHistory::new(&IttageParams::alt_4k().fold_specs());
+        let windows = Windows {
+            bp: Window::new(&alt_bp),
+            ind: alt_ind.as_ref().map(Window::new),
+            bp_hist: RefCell::new(alt_bp_mirror.clone()),
+            ind_hist: RefCell::new(alt_ind_mirror.clone()),
+        };
         UcpEngine {
             walk: Walk {
                 cur: None,
@@ -418,7 +434,7 @@ impl UcpEngine {
             alt_ind,
             alt_ind_mirror,
             alt_ras: Ras::new(16),
-            windows: Windows::default(),
+            windows,
             alt_ftq: BoundedQueue::new(cfg.alt_ftq_entries),
             l1i_pq: BoundedQueue::new(8),
             pending: Vec::with_capacity(cfg.uop_mshr_entries),
@@ -482,10 +498,10 @@ impl UcpEngine {
         target: Addr,
         wrong_path: bool,
     ) -> AltPred<IttagePrediction> {
-        let pred = match &self.alt_ind {
-            None => AltPred::Absent,
-            Some(_) if wrong_path => self.windows.ind.lazy(),
-            Some(ind) => AltPred::Eager(ind.predict(&self.alt_ind_mirror, pc)),
+        let pred = match (&self.alt_ind, &mut self.windows.ind) {
+            (Some(_), Some(window)) if wrong_path => window.lazy(),
+            (Some(ind), _) => AltPred::Eager(ind.predict(&self.alt_ind_mirror, pc)),
+            _ => AltPred::Absent,
         };
         self.on_taken_target(target);
         pred
@@ -497,9 +513,9 @@ impl UcpEngine {
         LazyPredictions {
             engine: self,
             bp: Replayer::new(&self.windows.bp),
-            ind: Replayer::new(&self.windows.ind),
-            bp_hist: None,
-            ind_hist: None,
+            ind: self.windows.ind.as_ref().map(Replayer::new),
+            bp_hist: self.windows.bp_hist.borrow_mut(),
+            ind_hist: self.windows.ind_hist.borrow_mut(),
         }
     }
 
@@ -587,8 +603,8 @@ impl UcpEngine {
 
     /// Trains Alt-Ind with the resolved indirect target.
     pub fn train_indirect(&mut self, pc: Addr, pred: &IttagePrediction, target: Addr) {
-        if let Some(ind) = self.alt_ind.as_mut() {
-            self.windows.ind.train(ind, (pc, *pred, target));
+        if let (Some(ind), Some(window)) = (&mut self.alt_ind, &mut self.windows.ind) {
+            window.train(ind, (pc, *pred, target));
         }
     }
 
