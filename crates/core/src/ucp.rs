@@ -1273,11 +1273,10 @@ mod tests {
 
     #[test]
     fn lazy_wrong_path_predictions_equal_eager_ones() {
-        let cfg = UcpConfig {
+        let mut e = UcpEngine::new(UcpConfig {
             enabled: true,
             ..UcpConfig::default()
-        };
-        let mut e = UcpEngine::new(cfg.clone());
+        });
         let mut twins = Twins {
             bp: e.alt_bp.new_history(),
             it: e
@@ -1305,14 +1304,14 @@ mod tests {
         };
 
         // 1. The correct path: every prediction is made at push time, and
-        // branches resolve (train) 32 records behind the predictions.
+        // branches resolve (train) 48 records behind the predictions.
         let mut pending = std::collections::VecDeque::new();
         for i in 0..400 {
             let r = push(&mut e, &mut twins, i, false);
             let one = std::slice::from_ref(&r);
             assert_eq!(derived(&e, one), wants(one));
             pending.push_back(r);
-            if pending.len() > 32 {
+            if pending.len() > 48 {
                 train(&mut e, &pending.pop_front().expect("pending"));
             }
         }
@@ -1337,10 +1336,25 @@ mod tests {
             .iter()
             .any(|r| matches!(r.itt, AltPred::Lazy(n) if n > 0)));
 
-        // 3. A save and restore in the middle of the window: the restored
-        // records hold their predictions in full, and the window goes on.
+        // 3. A save in the middle of the window; the run goes on past it
+        // (more pushes and trainings), then is rewound to it by a restore
+        // in place. The restored records hold their predictions in full,
+        // and the window starts afresh.
         let saved = bytes(&e);
         let written = derived(&e, &wrong);
+        let (at_save, twin_bp, twin_it) =
+            (wrong.len(), twins.bp.checkpoint(), twins.it.checkpoint());
+        for i in 40..50 {
+            wrong.push(push(&mut e, &mut twins, i, true));
+            train(&mut e, &pending.pop_front().expect("pending"));
+        }
+        let mut rd = StateReader::new(&saved);
+        e.restore_state(&mut rd);
+        rd.finish();
+        assert_eq!(bytes(&e), saved);
+        wrong.truncate(at_save);
+        twins.bp.restore(&twin_bp);
+        twins.it.restore(&twin_it);
         for (r, b) in wrong.iter_mut().zip(written) {
             let mut rd = StateReader::new(&b);
             match r.itt {
@@ -1356,14 +1370,6 @@ mod tests {
                 }
             }
         }
-        let mut e = {
-            let mut restored = UcpEngine::new(cfg);
-            let mut rd = StateReader::new(&saved);
-            restored.restore_state(&mut rd);
-            rd.finish();
-            restored
-        };
-        assert_eq!(bytes(&e), saved);
         for i in 40..80 {
             wrong.push(push(&mut e, &mut twins, i, true));
             if i % 3 == 0 {
