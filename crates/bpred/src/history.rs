@@ -342,17 +342,6 @@ impl PathHistory {
         self.push(second);
     }
 
-    /// Makes this history a copy of `source` restored to `cp`, a
-    /// checkpoint still in flight on `source`, without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cp`'s window is no longer in `source`'s buffer.
-    pub fn copy_restored(&mut self, source: &Self, cp: &HistCheckpoint) {
-        self.clone_from(source);
-        self.restore(cp);
-    }
-
     /// The folded value of view `i`, computed from the buffer.
     pub fn folded(&self, i: usize) -> u32 {
         self.ring.fold_at(self.ring.ptr, self.specs[i])
@@ -626,17 +615,6 @@ impl HistoryState {
     pub fn restore(&mut self, cp: &HistCheckpoint) {
         self.path.restore(cp);
         self.comps = self.path.folds_at(cp.ptr);
-    }
-
-    /// Makes this history a copy of `source` restored to `cp`, a
-    /// checkpoint still in flight on `source` (see
-    /// [`PathHistory::copy_restored`]); the fold registers come from the
-    /// buffer, so `source`'s may be stale.
-    pub fn copy_restored(&mut self, source: &Self, cp: &HistCheckpoint) {
-        self.path.copy_restored(&source.path, cp);
-        self.comps = self.path.folds_at(cp.ptr);
-        self.shapes = source.shapes;
-        self.groups.clone_from(&source.groups);
     }
 
     /// Writes `cp`, a checkpoint of this history still in flight (see

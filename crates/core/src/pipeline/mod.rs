@@ -400,7 +400,16 @@ impl<'p> Simulator<'p> {
         prefetcher.attach_telemetry(&telemetry);
         let mut hier = Hierarchy::new(&cfg.mem);
         hier.attach_telemetry(&telemetry);
+        let btb = Btb::new(cfg.btb.clone());
         let ucp = cfg.ucp.enabled.then(|| {
+            // The walk probes the BTB at static branches only, which is
+            // exact only when no two PCs of the image share a (set, tag).
+            assert!(
+                btb.tags_distinguish(prog.base(), prog.end()),
+                "UCP needs a BTB whose (set, tag) covers the code image {:#x}..{:#x}",
+                prog.base().raw(),
+                prog.end().raw()
+            );
             let mut u = UcpEngine::new(cfg.ucp.clone());
             u.attach_telemetry(&telemetry);
             u
@@ -415,7 +424,7 @@ impl<'p> Simulator<'p> {
             bp_hist,
             ittage,
             it_hist,
-            btb: Btb::new(cfg.btb.clone()),
+            btb,
             ras: Ras::new(64),
             uop_cache,
             uop_ideal,
@@ -2302,6 +2311,7 @@ impl State for Simulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ucp_frontend::BtbConfig;
 
     /// The record ring's allocation size moves set-up time through the
     /// allocator's thresholds, so a record must not grow.
@@ -2309,5 +2319,24 @@ mod tests {
     fn a_branch_record_stays_within_416_bytes() {
         let size = std::mem::size_of::<PredRecord>();
         assert!(size <= 416, "PredRecord is {size} bytes");
+    }
+
+    /// The walk probes the BTB at static branches only, so UCP refuses a
+    /// BTB with one set, whose 16-bit tags alias PCs 256 KiB apart.
+    #[test]
+    #[should_panic(expected = "UCP needs a BTB whose (set, tag) covers the code image")]
+    fn ucp_rejects_a_btb_whose_tags_alias_the_image() {
+        let spec = ucp_workloads::suite::by_name("srv04").expect("srv04 exists");
+        let prog = spec.build();
+        assert!(prog.end().raw() - prog.base().raw() > 256 << 10);
+        let cfg = SimConfig {
+            btb: BtbConfig {
+                total_entries: 4,
+                ways: 4,
+                banks: 1,
+            },
+            ..SimConfig::ucp()
+        };
+        Simulator::new(&prog, spec.seed, &cfg);
     }
 }

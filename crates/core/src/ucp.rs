@@ -262,7 +262,8 @@ impl<'a> LazyPredictions<'a> {
             AltPred::Absent => None,
             AltPred::Eager(p) => Some(p),
             AltPred::Lazy(epoch) => {
-                self.bp_hist.copy_restored(&self.engine.alt_bp_mirror, cp);
+                self.bp_hist.clone_from(&self.engine.alt_bp_mirror);
+                self.bp_hist.restore(cp);
                 Some(
                     self.bp
                         .at(&self.engine.alt_bp, epoch)
@@ -287,7 +288,8 @@ impl<'a> LazyPredictions<'a> {
                 let (Some(live), Some(ind)) = (&self.engine.alt_ind, &mut self.ind) else {
                     panic!("a lazy Alt-Ind record needs Alt-Ind");
                 };
-                self.ind_hist.copy_restored(&self.engine.alt_ind_mirror, cp);
+                self.ind_hist.clone_from(&self.engine.alt_ind_mirror);
+                self.ind_hist.restore(cp);
                 Some(ind.at(live, epoch).predict(&self.ind_hist, pc))
             }
         }
@@ -763,9 +765,6 @@ impl UcpEngine {
             }
         }
 
-        // BTB entries sit only at static branches: where every PC of the
-        // image has its own (set, tag), no other PC can hit.
-        let probe_all = !btb.tags_distinguish(prog.base(), prog.end());
         let start = walk.pc;
         let window_end = Addr::new(start.uop_window().raw() + 32);
         let mut pc = start;
@@ -785,7 +784,10 @@ impl UcpEngine {
             };
             n += 1;
             walk.insts_since_branch += 1;
-            let entry = if probe_all || inst.kind.branch_class().is_some() {
+            // BTB entries sit only at static branches, and every PC of the
+            // image has its own (set, tag) (asserted when the simulator is
+            // built), so no other PC can hit.
+            let entry = if inst.kind.branch_class().is_some() {
                 btb.probe(pc)
             } else {
                 None
