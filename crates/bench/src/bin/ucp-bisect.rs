@@ -24,10 +24,8 @@
 //! divergent window was found, 2 on usage or configuration errors.
 
 use std::path::{Path, PathBuf};
-use ucp_core::snapshot::{list_checkpoints, parse_checkpoint};
-use ucp_core::{CheckpointMeta, Knobs, SimConfig, Simulator, CKPT_VERSION};
-use ucp_telemetry::envelope::read_envelope_bytes;
-use ucp_telemetry::CacheReadError;
+use ucp_core::snapshot::{list_checkpoints, read_checkpoint};
+use ucp_core::{CheckpointMeta, Knobs, SimConfig, Simulator};
 use ucp_workloads::WorkloadSpec;
 
 struct Ckpt {
@@ -39,25 +37,13 @@ struct Ckpt {
 fn load_checkpoints(dir: &Path) -> Vec<Ckpt> {
     let mut out = Vec::new();
     for (_, path) in list_checkpoints(dir) {
-        let payload = match read_envelope_bytes(&path, CKPT_VERSION) {
-            Ok(p) => p,
-            Err(CacheReadError::Missing) => continue,
-            Err(CacheReadError::Corrupt(why)) => {
-                eprintln!(
-                    "warning: skipping corrupt checkpoint {}: {why}",
-                    path.display()
-                );
-                continue;
-            }
-        };
-        match parse_checkpoint(&payload) {
-            Ok((meta, state)) => out.push(Ckpt { meta, state, path }),
-            Err(why) => {
-                eprintln!(
-                    "warning: skipping corrupt checkpoint {}: {why}",
-                    path.display()
-                );
-            }
+        match read_checkpoint(&path) {
+            Ok(Some((meta, state))) => out.push(Ckpt { meta, state, path }),
+            Ok(None) => {}
+            Err(why) => eprintln!(
+                "warning: skipping corrupt checkpoint {}: {why}",
+                path.display()
+            ),
         }
     }
     out

@@ -109,7 +109,12 @@ pub fn suite_run_with_cache(
             return;
         }
         if let Ok(text) = serde_json::to_string(r) {
-            let _ = write_envelope(&paths[i], MODEL_VERSION, &text, knobs.fault.as_deref());
+            let _ = write_envelope(
+                &paths[i],
+                MODEL_VERSION,
+                &[text.as_bytes()],
+                knobs.fault.as_deref(),
+            );
         }
     };
     run_suite_outcome(

@@ -238,17 +238,17 @@ fn corrupt_cache_entries_quarantine_and_regenerate() {
 
     let corruptions: [(&str, &dyn Fn()); 4] = [
         ("torn write", &|| {
-            write_envelope(&entry, MODEL_VERSION, &intact, Some(&torn)).unwrap()
+            write_envelope(&entry, MODEL_VERSION, &[intact.as_bytes()], Some(&torn)).unwrap()
         }),
         ("truncated file", &|| {
             let bytes = std::fs::read(&entry).unwrap();
             std::fs::write(&entry, &bytes[..bytes.len() / 2]).unwrap();
         }),
         ("stale model version", &|| {
-            write_envelope(&entry, MODEL_VERSION - 1, &intact, None).unwrap()
+            write_envelope(&entry, MODEL_VERSION - 1, &[intact.as_bytes()], None).unwrap()
         }),
         ("wrong workload", &|| {
-            write_envelope(&entry, MODEL_VERSION, &other, None).unwrap()
+            write_envelope(&entry, MODEL_VERSION, &[other.as_bytes()], None).unwrap()
         }),
     ];
     for (i, (what, corrupt)) in corruptions.iter().enumerate() {

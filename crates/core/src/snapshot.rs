@@ -14,6 +14,12 @@
 //! <raw component state bytes>
 //! ```
 //!
+//! [`write_checkpoint`] hands the envelope writer the meta line, the
+//! newline and the state as separate slices, which it checksums and
+//! streams to disk; [`read_checkpoint`] verifies the file in the buffer
+//! it was read into and returns the state in that buffer. A write or a
+//! restore therefore holds one copy of the state.
+//!
 //! The meta line embeds the workload spec and simulator config as JSON, so
 //! offline tools (`ucp-bisect`) can rebuild the exact simulation from the
 //! checkpoint directory alone. Checkpoints are named
@@ -25,7 +31,7 @@ use crate::error::SimError;
 use serde::{Deserialize, Serialize};
 use sim_isa::fnv1a64;
 use std::path::{Path, PathBuf};
-use ucp_telemetry::envelope::{quarantine, read_envelope_bytes, write_envelope_bytes};
+use ucp_telemetry::envelope::{quarantine, read_envelope_bytes, write_envelope};
 use ucp_telemetry::{CacheReadError, FaultPlan};
 
 /// Checkpoint format version; bumped whenever any component's serialized
@@ -123,20 +129,11 @@ pub fn list_checkpoints(dir: &Path) -> Vec<(u64, PathBuf)> {
     out
 }
 
-/// Serializes a checkpoint payload: meta line + state bytes.
-pub fn compose_checkpoint(meta: &CheckpointMeta, state: &[u8]) -> Vec<u8> {
-    let meta_line = serde_json::to_string(meta).expect("checkpoint meta serializes");
-    let mut payload = Vec::with_capacity(meta_line.len() + 1 + state.len());
-    payload.extend_from_slice(meta_line.as_bytes());
-    payload.push(b'\n');
-    payload.extend_from_slice(state);
-    payload
-}
-
-/// Splits an envelope payload back into meta and state bytes, verifying
-/// the meta's own state digest (defence in depth below the envelope
-/// checksum, and the hook the divergence bisector keys on).
-pub fn parse_checkpoint(payload: &[u8]) -> Result<(CheckpointMeta, Vec<u8>), String> {
+/// Splits an envelope payload into meta and state bytes, verifying the
+/// meta's own state digest (defence in depth below the envelope
+/// checksum, and the hook the divergence bisector keys on). The state is
+/// returned in `payload`'s own allocation, meta line drained off.
+fn parse_checkpoint(mut payload: Vec<u8>) -> Result<(CheckpointMeta, Vec<u8>), String> {
     let split = payload
         .iter()
         .position(|&b| b == b'\n')
@@ -151,15 +148,25 @@ pub fn parse_checkpoint(payload: &[u8]) -> Result<(CheckpointMeta, Vec<u8>), Str
             meta.version
         ));
     }
-    let state = payload[split + 1..].to_vec();
-    let digest = fnv1a64(&state);
+    let digest = fnv1a64(&payload[split + 1..]);
     if digest != meta.digest {
         return Err(format!(
             "state digest {digest:#018x} != meta digest {:#018x}",
             meta.digest
         ));
     }
-    Ok((meta, state))
+    payload.drain(..=split);
+    Ok((meta, payload))
+}
+
+/// Reads and verifies the checkpoint at `path`: `Ok(None)` when there is
+/// no file, `Err` saying why when it fails either integrity check.
+pub fn read_checkpoint(path: &Path) -> Result<Option<(CheckpointMeta, Vec<u8>)>, String> {
+    match read_envelope_bytes(path, CKPT_VERSION) {
+        Ok(payload) => parse_checkpoint(payload).map(Some),
+        Err(CacheReadError::Missing) => Ok(None),
+        Err(CacheReadError::Corrupt(why)) => Err(why),
+    }
 }
 
 /// Writes a checkpoint atomically inside the integrity envelope and prunes
@@ -182,8 +189,9 @@ pub fn write_checkpoint(
     };
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
     let path = checkpoint_path(dir, meta.committed);
-    let payload = compose_checkpoint(meta, state);
-    write_envelope_bytes(&path, CKPT_VERSION, &payload, fault).map_err(|e| io_err(&path, e))?;
+    let meta_line = serde_json::to_string(meta).expect("checkpoint meta serializes");
+    let payload = [meta_line.as_bytes(), b"\n", state];
+    write_envelope(&path, CKPT_VERSION, &payload, fault).map_err(|e| io_err(&path, e))?;
     // Keep-last-k: drop the oldest beyond `keep` (the just-written one is
     // always newest by construction — commit counts only grow).
     let all = list_checkpoints(dir);
@@ -203,13 +211,10 @@ pub fn write_checkpoint(
 /// write. Returns `None` when no valid checkpoint exists.
 pub fn latest_valid_checkpoint(dir: &Path) -> Option<(CheckpointMeta, Vec<u8>)> {
     for (_, path) in list_checkpoints(dir).into_iter().rev() {
-        match read_envelope_bytes(&path, CKPT_VERSION) {
-            Ok(payload) => match parse_checkpoint(&payload) {
-                Ok(ok) => return Some(ok),
-                Err(detail) => reject(&path, &detail),
-            },
-            Err(CacheReadError::Missing) => continue,
-            Err(CacheReadError::Corrupt(detail)) => reject(&path, &detail),
+        match read_checkpoint(&path) {
+            Ok(Some(ok)) => return Some(ok),
+            Ok(None) => continue,
+            Err(detail) => reject(&path, &detail),
         }
     }
     None
@@ -256,12 +261,34 @@ mod tests {
         }
     }
 
+    /// A checkpoint payload built by hand: meta line, `\n`, state.
+    fn payload_of(m: &CheckpointMeta, state: &[u8]) -> Vec<u8> {
+        [serde_json::to_string(m).unwrap().as_bytes(), b"\n", state].concat()
+    }
+
+    /// The state of a real machine: the `tiny` spec after a few thousand
+    /// instructions.
+    fn tiny_state() -> Vec<u8> {
+        let spec = ucp_workloads::WorkloadSpec::tiny("snapshot-bytes", 3);
+        let prog = spec.build();
+        let mut sim = crate::Simulator::new(&prog, spec.seed, &crate::SimConfig::baseline());
+        sim.run_to_committed(3_000, 1_000).unwrap();
+        let mut w = sim_isa::StateWriter::new();
+        sim.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ucp-snap-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn payload_round_trips() {
         let state = vec![1u8, 2, 3, 4, 5];
         let m = meta(100, &state);
-        let payload = compose_checkpoint(&m, &state);
-        let (back, state2) = parse_checkpoint(&payload).unwrap();
+        let (back, state2) = parse_checkpoint(payload_of(&m, &state)).unwrap();
         assert_eq!(back.committed, 100);
         assert_eq!(state2, state);
     }
@@ -271,8 +298,72 @@ mod tests {
         let state = vec![1u8, 2, 3];
         let mut m = meta(5, &state);
         m.digest ^= 1;
-        let payload = compose_checkpoint(&m, &state);
-        assert!(parse_checkpoint(&payload).unwrap_err().contains("digest"));
+        let payload = payload_of(&m, &state);
+        assert!(parse_checkpoint(payload).unwrap_err().contains("digest"));
+    }
+
+    #[test]
+    fn checkpoint_files_are_header_meta_line_and_state() {
+        let state = tiny_state();
+        let m = meta(3_000, &state);
+        let payload = payload_of(&m, &state);
+        let header = format!(
+            "{{\"schema\":1,\"model_version\":{CKPT_VERSION},\"checksum\":\"{:016x}\",\"len\":{}}}\n",
+            fnv1a64(&payload),
+            payload.len()
+        );
+        let dir = tmpdir("bytes");
+        let path = write_checkpoint(&dir, &m, &state, 3, None).unwrap();
+        assert!(
+            std::fs::read(&path).unwrap() == [header.as_bytes(), &payload].concat(),
+            "whole file"
+        );
+        let torn = FaultPlan::parse("torn_write:1:1").unwrap();
+        write_checkpoint(&dir, &m, &state, 3, Some(&torn)).unwrap();
+        let half = &payload[..payload.len() / 2];
+        assert!(
+            std::fs::read(&path).unwrap() == [header.as_bytes(), half].concat(),
+            "torn file: the header and the first half of the payload"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reads_return_the_state_in_the_payload_buffer() {
+        let state = tiny_state();
+        let m = meta(3_000, &state);
+        let payload = payload_of(&m, &state);
+        let at = payload.as_ptr();
+        let (_, parsed) = parse_checkpoint(payload).unwrap();
+        assert_eq!(parsed.as_ptr(), at, "no copy");
+        assert!(parsed == state);
+
+        let dir = tmpdir("nocopy");
+        let path = write_checkpoint(&dir, &m, &state, 3, None).unwrap();
+        let (back, read) = read_checkpoint(&path).unwrap().unwrap();
+        assert_eq!(back.committed, 3_000);
+        assert!(read == state, "binary envelope round trip");
+        let text = dir.join("entry.json");
+        ucp_telemetry::envelope::write_envelope(&text, 4, &[b"{\"a\":", b"1}"], None).unwrap();
+        let read = ucp_telemetry::envelope::read_envelope(&text, 4).unwrap();
+        assert_eq!(read, "{\"a\":1}", "text envelope round trip");
+
+        // A state byte flipped on disk: corrupt, and quarantined on load.
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 1;
+        std::fs::write(&path, bytes).unwrap();
+        let Err(CacheReadError::Corrupt(why)) = read_envelope_bytes(&path, CKPT_VERSION) else {
+            panic!("a flipped byte must be corrupt");
+        };
+        assert!(why.contains("checksum"), "{why}");
+        assert!(latest_valid_checkpoint(&dir).is_none());
+        assert!(!path.exists(), "quarantined");
+        let quarantined = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .any(|e| e.file_name().to_string_lossy().contains(".quarantined."));
+        assert!(quarantined);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

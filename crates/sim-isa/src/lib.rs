@@ -30,7 +30,7 @@ pub mod state;
 pub use addr::{Addr, CACHE_LINE_BYTES, INST_BYTES, UOP_WINDOW_BYTES};
 pub use inst::{BranchClass, DynInst, ExecClass, InstKind, StaticInst};
 pub use reg::Reg;
-pub use state::{fnv1a64, State, StateReader, StateWriter};
+pub use state::{fnv1a64, fnv1a64_parts, State, StateReader, StateWriter};
 
 #[cfg(test)]
 mod tests {

@@ -56,6 +56,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_extend(FNV_OFFSET, bytes)
 }
 
+/// [`fnv1a64`] of the concatenation of `parts`, folded part by part, so
+/// no buffer has to hold the whole.
+pub fn fnv1a64_parts(parts: &[&[u8]]) -> u64 {
+    parts.iter().copied().fold(FNV_OFFSET, fnv1a64_extend)
+}
+
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Continues an FNV-1a digest `h` over `bytes`.
@@ -761,6 +767,28 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    proptest::proptest! {
+        /// Streaming over any split, empty parts included, is hashing the
+        /// whole.
+        #[test]
+        fn fnv1a64_parts_equals_fnv1a64_of_the_whole(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..80),
+            cuts in proptest::collection::vec(0usize..81, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut parts = Vec::new();
+            let mut start = 0;
+            for &cut in &cuts {
+                parts.push(&bytes[start..cut]);
+                start = cut;
+            }
+            parts.push(&bytes[start..]);
+            proptest::prop_assert_eq!(fnv1a64_parts(&parts), fnv1a64(&bytes));
+            proptest::prop_assert_eq!(fnv1a64_parts(&[&[], &bytes, &[]]), fnv1a64(&bytes));
+        }
     }
 
     #[test]

@@ -16,19 +16,22 @@
 //! deleted, so the evidence survives for debugging — and the caller
 //! regenerates the entry.
 //!
-//! Writes go through [`write_atomic`]: a uniquely-named temp file in the
-//! destination directory, then a rename. The temp name includes both the
-//! pid and a process-wide counter, so two threads of one process writing
-//! the same entry concurrently cannot collide on the temp path.
-//!
-//! Text payloads (JSON result caches) use [`write_envelope`] /
-//! [`read_envelope`]; binary payloads (whole-simulation checkpoints) use
-//! [`write_envelope_bytes`] / [`read_envelope_bytes`]. Both share one
-//! header format and one verification path, and both honour the
+//! [`write_envelope`] takes the payload as byte slices (a checkpoint's
+//! meta line and machine state, say), checksums them with
+//! [`fnv1a64_parts`] and streams the header and each slice straight into
+//! a uniquely-named temp file in the destination directory, then renames
+//! it into place; the temp file is removed on every failure. The temp
+//! name includes both the pid and a process-wide counter, so two threads
+//! of one process writing the same entry concurrently cannot collide on
+//! the temp path. [`read_envelope_bytes`] verifies the file in the buffer
+//! it was read into and returns that buffer with the header drained off,
+//! so a write or a read holds one copy of the payload; [`read_envelope`]
+//! is its text form (JSON result caches). Every write honours the
 //! `torn_write` fault site.
 
 use crate::fault::FaultPlan;
-use sim_isa::fnv1a64;
+use sim_isa::{fnv1a64, fnv1a64_parts};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,12 +59,13 @@ pub enum CacheReadError {
     Corrupt(String),
 }
 
-/// Writes `bytes` to `path` atomically: a unique temp file in the same
-/// directory, then a rename. The temp name carries a process-wide
-/// counter besides the pid, so concurrent writers inside one process
-/// (parallel figure binaries, parallel tests) never interleave on the
-/// same temp file.
-pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Writes the concatenation of `parts` to `path` atomically: each part
+/// goes straight into a unique temp file in the same directory, then a
+/// rename. The temp name carries a process-wide counter besides the pid,
+/// so concurrent writers inside one process (parallel figure binaries,
+/// parallel tests) never interleave on the same temp file. The temp file
+/// is removed on every failure.
+fn write_atomic(path: &Path, parts: &[&[u8]]) -> std::io::Result<()> {
     static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let tmp = dir.join(format!(
@@ -70,61 +74,50 @@ pub fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         std::process::id(),
         TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
     ));
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
+    let written = std::fs::File::create(&tmp).and_then(|mut f| {
+        parts.iter().try_for_each(|part| f.write_all(part))?;
+        drop(f);
+        std::fs::rename(&tmp, path)
+    });
+    written.inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })
 }
 
-/// Text-payload form of [`write_atomic_bytes`].
-pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    write_atomic_bytes(path, text.as_bytes())
-}
-
-fn envelope_header(model_version: u32, payload: &[u8]) -> String {
-    let header = CacheHeader {
-        schema: CACHE_SCHEMA,
-        model_version,
-        checksum: format!("{:016x}", fnv1a64(payload)),
-        len: payload.len(),
-    };
-    serde_json::to_string(&header).expect("header serializes")
-}
-
-/// Writes `payload` to `path` inside an integrity envelope, atomically.
+/// Writes the concatenation of `payload`'s slices to `path` inside an
+/// integrity envelope, atomically, streaming each slice to disk: no
+/// buffer holds the whole payload.
 ///
 /// When `fault` arms the `torn_write` site, the header still describes
 /// the full payload but only the first half of it reaches disk —
 /// modelling a write torn by a crash — so the next read must detect the
 /// damage and quarantine the entry.
-pub fn write_envelope_bytes(
-    path: &Path,
-    model_version: u32,
-    payload: &[u8],
-    fault: Option<&FaultPlan>,
-) -> std::io::Result<()> {
-    let header = envelope_header(model_version, payload);
-    let torn = fault.is_some_and(|p| p.should_fire("torn_write"));
-    let written = if torn {
-        &payload[..payload.len() / 2]
-    } else {
-        payload
-    };
-    let mut out = Vec::with_capacity(header.len() + 1 + written.len());
-    out.extend_from_slice(header.as_bytes());
-    out.push(b'\n');
-    out.extend_from_slice(written);
-    write_atomic_bytes(path, &out)
-}
-
-/// Text-payload form of [`write_envelope_bytes`].
 pub fn write_envelope(
     path: &Path,
     model_version: u32,
-    payload: &str,
+    payload: &[&[u8]],
     fault: Option<&FaultPlan>,
 ) -> std::io::Result<()> {
-    write_envelope_bytes(path, model_version, payload.as_bytes(), fault)
+    let len: usize = payload.iter().map(|p| p.len()).sum();
+    let header = CacheHeader {
+        schema: CACHE_SCHEMA,
+        model_version,
+        checksum: format!("{:016x}", fnv1a64_parts(payload)),
+        len,
+    };
+    let header = serde_json::to_string(&header).expect("header serializes") + "\n";
+    let mut budget = if fault.is_some_and(|p| p.should_fire("torn_write")) {
+        len / 2
+    } else {
+        len
+    };
+    let mut parts = vec![header.as_bytes()];
+    for part in payload {
+        let take = part.len().min(budget);
+        parts.push(&part[..take]);
+        budget -= take;
+    }
+    write_atomic(path, &parts)
 }
 
 fn verify_envelope(
@@ -165,7 +158,8 @@ fn verify_envelope(
     Ok(())
 }
 
-/// Reads and verifies a binary-payload envelope, returning the payload.
+/// Reads and verifies a binary-payload envelope where it lies, returning
+/// the payload in the buffer the file was read into, header removed.
 ///
 /// # Errors
 ///
@@ -174,7 +168,7 @@ fn verify_envelope(
 /// header, wrong schema, stale model version, length or checksum
 /// mismatch (including pre-envelope legacy files).
 pub fn read_envelope_bytes(path: &Path, model_version: u32) -> Result<Vec<u8>, CacheReadError> {
-    let bytes = match std::fs::read(path) {
+    let mut bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(CacheReadError::Missing),
         Err(e) => return Err(CacheReadError::Corrupt(format!("unreadable: {e}"))),
@@ -184,9 +178,9 @@ pub fn read_envelope_bytes(path: &Path, model_version: u32) -> Result<Vec<u8>, C
             "no header line (legacy or truncated entry)".into(),
         ));
     };
-    let (header, payload) = (&bytes[..split], &bytes[split + 1..]);
-    verify_envelope(header, payload, model_version)?;
-    Ok(payload.to_vec())
+    verify_envelope(&bytes[..split], &bytes[split + 1..], model_version)?;
+    bytes.drain(..=split);
+    Ok(bytes)
 }
 
 /// Text-payload form of [`read_envelope_bytes`].
@@ -225,7 +219,7 @@ mod tests {
     fn envelope_round_trips() {
         let dir = tmpdir("roundtrip");
         let p = dir.join("e.json");
-        write_envelope(&p, 3, "{\"hello\":1}", None).unwrap();
+        write_envelope(&p, 3, &[b"{\"hello\":1}"], None).unwrap();
         assert_eq!(read_envelope(&p, 3).unwrap(), "{\"hello\":1}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -237,7 +231,7 @@ mod tests {
         // Includes a 0x0A byte and invalid UTF-8 — the binary path must
         // split on the *first* newline only and never decode the payload.
         let payload = [0xFFu8, 0x0A, 0x00, 0xC3, 0x28, 0x0A, 0x42];
-        write_envelope_bytes(&p, 7, &payload, None).unwrap();
+        write_envelope(&p, 7, &[&payload[..2], &payload[2..]], None).unwrap();
         assert_eq!(read_envelope_bytes(&p, 7).unwrap(), payload);
         let Err(CacheReadError::Corrupt(why)) = read_envelope_bytes(&p, 8) else {
             panic!("stale model version must be corrupt");
@@ -252,7 +246,7 @@ mod tests {
         let p = dir.join("e.json");
         assert!(matches!(read_envelope(&p, 3), Err(CacheReadError::Missing)));
 
-        write_envelope(&p, 2, "x", None).unwrap();
+        write_envelope(&p, 2, &[b"x"], None).unwrap();
         let Err(CacheReadError::Corrupt(why)) = read_envelope(&p, 3) else {
             panic!("stale model version must be corrupt");
         };
@@ -266,7 +260,7 @@ mod tests {
         ));
 
         // Flipped payload byte: checksum catches it.
-        write_envelope(&p, 3, "abcdef", None).unwrap();
+        write_envelope(&p, 3, &[b"abcdef"], None).unwrap();
         let text = std::fs::read_to_string(&p)
             .unwrap()
             .replace("abcdef", "abcdeF");
@@ -283,7 +277,7 @@ mod tests {
         let dir = tmpdir("torn");
         let p = dir.join("e.json");
         let plan = FaultPlan::parse("torn_write:1:1").unwrap();
-        write_envelope(&p, 3, "0123456789", Some(&plan)).unwrap();
+        write_envelope(&p, 3, &[b"0123456789"], Some(&plan)).unwrap();
         let Err(CacheReadError::Corrupt(why)) = read_envelope(&p, 3) else {
             panic!("torn write must be corrupt");
         };
@@ -293,8 +287,38 @@ mod tests {
         assert!(!p.exists());
         assert!(matches!(read_envelope(&p, 3), Err(CacheReadError::Missing)));
         // The budget was 1: the rewrite goes through intact.
-        write_envelope(&p, 3, "0123456789", Some(&plan)).unwrap();
+        write_envelope(&p, 3, &[b"0123456789"], Some(&plan)).unwrap();
         assert_eq!(read_envelope(&p, 3).unwrap(), "0123456789");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_write_keeps_the_first_half_of_the_payload_across_slices() {
+        let dir = tmpdir("torn-slices");
+        let p = dir.join("e.bin");
+        let plan = FaultPlan::parse("torn_write:1:1").unwrap();
+        write_envelope(&p, 3, &[b"0123", b"", b"456789"], Some(&plan)).unwrap();
+        let torn = std::fs::read(&p).unwrap();
+        write_envelope(&p, 3, &[b"0123456789"], None).unwrap();
+        let whole = std::fs::read(&p).unwrap();
+        let header = &whole[..whole.len() - 10];
+        assert!(header.ends_with(b",\"len\":10}\n"));
+        assert_eq!(torn, [header, b"01234"].concat());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_write_leaves_no_temp_file() {
+        let dir = tmpdir("failed");
+        // A non-empty directory at the destination: the rename fails.
+        let p = dir.join("e.json");
+        std::fs::create_dir_all(p.join("occupied")).unwrap();
+        assert!(write_envelope(&p, 3, &[b"abc"], None).is_err());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["e.json"], "the temp file was removed");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -307,7 +331,8 @@ mod tests {
                 let p = p.clone();
                 s.spawn(move || {
                     for j in 0..50 {
-                        write_atomic(&p, &format!("writer {i} iteration {j}")).unwrap();
+                        let text = format!("writer {i} iteration {j}");
+                        write_atomic(&p, &[text.as_bytes()]).unwrap();
                     }
                 });
             }
