@@ -212,32 +212,6 @@ pub fn check_accounting(results: &[RunResult]) -> Vec<String> {
     bad
 }
 
-/// Host-side self-profiling for one harness phase: wall-clock time next to
-/// the simulated volume it covered, so runs report simulation throughput
-/// (simulated MIPS) alongside simulated results.
-#[derive(Clone, Debug)]
-pub struct HostPhase {
-    /// Phase label (e.g. a config name).
-    pub name: String,
-    /// Wall-clock seconds spent in the phase.
-    pub wall_seconds: f64,
-    /// Simulated instructions committed during the phase.
-    pub instructions: u64,
-    /// Simulated cycles elapsed during the phase.
-    pub cycles: u64,
-}
-
-impl HostPhase {
-    /// Simulated millions of instructions per wall-clock second.
-    pub fn mips(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.instructions as f64 / 1e6 / self.wall_seconds
-        }
-    }
-}
-
 /// Renders a per-workload stall-breakdown table: one row per workload with
 /// the percentage of measured cycles charged to each category, plus an
 /// aggregate row. Category columns are ordered by the aggregate's largest
@@ -445,21 +419,5 @@ mod tests {
         assert!(dir.join("e2.json.quarantined.0").exists(), "newest kept");
         assert!(dir.join("abcd.json").exists(), "cache entries untouched");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn host_phase_mips() {
-        let p = HostPhase {
-            name: "x".into(),
-            wall_seconds: 2.0,
-            instructions: 8_000_000,
-            cycles: 1,
-        };
-        assert_eq!(p.mips(), 4.0);
-        let z = HostPhase {
-            wall_seconds: 0.0,
-            ..p
-        };
-        assert_eq!(z.mips(), 0.0);
     }
 }

@@ -35,5 +35,5 @@ pub mod harness;
 
 pub use harness::{
     cached_suite_run, check_accounting, env_knobs, merged_telemetry, stall_breakdown_table,
-    suite_breakdown, suite_run_with_cache, HostPhase, MODEL_VERSION,
+    suite_breakdown, suite_run_with_cache, MODEL_VERSION,
 };

@@ -12,7 +12,8 @@
 
 use std::path::{Path, PathBuf};
 use ucp_bench::{suite_run_with_cache, MODEL_VERSION};
-use ucp_core::{Knobs, RunResult, SimConfig, SuiteRun};
+use ucp_core::snapshot::run_slug;
+use ucp_core::{CheckpointPolicy, Knobs, RunResult, SimConfig, SuiteRun};
 use ucp_telemetry::envelope::{read_envelope, write_envelope};
 use ucp_telemetry::fault::FaultPlan;
 use ucp_workloads::WorkloadSpec;
@@ -144,38 +145,67 @@ fn injected_panic_degrades_resumes_and_matches_uninjected() {
     // cache and only simulates the victim.
     let resumed = clean_run(&s, &dir_fault);
     assert!(resumed.is_complete());
-    assert_eq!(
-        resumed.attempts,
-        vec![0, 0, 0, 0, 0, 0, 1, 0],
-        "only w6 re-simulated"
-    );
+    let only_w6: Vec<bool> = (0..8).map(|i| i == 6).collect();
+    assert_eq!(resumed.simulated, only_w6, "only w6 re-simulated");
     assert_same_results(&resumed, &clean, "resumed suite equals a clean run");
     assert_eq!(entries(&dir_fault).len(), 8);
 
     // And a further invocation simulates nothing.
     let hit = clean_run(&s, &dir_fault);
-    assert_eq!(hit.attempts, vec![0; 8]);
+    assert_eq!(hit.simulated, vec![false; 8]);
     assert_same_results(&hit, &clean, "cache hit equals a clean run");
     let _ = std::fs::remove_dir_all(&dir_fault);
     let _ = std::fs::remove_dir_all(&dir_clean);
 }
 
-/// A transient fault recovers on a re-seeded retry. That result belongs
-/// to a different seed, so it must never be cached as the workload's: a
-/// later clean cached run must equal an uncached clean run.
+/// A killed workload is not run again under another seed: a suite run
+/// whose every checkpoint write kills its workload leaves exactly one
+/// checkpoint directory per workload, named for the workload's own seed,
+/// and the next clean invocation resumes both and removes them.
 #[test]
-fn reseeded_retry_is_never_served_from_the_cache() {
-    let dir = tmpdir("reseed");
+fn killed_run_leaves_one_checkpoint_directory_per_workload() {
+    let dir = tmpdir("kill-ckpt");
+    let ckpt_dir = dir.join("ckpt");
     let s = suite(2);
+    let killing = Knobs {
+        ckpt: Some(CheckpointPolicy {
+            every: 5_000,
+            keep: 3,
+        }),
+        ckpt_dir: ckpt_dir.clone(),
+        ..uncached(&dir, "kill:1")
+    };
+    let killed = run(&s, &killing);
+    assert_eq!(killed.marker().as_deref(), Some("DEGRADED (0/2)"));
+    assert_eq!(killed.simulated, vec![true, true], "each workload ran once");
 
-    let retried = run(&s, &knobs(&dir, "panic:1:1"));
-    assert!(retried.is_complete());
-    assert_eq!(retried.attempts, vec![2, 1], "w0 recovered on attempt 2");
+    let run_dirs = || {
+        let mut names: Vec<String> = std::fs::read_dir(&ckpt_dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.path().is_dir())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let cfg_json = serde_json::to_string(&SimConfig::baseline()).unwrap();
+    let mut own_seeds: Vec<String> = s
+        .iter()
+        .map(|w| run_slug(&w.name, w.seed, &cfg_json, WARMUP, MEASURE))
+        .collect();
+    own_seeds.sort();
+    assert_eq!(run_dirs(), own_seeds, "one directory per workload");
 
-    let cached = clean_run(&s, &dir);
-    assert_eq!(cached.attempts, vec![1, 0], "w0 re-simulated, w1 served");
-    let reference = run(&s, &uncached(&dir, ""));
-    assert_same_results(&cached, &reference, "cached run equals a clean run");
+    let resumed = run(
+        &s,
+        &Knobs {
+            fault: None,
+            ..killing
+        },
+    );
+    assert!(resumed.is_complete());
+    assert!(run_dirs().is_empty(), "a completed resume leaves no run");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -212,11 +242,10 @@ fn injected_invariant_violation_is_structured() {
     let s = suite(2);
     let out = run(&s, &uncached(&dir, "invariant:1"));
     assert_eq!(out.marker().as_deref(), Some("DEGRADED (1/2)"));
-    assert_eq!(out.attempts, vec![1, 1], "deterministic: no retry");
+    assert_eq!(out.simulated, vec![true, true], "each workload ran once");
     let (name, err) = &out.failures[0];
     assert_eq!(name, "w0");
     assert_eq!(err.kind(), "invariant-violation");
-    assert!(!err.is_retryable(), "invariant failures are deterministic");
     assert!(err.to_string().contains("accounting"), "{err}");
     assert!(err.snapshot().is_some(), "violation carries machine state");
     let _ = std::fs::remove_dir_all(&dir);
@@ -254,7 +283,11 @@ fn corrupt_cache_entries_quarantine_and_regenerate() {
     for (i, (what, corrupt)) in corruptions.iter().enumerate() {
         corrupt();
         let again = clean_run(&s, &dir);
-        assert_eq!(again.attempts, vec![1, 0], "only w0 regenerated ({what})");
+        assert_eq!(
+            again.simulated,
+            vec![true, false],
+            "only w0 regenerated ({what})"
+        );
         assert_same_results(&again, &first, what);
         assert_eq!(
             files_matching(&dir, "quarantined").len(),
@@ -284,12 +317,14 @@ fn torn_cache_write_heals_on_next_run() {
     let second = clean_run(&s, &dir);
     assert!(second.is_complete());
     assert_eq!(files_matching(&dir, "quarantined").len(), 1);
-    let mut attempts = second.attempts.clone();
-    attempts.sort_unstable();
-    assert_eq!(attempts, vec![0, 1], "only the torn entry re-simulated");
+    assert_eq!(
+        second.simulated.iter().filter(|&&s| s).count(),
+        1,
+        "only the torn entry re-simulated"
+    );
     // Third run: everything verified, straight cache hit.
     let third = clean_run(&s, &dir);
-    assert_eq!(third.attempts, vec![0, 0]);
+    assert_eq!(third.simulated, vec![false, false]);
     assert_same_results(&third, &second, "cache hit equals the healed run");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -82,9 +82,8 @@ impl fmt::Display for DiagSnapshot {
 }
 
 /// Every way a simulation (or the harness around it) can fail. The suite
-/// runner treats [`Hang`](SimError::Hang) and
-/// [`WorkloadPanic`](SimError::WorkloadPanic) as potentially transient
-/// (bounded retry); everything else is deterministic and fails fast.
+/// runner runs each workload once and records its failure beside the
+/// other workloads' results.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum SimError {
     /// The hang watchdog saw no retirement for `window` cycles.
@@ -141,13 +140,6 @@ impl SimError {
             SimError::WorkloadPanic { .. } => "workload-panic",
             SimError::Io { .. } => "io",
         }
-    }
-
-    /// Whether the suite runner should retry this failure. Hangs and
-    /// panics can be transient (seed-sensitive corner, injected fault);
-    /// configuration, invariant and I/O failures are deterministic.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, SimError::Hang { .. } | SimError::WorkloadPanic { .. })
     }
 
     /// Stamps the workload name onto errors raised below the suite layer
@@ -243,7 +235,6 @@ mod tests {
         assert!(s.contains("0x40a0"), "{s}");
         assert!(s.contains("0x5000"), "{s}");
         assert_eq!(e.kind(), "hang");
-        assert!(e.is_retryable());
         assert!(e.snapshot().is_some());
     }
 
@@ -257,7 +248,6 @@ mod tests {
         assert!(e.to_string().contains("`a`"));
         let e = e.for_workload("b");
         assert!(e.to_string().contains("`a`"), "existing name kept");
-        assert!(!SimError::BadConfig { detail: "x".into() }.is_retryable());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::knobs::Knobs;
-use crate::pipeline::{RunOutput, Simulator};
+use crate::pipeline::Simulator;
 use crate::snapshot::DigestRecord;
 use crate::stats::SimStats;
 use serde::{Deserialize, Serialize};
@@ -30,7 +30,7 @@ pub const DEFAULT_MEASURE: u64 = 4_000_000;
 
 /// Per-workload persistence hook for [`run_suite_outcome`]: invoked from
 /// the worker thread with the workload's suite index and result as soon
-/// as it completes with its own seed.
+/// as it completes.
 pub type PersistFn<'a> = &'a (dyn Fn(usize, &RunResult) + Sync);
 
 /// One workload's result under one configuration.
@@ -60,24 +60,18 @@ pub struct RunResult {
     pub knobs: BTreeMap<String, String>,
 }
 
-/// Attempts per workload before giving up. Only retryable failures
-/// ([`SimError::is_retryable`]) consume retries; deterministic ones fail
-/// on the first attempt.
-const MAX_ATTEMPTS: u32 = 3;
-
-/// A suite's fate: the successful results, the failures, and how many
-/// attempts each workload took. Derefs to the *successful* results (in
+/// A suite's fate: the successful results, the failures, and which
+/// workloads were simulated. Derefs to the *successful* results (in
 /// suite order), so aggregation code written for `Vec<RunResult>` keeps
 /// working; the failure records ride alongside for report markers.
 #[derive(Debug, Default)]
 pub struct SuiteRun {
     results: Vec<RunResult>,
-    /// Workloads that failed every attempt: `(name, final error)`, in
-    /// suite order.
+    /// Workloads that failed: `(name, error)`, in suite order.
     pub failures: Vec<(String, SimError)>,
-    /// Attempts spent per workload, in suite order: 1 = the first try
-    /// succeeded, 0 = served from a prefilled slot (not simulated).
-    pub attempts: Vec<u32>,
+    /// Per workload, in suite order: `true` = simulated by this run,
+    /// `false` = served from a prefilled slot.
+    pub simulated: Vec<bool>,
 }
 
 impl Deref for SuiteRun {
@@ -90,7 +84,7 @@ impl Deref for SuiteRun {
 impl SuiteRun {
     /// Suite size (`len() + failures.len()`).
     pub fn total(&self) -> usize {
-        self.attempts.len()
+        self.simulated.len()
     }
 
     /// True when every workload produced a result.
@@ -112,23 +106,17 @@ impl SuiteRun {
     }
 }
 
-/// Salt for deterministic retry re-seeding: attempt `k ≥ 2` of a
-/// retryable failure perturbs the workload seed by `salt · (k − 1)`, so
-/// a seed-sensitive corner (or an injected transient fault) gets a
-/// genuinely different roll while staying reproducible.
-const RESEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// One attempt at one workload, with the fault-injection hooks armed.
+/// One run of one workload, with the fault-injection hooks armed.
 /// Panics (including injected ones) unwind to the caller's
 /// `catch_unwind`.
-fn run_one_attempt(
+fn run_one(
     spec: &WorkloadSpec,
     cfg: &SimConfig,
     warmup: u64,
     measure: u64,
     knobs: &Knobs,
     index: usize,
-) -> Result<RunOutput, SimError> {
+) -> Result<RunResult, SimError> {
     let fault = knobs.fault.as_deref();
     if fault.is_some_and(|p| p.armed_at("panic", index)) {
         panic!("injected fault: panic at suite index {index}");
@@ -143,75 +131,47 @@ fn run_one_attempt(
     }
     // Under `UCP_CKPT` this resumes from the newest valid checkpoint of
     // a previous (killed) run of the same trajectory instead of
-    // re-simulating from cycle zero. A failed attempt keeps its
-    // checkpoints on disk for the next resume; only a completed run
-    // removes them.
+    // re-simulating from cycle zero. A failed run keeps its checkpoints
+    // on disk for the next resume; only a completed run removes them.
     sim.arm_checkpointing(spec, warmup, measure, knobs);
     let out = sim.run_full(warmup, measure)?;
     sim.finish_checkpointing();
-    Ok(out)
+    Ok(RunResult {
+        workload: spec.name.clone(),
+        stats: out.stats,
+        telemetry: out.telemetry,
+        intervals: out.intervals,
+        digests: out.digests,
+        knobs: knobs.to_env(),
+    })
 }
 
-/// The seed a workload seeded `seed` runs with on attempt `attempt`
-/// (1-based): its own seed first, then a deterministic perturbation per
-/// retry.
-fn attempt_seed(seed: u64, attempt: u32) -> u64 {
-    seed ^ RESEED_SALT.wrapping_mul(u64::from(attempt) - 1)
-}
-
-/// Runs one workload to its final outcome: isolation boundary
-/// (`catch_unwind`), up to [`MAX_ATTEMPTS`] attempts, and deterministic
-/// re-seeding on attempts ≥ 2. Returns the attempts spent alongside the
-/// result or the final attempt's error.
+/// Runs one workload behind the isolation boundary (`catch_unwind`):
+/// a panic becomes [`SimError::WorkloadPanic`], and every error is
+/// stamped with the workload's name.
 fn run_one_isolated(
     spec: &WorkloadSpec,
     cfg: &SimConfig,
     warmup: u64,
     measure: u64,
-    index: usize,
     knobs: &Knobs,
-) -> (u32, Result<RunResult, SimError>) {
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        let spec = WorkloadSpec {
-            seed: attempt_seed(spec.seed, attempt),
-            ..spec.clone()
-        };
-        let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-            run_one_attempt(&spec, cfg, warmup, measure, knobs, index)
-        }))
-        .unwrap_or_else(|payload| {
-            let payload = payload
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic payload>".to_string());
-            Err(SimError::WorkloadPanic {
-                workload: String::new(),
-                payload,
-            })
-        });
-        match attempt_result {
-            Ok(out) => {
-                let r = RunResult {
-                    workload: spec.name.clone(),
-                    stats: out.stats,
-                    telemetry: out.telemetry,
-                    intervals: out.intervals,
-                    digests: out.digests,
-                    knobs: knobs.to_env(),
-                };
-                return (attempt, Ok(r));
-            }
-            Err(e) => {
-                let e = e.for_workload(&spec.name);
-                if !e.is_retryable() || attempt >= MAX_ATTEMPTS {
-                    return (attempt, Err(e));
-                }
-            }
-        }
-    }
+    index: usize,
+) -> Result<RunResult, SimError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        run_one(spec, cfg, warmup, measure, knobs, index)
+    }))
+    .unwrap_or_else(|payload| {
+        let payload = payload
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "<non-string panic payload>".to_string());
+        Err(SimError::WorkloadPanic {
+            workload: String::new(),
+            payload,
+        })
+    })
+    .map_err(|e| e.for_workload(&spec.name))
 }
 
 /// Runs `cfg` over every workload in `suite`, in parallel,
@@ -226,14 +186,12 @@ fn run_one_isolated(
 ///
 /// Slots already holding a result in `prefilled` (a cache hit, or a
 /// previous run's persisted work; shorter than the suite means the tail
-/// is unfilled) are not re-simulated. Each other workload runs behind a
-/// `catch_unwind` isolation boundary with bounded retries; `persist`,
-/// when given, is invoked from the worker as soon as a workload
-/// completes on its first attempt, so a killed process loses at most the
-/// in-flight workloads. A retry's result is simulated with a perturbed
-/// seed, so it is returned for this invocation but never persisted.
-/// Every simulator is configured from `knobs`, and every result records
-/// them.
+/// is unfilled) are not re-simulated. Each other workload runs once,
+/// with its own seed, behind a `catch_unwind` isolation boundary; a
+/// failure is recorded, not retried. `persist`, when given, is invoked
+/// from the worker as soon as a workload completes, so a killed process
+/// loses at most the in-flight workloads. Every simulator is configured
+/// from `knobs`, and every result records them.
 pub fn run_suite_outcome(
     suite: &[WorkloadSpec],
     cfg: &SimConfig,
@@ -243,14 +201,14 @@ pub fn run_suite_outcome(
     prefilled: Vec<Option<RunResult>>,
     persist: Option<PersistFn<'_>>,
 ) -> SuiteRun {
-    type Slot = Mutex<Option<(u32, Result<RunResult, SimError>)>>;
+    type Slot = Mutex<Option<(bool, Result<RunResult, SimError>)>>;
     let max_par = std::thread::available_parallelism().map_or(4, |n| n.get());
     let workers = max_par.max(1).min(suite.len().max(1));
     let next = AtomicUsize::new(0);
     let mut prefilled = prefilled.into_iter();
     let slots: Vec<Slot> = suite
         .iter()
-        .map(|_| Mutex::new(prefilled.next().flatten().map(|r| (0, Ok(r)))))
+        .map(|_| Mutex::new(prefilled.next().flatten().map(|r| (false, Ok(r)))))
         .collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -260,32 +218,21 @@ pub fn run_suite_outcome(
                 if slots[i].lock().expect("result slot poisoned").is_some() {
                     continue; // prefilled
                 }
-                let (attempts, outcome) = run_one_isolated(spec, cfg, warmup, measure, i, knobs);
-                if let Ok(r) = &outcome {
-                    if attempts == 1 {
-                        if let Some(persist) = persist {
-                            persist(i, r);
-                        }
-                    } else {
-                        eprintln!(
-                            "[ucp-suite] `{}` succeeded on attempt {attempts} with re-seeded \
-                             seed {:#x}; its result is not persisted",
-                            spec.name,
-                            attempt_seed(spec.seed, attempts)
-                        );
-                    }
+                let outcome = run_one_isolated(spec, cfg, warmup, measure, knobs, i);
+                if let (Ok(r), Some(persist)) = (&outcome, persist) {
+                    persist(i, r);
                 }
-                *slots[i].lock().expect("result slot poisoned") = Some((attempts, outcome));
+                *slots[i].lock().expect("result slot poisoned") = Some((true, outcome));
             });
         }
     });
     let mut run = SuiteRun::default();
     for (spec, slot) in suite.iter().zip(slots) {
-        let (attempts, outcome) = slot
+        let (simulated, outcome) = slot
             .into_inner()
             .expect("result slot poisoned")
             .expect("all slots filled");
-        run.attempts.push(attempts);
+        run.simulated.push(simulated);
         match outcome {
             Ok(r) => run.results.push(r),
             Err(e) => run.failures.push((spec.name.clone(), e)),
@@ -299,7 +246,7 @@ pub fn run_suite_outcome(
 ///
 /// # Errors
 ///
-/// The first per-workload failure that survived retries.
+/// The first per-workload failure.
 pub fn run_suite(
     suite: &[WorkloadSpec],
     cfg: &SimConfig,
@@ -603,36 +550,10 @@ mod tests {
         assert_eq!(name, "b", "workload 2 (index 1) is the victim");
         assert_eq!(err.kind(), "workload-panic");
         assert!(err.to_string().contains("`b`"));
-        assert_eq!(
-            out.attempts,
-            vec![1, MAX_ATTEMPTS],
-            "panic is retryable; every attempt spent"
-        );
+        assert_eq!(out.simulated, vec![true, true], "each workload ran once");
         // The survivor's manifest names the plan it ran under.
         assert_eq!(out[0].knobs["UCP_FAULT"], "panic:2");
         assert!(out.into_results().is_err());
-    }
-
-    #[test]
-    fn transient_panic_recovers_on_retry_without_persisting() {
-        let suite = vec![WorkloadSpec::tiny("a", 1)];
-        let persisted = Mutex::new(Vec::new());
-        let persist = |i: usize, _r: &RunResult| persisted.lock().unwrap().push(i);
-        let out = run_suite_outcome(
-            &suite,
-            &SimConfig::baseline(),
-            5_000,
-            20_000,
-            &with_fault("panic:1:1"),
-            Vec::new(),
-            Some(&persist),
-        );
-        assert!(out.is_complete());
-        assert_eq!(out.attempts, vec![2], "one failure, one success");
-        assert!(
-            persisted.lock().unwrap().is_empty(),
-            "a re-seeded result is never persisted"
-        );
     }
 
     #[test]
@@ -667,7 +588,11 @@ mod tests {
             Some(&persist),
         );
         assert!(out.is_complete());
-        assert_eq!(out.attempts, vec![0, 1], "slot 0 served, not re-run");
+        assert_eq!(
+            out.simulated,
+            vec![false, true],
+            "slot 0 served, not re-run"
+        );
         let r = out.into_results().unwrap();
         assert_eq!(r[0].stats.cycles, 777, "prefilled result kept verbatim");
         assert!(r[1].stats.cycles > 0);

@@ -117,7 +117,7 @@ pub struct Knobs {
     /// `UCP_CKPT_DIR`: checkpoint root, taken verbatim.
     pub ckpt_dir: PathBuf,
     /// `UCP_FAULT`: the process's one fault plan. Clones share it, so
-    /// `times` budgets and write counters span the whole process.
+    /// write counters span the whole process.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
@@ -405,8 +405,8 @@ mod tests {
             ("UCP_CKPT", "off", |k| k.ckpt.is_none()),
             ("UCP_CKPT", "0", |k| k.ckpt.is_none()),
             ("UCP_CKPT_DIR", "ck", |k| k.ckpt_dir == Path::new("ck")),
-            ("UCP_FAULT", "panic:3:1", |k| {
-                k.fault.as_ref().unwrap().spec() == "panic:3:1"
+            ("UCP_FAULT", "panic:3", |k| {
+                k.fault.as_ref().unwrap().spec() == "panic:3"
             }),
             ("UCP_FAULT", " , ", |k| k.fault.is_none()),
         ];
@@ -450,6 +450,7 @@ mod tests {
             ("UCP_CKPT", ":3", ckpt),
             ("UCP_CKPT", "1e4", ckpt),
             ("UCP_FAULT", "explode:1", "valid sites: panic, hang"),
+            ("UCP_FAULT", "panic:1:1", "expected <site>:<nth>"),
         ] {
             let e = with(&[(name, value)]).unwrap_err();
             assert!(
@@ -471,12 +472,12 @@ mod tests {
             ("UCP_TRACE", "uopc,ucp"),
             ("UCP_CKPT", "100000"),
             ("UCP_DIGEST", "200000"),
-            ("UCP_FAULT", "kill:2,torn_write:9:1"),
+            ("UCP_FAULT", "kill:2,torn_write:9"),
             ("UCP_NO_CACHE", "1"),
         ])
         .unwrap();
         let env = k.to_env();
-        assert_eq!(env["UCP_FAULT"], "kill:2,torn_write:9:1");
+        assert_eq!(env["UCP_FAULT"], "kill:2,torn_write:9");
         assert_eq!(env["UCP_CKPT"], format!("100000:{DEFAULT_CKPT_KEEP}"));
         let back = Knobs::parse(|n| env.get(n).cloned()).unwrap();
         assert_eq!(back.to_env(), env);

@@ -54,7 +54,7 @@ pub struct CheckpointMeta {
     pub spec_json: String,
     /// The full `SimConfig`, as JSON.
     pub cfg_json: String,
-    /// Workload seed actually used (suite retries perturb the spec seed).
+    /// Workload seed.
     pub seed: u64,
     /// Warm-up length of the interrupted run (instructions) — replaying
     /// tools need it to open the measurement window at the same boundary.
@@ -94,8 +94,8 @@ pub struct CheckpointPolicy {
 }
 
 /// Stable per-run directory slug: a digest of everything that determines
-/// the simulated trajectory. Suite retries perturb the seed, so a retry
-/// never resumes a checkpoint from a different trajectory.
+/// the simulated trajectory, so a run never resumes a checkpoint from a
+/// different trajectory.
 pub fn run_slug(workload: &str, seed: u64, cfg_json: &str, warmup: u64, measure: u64) -> String {
     let key = format!("{workload}|{seed:#x}|{cfg_json}|w{warmup}|m{measure}");
     format!("{workload}-{:016x}", fnv1a64(key.as_bytes()))
@@ -318,7 +318,7 @@ mod tests {
             std::fs::read(&path).unwrap() == [header.as_bytes(), &payload].concat(),
             "whole file"
         );
-        let torn = FaultPlan::parse("torn_write:1:1").unwrap();
+        let torn = FaultPlan::parse("torn_write:1").unwrap();
         write_checkpoint(&dir, &m, &state, 3, Some(&torn)).unwrap();
         let half = &payload[..payload.len() / 2];
         assert!(

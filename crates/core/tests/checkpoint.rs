@@ -215,7 +215,7 @@ fn injected_kill_after_first_checkpoint_resumes_bit_identically() {
     // The `kill` site panics right after the first checkpoint write
     // lands — an actual mid-run death, unlike crashed_run above, which
     // runs to completion and merely skips the cleanup.
-    let plan = Arc::new(FaultPlan::parse("kill:1:1").expect("valid plan"));
+    let plan = Arc::new(FaultPlan::parse("kill:1").expect("valid plan"));
     let policy = CheckpointPolicy {
         every: 6_000,
         keep: 3,

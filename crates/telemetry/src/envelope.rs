@@ -276,7 +276,7 @@ mod tests {
     fn torn_write_is_detected_and_quarantined() {
         let dir = tmpdir("torn");
         let p = dir.join("e.json");
-        let plan = FaultPlan::parse("torn_write:1:1").unwrap();
+        let plan = FaultPlan::parse("torn_write:1").unwrap();
         write_envelope(&p, 3, &[b"0123456789"], Some(&plan)).unwrap();
         let Err(CacheReadError::Corrupt(why)) = read_envelope(&p, 3) else {
             panic!("torn write must be corrupt");
@@ -286,8 +286,8 @@ mod tests {
         assert!(q.exists());
         assert!(!p.exists());
         assert!(matches!(read_envelope(&p, 3), Err(CacheReadError::Missing)));
-        // The budget was 1: the rewrite goes through intact.
-        write_envelope(&p, 3, &[b"0123456789"], Some(&plan)).unwrap();
+        // An intact rewrite heals the entry.
+        write_envelope(&p, 3, &[b"0123456789"], None).unwrap();
         assert_eq!(read_envelope(&p, 3).unwrap(), "0123456789");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -296,7 +296,7 @@ mod tests {
     fn torn_write_keeps_the_first_half_of_the_payload_across_slices() {
         let dir = tmpdir("torn-slices");
         let p = dir.join("e.bin");
-        let plan = FaultPlan::parse("torn_write:1:1").unwrap();
+        let plan = FaultPlan::parse("torn_write:1").unwrap();
         write_envelope(&p, 3, &[b"0123", b"", b"456789"], Some(&plan)).unwrap();
         let torn = std::fs::read(&p).unwrap();
         write_envelope(&p, 3, &[b"0123456789"], None).unwrap();

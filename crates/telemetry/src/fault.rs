@@ -1,6 +1,6 @@
 //! Deterministic fault injection (`UCP_FAULT`).
 //!
-//! The resilience layer (structured errors, hang watchdog, retry,
+//! The resilience layer (structured errors, hang watchdog,
 //! cache-integrity quarantine) is only trustworthy if every failure path
 //! is exercised, not just claimed. This module arms named fault *sites*
 //! from a `UCP_FAULT` spec so tests and CI can force panics, hangs,
@@ -10,7 +10,7 @@
 //! # Syntax
 //!
 //! ```text
-//! UCP_FAULT=<site>:<nth>[:<times>][,<site>:<nth>[:<times>]...]
+//! UCP_FAULT=<site>:<nth>[,<site>:<nth>...]
 //! ```
 //!
 //! * `site` — one of [`SITES`]:
@@ -20,24 +20,21 @@
 //!     hang watchdog must terminate it,
 //!   * `invariant` — the `nth` workload's cycle accounting is skewed by
 //!     one cycle, forcing an `InvariantViolation`,
-//!   * `torn_write` — the `nth` result-cache write is torn: only half the
-//!     payload reaches disk, so the next read must quarantine the entry,
-//!   * `kill` — the `nth` checkpoint write panics the process right
+//!   * `torn_write` — result-cache writes from the `nth` on are torn:
+//!     only half the payload reaches disk, so the next read must
+//!     quarantine the entry,
+//!   * `kill` — checkpoint writes from the `nth` on panic the run right
 //!     *after* the write lands: a mid-run kill the `UCP_CKPT` resume
 //!     path must recover from bit-identically.
 //! * `nth` — for the per-workload sites, the 1-based suite index of the
-//!   victim workload; for the counter-keyed sites (`torn_write`, `kill`),
-//!   the 1-based ordinal of the write.
-//! * `times` — optional cap on how many times the site fires in total
-//!   (default: unlimited). `panic:3` makes workload 3 fail on *every*
-//!   retry (a deterministic fault the runner must give up on);
-//!   `panic:3:1` fires once, so the first retry succeeds (a transient
-//!   fault).
+//!   victim workload, which fails whenever it runs; for the
+//!   counter-keyed sites (`torn_write`, `kill`), the 1-based ordinal of
+//!   the first write that fires.
 //!
 //! A malformed spec is a hard configuration error: `Knobs::from_env` (in
 //! `ucp-core`) rejects it before anything is simulated. The parsed plan
-//! rides in the run's `Knobs` as one shared `Arc<FaultPlan>`, so `times`
-//! budgets and write counters span the whole process.
+//! rides in the run's `Knobs` as one shared `Arc<FaultPlan>`, so write
+//! counters span the whole process.
 //!
 //! # Determinism
 //!
@@ -56,11 +53,8 @@ pub const SITES: &[&str] = &["panic", "hang", "invariant", "torn_write", "kill"]
 struct SiteState {
     site: String,
     nth: u64,
-    times: u64,
     /// Counter-based sites: calls to [`FaultPlan::should_fire`] so far.
     hits: AtomicU64,
-    /// Firings consumed from the `times` budget so far.
-    fired: AtomicU64,
 }
 
 /// A parsed, armed `UCP_FAULT` specification. All state is interior and
@@ -73,7 +67,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Parses a `site:nth[:times]` list. Empty input means "no faults".
+    /// Parses a `site:nth` list. Empty input means "no faults".
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut sites = Vec::new();
         for item in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
@@ -95,26 +89,15 @@ impl FaultPlan {
                 .ok_or_else(|| {
                     format!("UCP_FAULT: `{item}` needs an integer nth >= 1 (got `{item}`)")
                 })?;
-            let times = match parts.next() {
-                None => u64::MAX,
-                Some(t) => t
-                    .trim()
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("UCP_FAULT: `{item}` needs an integer times >= 1"))?,
-            };
             if parts.next().is_some() {
                 return Err(format!(
-                    "UCP_FAULT: `{item}` has trailing fields; expected <site>:<nth>[:<times>]"
+                    "UCP_FAULT: `{item}` has trailing fields; expected <site>:<nth>"
                 ));
             }
             sites.push(SiteState {
                 site,
                 nth,
-                times,
                 hits: AtomicU64::new(0),
-                fired: AtomicU64::new(0),
             });
         }
         Ok(FaultPlan {
@@ -133,33 +116,20 @@ impl FaultPlan {
         self.sites.is_empty()
     }
 
-    fn consume(s: &SiteState) -> bool {
-        // `fired` only ever grows, so the budget check is race-free
-        // enough: at most `times` callers win the fetch_add.
-        s.fired.fetch_add(1, Ordering::Relaxed) < s.times
-    }
-
-    /// Index-keyed sites (`panic`, `hang`, `invariant`): fires when
-    /// `index` (0-based) is the armed workload and the `times` budget is
-    /// not exhausted. Each call for the armed index consumes one firing,
-    /// so retries re-trigger deterministic faults and `times: 1` models a
-    /// transient one.
+    /// Index-keyed sites (`panic`, `hang`, `invariant`): fires whenever
+    /// `index` (0-based) is the armed workload.
     pub fn armed_at(&self, site: &str, index: usize) -> bool {
         self.sites
             .iter()
-            .filter(|s| s.site == site && s.nth == index as u64 + 1)
-            .any(Self::consume)
+            .any(|s| s.site == site && s.nth == index as u64 + 1)
     }
 
     /// Counter-keyed sites (`torn_write`, `kill`): every call is one
-    /// hit; the site fires from the `nth` hit onward while the `times`
-    /// budget lasts.
+    /// hit; the site fires from the `nth` hit on.
     pub fn should_fire(&self, site: &str) -> bool {
         self.sites
             .iter()
-            .filter(|s| s.site == site)
-            .filter(|s| s.hits.fetch_add(1, Ordering::Relaxed) + 1 >= s.nth)
-            .any(Self::consume)
+            .any(|s| s.site == site && s.hits.fetch_add(1, Ordering::Relaxed) + 1 >= s.nth)
     }
 }
 
@@ -169,10 +139,9 @@ mod tests {
 
     #[test]
     fn parse_accepts_all_sites_and_lists() {
-        let p = FaultPlan::parse("panic:3,hang:2:1, torn_write:1 ,invariant:4:2").unwrap();
-        assert_eq!(p.sites.len(), 4);
-        assert_eq!(p.sites[0].times, u64::MAX);
-        assert_eq!(p.sites[1].times, 1);
+        let p = FaultPlan::parse("panic:3,hang:2, torn_write:1 ,invariant:4").unwrap();
+        let nths: Vec<u64> = p.sites.iter().map(|s| s.nth).collect();
+        assert_eq!(nths, vec![3, 2, 1, 4]);
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("  ,  ").unwrap().is_empty());
     }
@@ -184,41 +153,35 @@ mod tests {
             "panic",         // missing nth
             "panic:zero",    // non-numeric nth
             "panic:0",       // nth < 1
-            "panic:1:0",     // times < 1
-            "panic:1:2:3",   // trailing fields
+            "panic:1:1",     // a third field
             "panic:1,bad:2", // one bad item poisons the list
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad} should fail");
         }
         let e = FaultPlan::parse("explode:1").unwrap_err();
         assert!(e.contains("torn_write"), "error lists valid sites: {e}");
+        let e = FaultPlan::parse("panic:1:1").unwrap_err();
+        assert!(e.contains("<site>:<nth>"), "error names the syntax: {e}");
     }
 
     #[test]
-    fn armed_at_is_index_keyed_and_budgeted() {
-        let p = FaultPlan::parse("panic:2:2").unwrap();
+    fn armed_at_is_index_keyed_and_fires_every_run() {
+        let p = FaultPlan::parse("panic:2").unwrap();
         assert!(!p.armed_at("panic", 0), "index 0 is not armed");
-        assert!(p.armed_at("panic", 1), "first firing");
-        assert!(p.armed_at("panic", 1), "second firing");
-        assert!(!p.armed_at("panic", 1), "budget of 2 exhausted");
+        for _ in 0..10 {
+            assert!(p.armed_at("panic", 1), "fires whenever workload 2 runs");
+        }
         assert!(!p.armed_at("hang", 1), "other sites unarmed");
     }
 
     #[test]
-    fn deterministic_fault_fires_on_every_retry() {
-        let p = FaultPlan::parse("hang:1").unwrap();
-        for _ in 0..10 {
-            assert!(p.armed_at("hang", 0));
-        }
-    }
-
-    #[test]
     fn should_fire_counts_hits_from_nth() {
-        let p = FaultPlan::parse("torn_write:3:2").unwrap();
+        let p = FaultPlan::parse("torn_write:3").unwrap();
         assert!(!p.should_fire("torn_write"), "hit 1 < nth");
         assert!(!p.should_fire("torn_write"), "hit 2 < nth");
-        assert!(p.should_fire("torn_write"), "hit 3 fires");
-        assert!(p.should_fire("torn_write"), "hit 4 fires (budget 2)");
-        assert!(!p.should_fire("torn_write"), "budget exhausted");
+        for hit in 3..10 {
+            assert!(p.should_fire("torn_write"), "hit {hit} fires");
+        }
+        assert!(!p.should_fire("kill"), "other sites unarmed");
     }
 }
