@@ -290,26 +290,6 @@ impl Ittage {
         }
     }
 
-    /// Copies `source`'s tables and state into this predictor's own
-    /// buffers, allocating nothing (UCP snapshots its Alt-Ind this way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two predictors' tables differ in size.
-    pub fn copy_from(&mut self, source: &Self) {
-        let Ittage {
-            params: _,
-            tables,
-            base,
-            lfsr,
-            updates,
-        } = source;
-        self.tables.copy_from_slice(tables);
-        self.base.copy_from_slice(base);
-        self.lfsr = *lfsr;
-        self.updates = *updates;
-    }
-
     /// Storage in bits (targets accounted as 24-bit compressed, as real
     /// implementations store region-relative targets).
     pub fn storage_bits(&self) -> u64 {

@@ -120,11 +120,6 @@ impl Backend {
         }
         retired
     }
-
-    /// The completion cycle of the oldest unfinished µ-op (for watchdogs).
-    pub fn head_complete(&self) -> Option<u64> {
-        self.rob.front().map(|e| e.complete)
-    }
 }
 
 sim_isa::state_fields!(Backend { rob, reg_avail } skip { cfg });

@@ -142,8 +142,8 @@ struct PredRecord {
     cp_ras: RasCheckpoint,
     scl: Option<SclPrediction>,
     itt: Option<IttagePrediction>,
-    alt_scl: AltPred<SclPrediction>,
-    alt_itt: AltPred<IttagePrediction>,
+    alt_scl: AltPred,
+    alt_itt: Option<IttagePrediction>,
     h2p_tage: bool,
     h2p_ucp: bool,
 }
@@ -842,15 +842,14 @@ impl<'p> Simulator<'p> {
         if rec.mispredicted {
             self.do_flush(&rec, id);
         }
-        // Alt-BP and Alt-Ind train after the flush, which closes their
-        // wrong-path windows: inside one, a training snapshots the
-        // predictor for the window's lazy records (DESIGN.md §11), and
-        // the flush discards them all.
+        // Alt-BP trains after the flush, which closes its wrong-path
+        // window: inside one, a training snapshots Alt-BP for the window's
+        // lazy records (DESIGN.md §11), and the flush discards them all.
         if let Some(ucp) = self.ucp.as_mut() {
             if let AltPred::Eager(alt) = &rec.alt_scl {
                 ucp.train_cond(rec.pc, alt, rec.actual_taken);
             }
-            if let AltPred::Eager(alt) = &rec.alt_itt {
+            if let Some(alt) = &rec.alt_itt {
                 ucp.train_indirect(rec.pc, alt, rec.actual_next);
             }
         }
@@ -1455,7 +1454,7 @@ impl<'p> Simulator<'p> {
                     scl = Some(p);
                     itt = None;
                     alt_scl = a_scl;
-                    alt_itt = AltPred::Absent;
+                    alt_itt = None;
                     h2p_t = h2p_tage_f;
                     h2p_u = h2p_ucp_f;
                     no_target = false;
@@ -1526,7 +1525,7 @@ impl<'p> Simulator<'p> {
                     scl = None;
                     itt = None;
                     alt_scl = AltPred::Absent;
-                    alt_itt = AltPred::Absent;
+                    alt_itt = None;
                     h2p_t = false;
                     h2p_u = false;
                 }
@@ -1538,14 +1537,14 @@ impl<'p> Simulator<'p> {
                     if btb_missed {
                         self.charge_resteer();
                     }
-                    let mut a_itt = AltPred::Absent;
+                    let mut a_itt = None;
                     match t {
                         Some(t) => {
                             if is_call {
                                 self.ras.push(pc.next_inst());
                             }
                             if let Some(ucp) = self.ucp.as_mut() {
-                                a_itt = ucp.on_indirect_predicted(pc, t, cur_pos.is_none());
+                                a_itt = ucp.on_indirect_predicted(pc, t);
                             }
                             push_target_history(&mut self.it_hist, t);
                             predicted_taken = true;
@@ -1909,7 +1908,7 @@ sim_isa::state_enum!(RecKind {
 /// hold only a write pointer: the histories they were taken on write and
 /// check their folds. With UCP, the mirror histories' checkpoints at the
 /// same pointers follow the RAS checkpoint, and the alternate predictions
-/// are written in full, derived if the record holds them lazily.
+/// are written in full, Alt-BP's derived if the record holds it lazily.
 impl PredRecord {
     /// `ucp` derives lazy predictions, so records must be saved oldest
     /// first.
@@ -1949,15 +1948,12 @@ impl PredRecord {
         it_hist.save_checkpoint(cp_it, w);
         cp_ras.save_state(w);
         w.put_bool(ucp.is_some());
-        let (alt_scl, alt_itt) = match ucp {
+        let alt_scl = match ucp {
             Some(ucp) => {
                 ucp.engine().save_checkpoints(cp_bp, cp_it, w);
-                (
-                    ucp.cond(alt_scl, *pc, cp_bp),
-                    ucp.indirect(alt_itt, *pc, cp_it),
-                )
+                ucp.cond(alt_scl, *pc, cp_bp)
             }
-            None => (None, None),
+            None => None,
         };
         scl.save_state(w);
         itt.save_state(w);
@@ -2015,10 +2011,9 @@ impl PredRecord {
         scl.restore_state(r);
         itt.restore_state(r);
         let mut a_scl: Option<SclPrediction> = None;
-        let mut a_itt: Option<IttagePrediction> = None;
         a_scl.restore_state(r);
-        a_itt.restore_state(r);
-        (*alt_scl, *alt_itt) = (a_scl.into(), a_itt.into());
+        *alt_scl = a_scl.into();
+        alt_itt.restore_state(r);
         h2p_tage.restore_state(r);
         h2p_ucp.restore_state(r);
     }

@@ -15,14 +15,14 @@
 //! Alt-Ind, or after 63 branch-free instructions.
 //!
 //! Alt-BP and Alt-Ind also predict every predicted-path branch, for
-//! training when it resolves. Wrong-path branches never resolve, so their
-//! predictions are not made when the branch is; a save derives them
-//! ([`LazyPredictions`], DESIGN.md §11).
+//! training when it resolves. Wrong-path branches never resolve, so
+//! Alt-BP's predictions for them are not made when the branch is; a save
+//! derives them ([`LazyPredictions`], DESIGN.md §11). Alt-Ind, which sees
+//! under 2% as many wrong-path branches, predicts every one eagerly.
 
 use crate::config::{ConfKind, UcpConfig};
 use crate::stats::UcpStats;
 use sim_isa::{Addr, BranchClass, State, StateReader, StateWriter};
-use std::cell::{RefCell, RefMut};
 use ucp_bpred::{
     push_target_history, ConfidenceEstimator, HistCheckpoint, HistoryState, Ittage, IttageParams,
     IttagePrediction, PathHistory, Provider, SclPrediction, SclPreset, TageConf, TageScL, UcpConf,
@@ -43,139 +43,56 @@ pub struct AltBlock {
     pub trigger: u64,
 }
 
-/// An alternate predictor's output for one branch record: made when the
+/// Alt-BP's output for one conditional branch record: made when the
 /// branch was predicted, or, for a wrong-path branch, derived when a save
 /// asks for it ([`LazyPredictions`]).
 #[derive(Clone, Copy, Debug, Default)]
-pub enum AltPred<P> {
-    /// No alternate prediction: UCP is off, or the branch is of another
-    /// kind.
+pub enum AltPred {
+    /// No Alt-BP prediction: UCP is off, or the branch is not conditional.
     #[default]
     Absent,
     /// Made when the branch was predicted.
-    Eager(P),
-    /// A wrong-path prediction not made: how many of its window's
+    Eager(SclPrediction),
+    /// A wrong-path prediction not made: how many of the window's
     /// trainings preceded it.
     Lazy(u32),
 }
 
-impl<P> From<Option<P>> for AltPred<P> {
-    fn from(p: Option<P>) -> Self {
+impl From<Option<SclPrediction>> for AltPred {
+    fn from(p: Option<SclPrediction>) -> Self {
         p.map_or(AltPred::Absent, AltPred::Eager)
     }
 }
 
-/// An alternate predictor whose trainings can be logged and replayed.
-trait Replay: Clone {
-    /// One training's arguments.
-    type Training: Copy + std::fmt::Debug;
-    fn train(&mut self, t: &Self::Training);
-    /// Copies `source` without allocating.
-    fn copy_from(&mut self, source: &Self);
-}
-
-impl Replay for TageScL {
-    type Training = (Addr, SclPrediction, bool);
-
-    fn train(&mut self, (pc, pred, taken): &Self::Training) {
-        self.update(*pc, pred, *taken);
-    }
-
-    fn copy_from(&mut self, source: &Self) {
-        TageScL::copy_from(self, source);
-    }
-}
-
-impl Replay for Ittage {
-    type Training = (Addr, IttagePrediction, Addr);
-
-    fn train(&mut self, (pc, pred, target): &Self::Training) {
-        self.update(*pc, pred, *target);
-    }
-
-    fn copy_from(&mut self, source: &Self) {
-        Ittage::copy_from(self, source);
-    }
-}
-
-/// Window logs are sized for the longest window seen over the quick suite
-/// (109 trainings), so that they do not grow mid-run.
+/// The log is sized for the longest window seen over the quick suite
+/// (109 trainings), so that it does not grow mid-run.
 const LOG_CAPACITY: usize = 128;
 
-/// A wrong-path window of one alternate predictor: from the first record
-/// predicted lazily on it to the pipeline flush that discards every such
-/// record. Trainings inside the window (of older, correct-path branches)
-/// change the predictor under those records, so the first snapshots it
-/// and each is logged. Every buffer lives as long as the engine: neither
-/// a window nor a save allocates.
+/// Alt-BP's wrong-path window: from the first record predicted lazily on
+/// it to the pipeline flush that discards every such record. Trainings
+/// inside the window (of older, correct-path branches) change Alt-BP
+/// under those records, so the first snapshots it and each is logged.
+/// Both buffers live as long as the engine: a window allocates nothing.
+/// Never serialized: restored records hold their predictions in full, so
+/// a restore closes the window.
 #[derive(Debug)]
-struct Window<P: Replay> {
+struct Window {
     /// A lazy record has been handed out since the last flush.
     open: bool,
-    /// The predictor before the window's first training.
-    snapshot: P,
-    /// The window's trainings, in order.
-    log: Vec<P::Training>,
-    /// The snapshot with a prefix of the log replayed, during a save.
-    scratch: RefCell<P>,
+    /// Alt-BP before the window's first training.
+    snapshot: TageScL,
+    /// The window's trainings, `(pc, prediction, taken)`, in order.
+    log: Vec<(Addr, SclPrediction, bool)>,
 }
 
-impl<P: Replay> Window<P> {
-    fn new(live: &P) -> Self {
-        Window {
-            open: false,
-            snapshot: live.clone(),
-            log: Vec::with_capacity(LOG_CAPACITY),
-            scratch: RefCell::new(live.clone()),
-        }
-    }
-
-    /// Opens the window (if closed) for a record predicted lazily now.
-    fn lazy<Q>(&mut self) -> AltPred<Q> {
-        self.open = true;
-        AltPred::Lazy(self.log.len() as u32)
-    }
-
-    /// Trains `live`, first logging the training if the window is open.
-    fn train(&mut self, live: &mut P, t: P::Training) {
-        if self.open {
-            if self.log.is_empty() {
-                self.snapshot.copy_from(live);
-            }
-            self.log.push(t);
-        }
-        live.train(&t);
-    }
-
+impl Window {
     fn close(&mut self) {
         self.open = false;
         self.log.clear();
     }
 }
 
-/// The Alt-BP and Alt-Ind wrong-path windows, and the mirror-history
-/// scratch a save restores to each lazy record's checkpoint. Never
-/// serialized: restored records hold predictions written out in full, so
-/// a restore closes both windows.
-#[derive(Debug)]
-struct Windows {
-    bp: Window<TageScL>,
-    /// Present with Alt-Ind.
-    ind: Option<Window<Ittage>>,
-    bp_hist: RefCell<HistoryState>,
-    ind_hist: RefCell<PathHistory>,
-}
-
-impl Windows {
-    fn close(&mut self) {
-        self.bp.close();
-        if let Some(ind) = &mut self.ind {
-            ind.close();
-        }
-    }
-}
-
-impl State for Windows {
+impl State for Window {
     fn save_state(&self, _: &mut StateWriter) {}
 
     fn restore_state(&mut self, _: &mut StateReader) {
@@ -183,65 +100,18 @@ impl State for Windows {
     }
 }
 
-/// Replays one window's log on its scratch predictor, records visited
-/// oldest first.
-struct Replayer<'a, P: Replay> {
-    window: &'a Window<P>,
-    scratch: RefMut<'a, P>,
-    /// Log entries applied to `scratch`; `None` until it is loaded with
-    /// the snapshot.
-    applied: Option<usize>,
-}
-
-impl<'a, P: Replay> Replayer<'a, P> {
-    fn new(window: &'a Window<P>) -> Self {
-        Replayer {
-            window,
-            scratch: window.scratch.borrow_mut(),
-            applied: None,
-        }
-    }
-
-    /// The predictor as it stood after `epoch` of the window's trainings;
-    /// `live` has had them all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch` is below one asked for before.
-    fn at<'s>(&'s mut self, live: &'s P, epoch: u32) -> &'s P {
-        let epoch = epoch as usize;
-        let log = &self.window.log;
-        if epoch == log.len() {
-            return live;
-        }
-        let from = match self.applied {
-            Some(applied) => {
-                assert!(applied <= epoch, "lazy records visited out of order");
-                applied
-            }
-            None => {
-                self.scratch.copy_from(&self.window.snapshot);
-                0
-            }
-        };
-        for t in &log[from..epoch] {
-            self.scratch.train(t);
-        }
-        self.applied = Some(epoch);
-        &self.scratch
-    }
-}
-
-/// Derives, when the engine is saved, the Alt-BP and Alt-Ind predictions
-/// it did not make for wrong-path records: the predictor of the record's
-/// epoch (snapshot plus replayed log) against the mirror history restored
-/// to the record's checkpoint. Records must be visited oldest first.
+/// Derives, when the engine is saved, the Alt-BP predictions it did not
+/// make for wrong-path records: Alt-BP as of the record's epoch (the
+/// window's snapshot with its log replayed up to the epoch) against the
+/// mirror history restored to the record's checkpoint. Records must be
+/// visited oldest first.
 pub struct LazyPredictions<'a> {
     engine: &'a UcpEngine,
-    bp: Replayer<'a, TageScL>,
-    ind: Option<Replayer<'a, Ittage>>,
-    bp_hist: RefMut<'a, HistoryState>,
-    ind_hist: RefMut<'a, PathHistory>,
+    /// The snapshot with a prefix of the log replayed, and the prefix's
+    /// length; made on first need.
+    replayed: Option<(TageScL, usize)>,
+    /// The mirror, restored to one record's checkpoint after another.
+    hist: Option<HistoryState>,
 }
 
 impl<'a> LazyPredictions<'a> {
@@ -252,47 +122,37 @@ impl<'a> LazyPredictions<'a> {
 
     /// The Alt-BP prediction of the conditional branch at `pc` whose
     /// main-history checkpoint is `cp`.
-    pub fn cond(
-        &mut self,
-        pred: &AltPred<SclPrediction>,
-        pc: Addr,
-        cp: &HistCheckpoint,
-    ) -> Option<SclPrediction> {
-        match *pred {
-            AltPred::Absent => None,
-            AltPred::Eager(p) => Some(p),
-            AltPred::Lazy(epoch) => {
-                self.bp_hist.clone_from(&self.engine.alt_bp_mirror);
-                self.bp_hist.restore(cp);
-                Some(
-                    self.bp
-                        .at(&self.engine.alt_bp, epoch)
-                        .predict(&self.bp_hist, pc),
-                )
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lazy record's epoch is below one asked for before.
+    pub fn cond(&mut self, pred: &AltPred, pc: Addr, cp: &HistCheckpoint) -> Option<SclPrediction> {
+        let epoch = match *pred {
+            AltPred::Absent => return None,
+            AltPred::Eager(p) => return Some(p),
+            AltPred::Lazy(epoch) => epoch as usize,
+        };
+        let engine = self.engine;
+        let log = &engine.window.log;
+        let bp = if epoch == log.len() {
+            &engine.alt_bp
+        } else {
+            let (bp, applied) = self
+                .replayed
+                .get_or_insert_with(|| (engine.window.snapshot.clone(), 0));
+            assert!(*applied <= epoch, "lazy records visited out of order");
+            for (pc, pred, taken) in &log[*applied..epoch] {
+                bp.update(*pc, pred, *taken);
             }
-        }
-    }
-
-    /// The Alt-Ind prediction of the indirect branch at `pc` whose
-    /// main-history checkpoint is `cp`.
-    pub fn indirect(
-        &mut self,
-        pred: &AltPred<IttagePrediction>,
-        pc: Addr,
-        cp: &HistCheckpoint,
-    ) -> Option<IttagePrediction> {
-        match *pred {
-            AltPred::Absent => None,
-            AltPred::Eager(p) => Some(p),
-            AltPred::Lazy(epoch) => {
-                let (Some(live), Some(ind)) = (&self.engine.alt_ind, &mut self.ind) else {
-                    panic!("a lazy Alt-Ind record needs Alt-Ind");
-                };
-                self.ind_hist.clone_from(&self.engine.alt_ind_mirror);
-                self.ind_hist.restore(cp);
-                Some(ind.at(live, epoch).predict(&self.ind_hist, pc))
-            }
-        }
+            *applied = epoch;
+            bp
+        };
+        // `restore` re-derives the fold registers, stale in the window.
+        let hist = self
+            .hist
+            .get_or_insert_with(|| engine.alt_bp_mirror.clone());
+        hist.restore(cp);
+        Some(bp.predict(hist, pc))
     }
 }
 
@@ -385,7 +245,7 @@ pub struct UcpEngine {
     /// Predicted-path GHR mirror for Alt-BP (§IV-C: "Alt-BP implements two
     /// GHRs"; the second is cloned per walk). Pushed in step with the
     /// main conditional history, so the main history's checkpoints serve
-    /// it too. Inside an open Alt-BP window its fold registers are stale
+    /// it too. Inside an open window its fold registers are stale
     /// (wrong-path pushes write only the buffer) until the flush that
     /// closes the window restores it.
     alt_bp_mirror: HistoryState,
@@ -395,7 +255,7 @@ pub struct UcpEngine {
     alt_ind_mirror: PathHistory,
     alt_ras: Ras,
     walk: Walk,
-    windows: Windows,
+    window: Window,
     alt_ftq: BoundedQueue<AltBlock>,
     l1i_pq: BoundedQueue<AltBlock>,
     pending: Vec<PendingPf>,
@@ -419,11 +279,10 @@ impl UcpEngine {
         // Without Alt-Ind the mirror is a placeholder that keeps the
         // checkpoint plumbing uniform.
         let alt_ind_mirror = PathHistory::new(&IttageParams::alt_4k().fold_specs());
-        let windows = Windows {
-            bp: Window::new(&alt_bp),
-            ind: alt_ind.as_ref().map(Window::new),
-            bp_hist: RefCell::new(alt_bp_mirror.clone()),
-            ind_hist: RefCell::new(alt_ind_mirror.clone()),
+        let window = Window {
+            open: false,
+            snapshot: alt_bp.clone(),
+            log: Vec::with_capacity(LOG_CAPACITY),
         };
         UcpEngine {
             walk: Walk {
@@ -436,7 +295,7 @@ impl UcpEngine {
             alt_ind,
             alt_ind_mirror,
             alt_ras: Ras::new(16),
-            windows,
+            window,
             alt_ftq: BoundedQueue::new(cfg.alt_ftq_entries),
             l1i_pq: BoundedQueue::new(8),
             pending: Vec::with_capacity(cfg.uop_mshr_entries),
@@ -472,13 +331,14 @@ impl UcpEngine {
         pc: Addr,
         predicted_taken: bool,
         wrong_path: bool,
-    ) -> AltPred<SclPrediction> {
+    ) -> AltPred {
         if wrong_path {
             self.alt_bp_mirror.push_unfolded(predicted_taken);
-            return self.windows.bp.lazy();
+            self.window.open = true;
+            return AltPred::Lazy(self.window.log.len() as u32);
         }
         debug_assert!(
-            !self.windows.bp.open,
+            !self.window.open,
             "a correct-path branch inside a wrong-path window"
         );
         let p = self.alt_bp.predict(&self.alt_bp_mirror, pc);
@@ -492,19 +352,12 @@ impl UcpEngine {
     }
 
     /// Mirrors an indirect branch's target push and returns the Alt-Ind
-    /// prediction for training at resolution, left to a save to derive on
-    /// the wrong path.
-    pub fn on_indirect_predicted(
-        &mut self,
-        pc: Addr,
-        target: Addr,
-        wrong_path: bool,
-    ) -> AltPred<IttagePrediction> {
-        let pred = match (&self.alt_ind, &mut self.windows.ind) {
-            (Some(_), Some(window)) if wrong_path => window.lazy(),
-            (Some(ind), _) => AltPred::Eager(ind.predict(&self.alt_ind_mirror, pc)),
-            _ => AltPred::Absent,
-        };
+    /// prediction for training at resolution.
+    pub fn on_indirect_predicted(&mut self, pc: Addr, target: Addr) -> Option<IttagePrediction> {
+        let pred = self
+            .alt_ind
+            .as_ref()
+            .map(|ind| ind.predict(&self.alt_ind_mirror, pc));
         self.on_taken_target(target);
         pred
     }
@@ -514,10 +367,8 @@ impl UcpEngine {
     pub fn lazy_predictions(&self) -> LazyPredictions<'_> {
         LazyPredictions {
             engine: self,
-            bp: Replayer::new(&self.windows.bp),
-            ind: self.windows.ind.as_ref().map(Replayer::new),
-            bp_hist: self.windows.bp_hist.borrow_mut(),
-            ind_hist: self.windows.ind_hist.borrow_mut(),
+            replayed: None,
+            hist: None,
         }
     }
 
@@ -559,8 +410,8 @@ impl UcpEngine {
 
     /// Restores the mirrors on a pipeline flush to the flushed record's
     /// main-history checkpoints `cp_bp` and `cp_it`, pushes the corrected
-    /// outcome, closes the wrong-path windows (the flush discards every
-    /// lazy record) and aborts any in-flight alternate work (the paper:
+    /// outcome, closes Alt-BP's wrong-path window (the flush discards
+    /// every lazy record) and aborts any in-flight alternate work (the paper:
     /// terminating the alternate path only requires flushing the Alt-FTQ).
     /// `bp_hist` and `it_hist` are the main histories, not yet restored.
     pub fn on_flush(
@@ -582,7 +433,7 @@ impl UcpEngine {
         );
         self.alt_bp_mirror.restore(cp_bp);
         self.alt_ind_mirror.restore(cp_it);
-        self.windows.close();
+        self.window.close();
         if let Some(t) = actual_cond {
             self.alt_bp_mirror.push(t);
         }
@@ -598,15 +449,23 @@ impl UcpEngine {
 
     // ---- training (called at branch resolution) ----
 
-    /// Trains Alt-BP with the resolved conditional outcome.
+    /// Trains Alt-BP with the resolved conditional outcome, first logging
+    /// the training if the window is open.
     pub fn train_cond(&mut self, pc: Addr, pred: &SclPrediction, taken: bool) {
-        self.windows.bp.train(&mut self.alt_bp, (pc, *pred, taken));
+        let window = &mut self.window;
+        if window.open {
+            if window.log.is_empty() {
+                window.snapshot.copy_from(&self.alt_bp);
+            }
+            window.log.push((pc, *pred, taken));
+        }
+        self.alt_bp.update(pc, pred, taken);
     }
 
     /// Trains Alt-Ind with the resolved indirect target.
     pub fn train_indirect(&mut self, pc: Addr, pred: &IttagePrediction, target: Addr) {
-        if let (Some(ind), Some(window)) = (&mut self.alt_ind, &mut self.windows.ind) {
-            window.train(ind, (pc, *pred, target));
+        if let Some(ind) = &mut self.alt_ind {
+            ind.update(pc, pred, target);
         }
     }
 
@@ -644,16 +503,12 @@ impl UcpEngine {
         }
         self.recent_triggers.push_back(self.trigger_seq);
         debug_assert!(
-            !self.windows.bp.open,
+            !self.window.open,
             "a trigger reads the mirror's fold registers, stale in a window"
         );
-        // Alternate GHR: copy the pre-H2P predicted-path history... the
-        // mirror already holds the history *including* the H2P branch's
-        // predicted outcome (pushed by on_cond_predicted). Clone it and
-        // flip the last outcome by re-pushing the opposite on a fresh copy:
-        // we instead clone the mirror and push the *opposite* outcome on
-        // top of the pre-branch state, which the caller guarantees by
-        // triggering before mirroring the predicted outcome.
+        // The caller triggers before the H2P branch's predicted outcome is
+        // mirrored, so the alternate GHR is the mirror plus the opposite
+        // outcome.
         self.walk.hist.clone_from(&self.alt_bp_mirror);
         self.walk.hist.push(!h2p_predicted_taken);
         self.walk.path_hist.clone_from(&self.alt_ind_mirror);
@@ -1012,7 +867,7 @@ impl UcpEngine {
 // Telemetry handles are rebound on attach, not checkpointed.
 sim_isa::state_fields!(UcpEngine {
     mark(0x7cb0), alt_bp, alt_bp_mirror, configured(alt_ind), alt_ind_mirror, alt_ras, walk,
-    windows, alt_ftq, l1i_pq, pending, decode_q, decode_progress, trigger_seq, recent_triggers, stats,
+    window, alt_ftq, l1i_pq, pending, decode_q, decode_progress, trigger_seq, recent_triggers, stats,
     mark(0x7cb1),
 } skip { cfg, tele });
 
@@ -1197,8 +1052,8 @@ mod tests {
         cp: HistCheckpoint,
         taken: bool,
         target: Addr,
-        scl: AltPred<SclPrediction>,
-        itt: AltPred<IttagePrediction>,
+        scl: AltPred,
+        itt: Option<IttagePrediction>,
         want: Vec<u8>,
     }
 
@@ -1220,26 +1075,21 @@ mod tests {
                 taken,
                 target: Addr::NULL,
                 scl,
-                itt: AltPred::Absent,
+                itt: None,
                 want,
             }
         }
 
-        fn indirect(
-            &mut self,
-            e: &mut UcpEngine,
-            pc: Addr,
-            target: Addr,
-            wrong_path: bool,
-        ) -> Pushed {
+        /// Alt-Ind predicts at push time on either path.
+        fn indirect(&mut self, e: &mut UcpEngine, pc: Addr, target: Addr) -> Pushed {
             let ind = e.alt_ind.clone().expect("Alt-Ind configured");
             let want = bytes(&Some(ind.predict(&self.it, pc)));
-            let cp = e.alt_ind_mirror.checkpoint();
-            let itt = e.on_indirect_predicted(pc, target, wrong_path);
+            let itt = e.on_indirect_predicted(pc, target);
+            assert_eq!(bytes(&itt), want, "Alt-Ind prediction at push time");
             push_target_history(&mut self.it, target);
             Pushed {
                 pc,
-                cp,
+                cp: HistCheckpoint::default(),
                 taken: true,
                 target,
                 scl: AltPred::Absent,
@@ -1253,7 +1103,7 @@ mod tests {
     fn train(e: &mut UcpEngine, r: &Pushed) {
         match (&r.scl, &r.itt) {
             (AltPred::Eager(p), _) => e.train_cond(r.pc, p, r.taken),
-            (_, AltPred::Eager(p)) => e.train_indirect(r.pc, p, r.target),
+            (_, Some(p)) => e.train_indirect(r.pc, p, r.target),
             _ => panic!("only correct-path records train"),
         }
     }
@@ -1263,8 +1113,8 @@ mod tests {
         let mut lazy = e.lazy_predictions();
         recs.iter()
             .map(|r| match r.itt {
-                AltPred::Absent => bytes(&lazy.cond(&r.scl, r.pc, &r.cp)),
-                _ => bytes(&lazy.indirect(&r.itt, r.pc, &r.cp)),
+                None => bytes(&lazy.cond(&r.scl, r.pc, &r.cp)),
+                Some(_) => bytes(&r.itt),
             })
             .collect()
     }
@@ -1299,7 +1149,7 @@ mod tests {
             let pc = Addr::new(0x1000 + (r >> 8) % 16 * 4);
             if i % 4 == 3 {
                 let target = Addr::new(0x8000 + (r >> 20) % 4 * 0x40);
-                twins.indirect(e, pc, target, wrong_path)
+                twins.indirect(e, pc, target)
             } else {
                 twins.cond(e, pc, r & 3 != 0, wrong_path)
             }
@@ -1330,13 +1180,12 @@ mod tests {
             }
             assert_eq!(derived(&e, &wrong), wants(&wrong), "push {i}");
         }
-        // Both predictors trained under lazy records.
+        // Alt-BP trained under lazy records, and wrong-path indirects hold
+        // their Alt-Ind predictions.
         assert!(wrong
             .iter()
             .any(|r| matches!(r.scl, AltPred::Lazy(n) if n > 0)));
-        assert!(wrong
-            .iter()
-            .any(|r| matches!(r.itt, AltPred::Lazy(n) if n > 0)));
+        assert!(wrong.iter().any(|r| r.itt.is_some()));
 
         // 3. A save in the middle of the window; the run goes on past it
         // (more pushes and trainings), then is rewound to it by a restore
@@ -1359,17 +1208,12 @@ mod tests {
         twins.it.restore(&twin_it);
         for (r, b) in wrong.iter_mut().zip(written) {
             let mut rd = StateReader::new(&b);
-            match r.itt {
-                AltPred::Absent => {
-                    let mut p: Option<SclPrediction> = None;
-                    p.restore_state(&mut rd);
-                    r.scl = p.into();
-                }
-                _ => {
-                    let mut p: Option<IttagePrediction> = None;
-                    p.restore_state(&mut rd);
-                    r.itt = p.into();
-                }
+            if r.itt.is_some() {
+                r.itt.restore_state(&mut rd);
+            } else {
+                let mut p: Option<SclPrediction> = None;
+                p.restore_state(&mut rd);
+                r.scl = p.into();
             }
         }
         for i in 40..80 {
@@ -1394,13 +1238,13 @@ mod tests {
         twins.bp.restore(&cp_bp);
         twins.bp.push(false);
         twins.it.restore(&cp_it);
-        assert!(!e.windows.bp.open && e.windows.bp.log.is_empty());
+        assert!(!e.window.open && e.window.log.is_empty());
         for i in 0..twins.bp.num_folds() {
             assert_eq!(e.alt_bp_mirror.folded(i), twins.bp.folded(i), "fold {i}");
         }
         for i in 0..40 {
             let r = push(&mut e, &mut twins, i, false);
-            assert!(!matches!(r.scl, AltPred::Lazy(_)) && !matches!(r.itt, AltPred::Lazy(_)));
+            assert!(!matches!(r.scl, AltPred::Lazy(_)));
             let one = std::slice::from_ref(&r);
             assert_eq!(derived(&e, one), wants(one));
             train(&mut e, &r);

@@ -85,11 +85,6 @@ impl Dram {
         done
     }
 
-    /// Total accesses served.
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
     /// Fraction of accesses that hit an open row.
     pub fn row_hit_rate(&self) -> f64 {
         if self.accesses == 0 {

@@ -369,26 +369,6 @@ impl Hierarchy {
     pub fn l1i_stats(&self) -> &crate::cache::CacheStats {
         self.l1i.stats()
     }
-
-    /// L1D statistics.
-    pub fn l1d_stats(&self) -> &crate::cache::CacheStats {
-        self.l1d.stats()
-    }
-
-    /// L2 statistics.
-    pub fn l2_stats(&self) -> &crate::cache::CacheStats {
-        self.l2.stats()
-    }
-
-    /// LLC statistics.
-    pub fn llc_stats(&self) -> &crate::cache::CacheStats {
-        self.llc.stats()
-    }
-
-    /// DRAM accesses served.
-    pub fn dram_accesses(&self) -> u64 {
-        self.dram.accesses()
-    }
 }
 
 // Telemetry handles are rebound by `attach_telemetry`, not checkpointed.
