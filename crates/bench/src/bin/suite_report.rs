@@ -79,11 +79,7 @@ fn main() {
         "\naggregate telemetry (UCP config, {} workloads):",
         results.len()
     );
-    if total.is_empty() {
-        println!("  (empty — cache predates telemetry; rerun with UCP_NO_CACHE=1)");
-    } else {
-        print!("{}", snapshot_table(&total));
-    }
+    print!("{}", snapshot_table(&total));
 
     // Cycle accounting: where each configuration's frontend cycles go, per
     // workload — UCP should shift share out of l1i_miss/resteer relative

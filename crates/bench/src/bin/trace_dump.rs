@@ -17,11 +17,15 @@
 //!   chart. Ignored for `.jsonl` output.
 //!
 //! Knobs: `UCP_TRACE` selects categories (default `all` here — unlike
-//! the other binaries, this tool exists to trace); `UCP_TRACE_BUF` sets
-//! the ring-buffer capacity; `UCP_SIM_WARMUP` / `UCP_SIM_INSTRUCTIONS`
-//! override run lengths; the other simulator knobs apply as usual.
+//! the other binaries, this tool exists to trace); `UCP_FIG_PROFILE`
+//! picks the suite and the run lengths, as for the figure binaries
+//! (`quick`: 0.2 M warm-up + 0.8 M measured instructions); the other
+//! simulator knobs apply as usual. The trace ring holds the newest
+//! `DEFAULT_TRACE_CAPACITY` (65 536) events; the summary line reports how
+//! many older ones it dropped.
 
 use ucp_core::{SimConfig, Simulator};
+use ucp_telemetry::interval::DEFAULT_INTERVAL_CAPACITY;
 use ucp_telemetry::{
     snapshot_table, to_chrome_trace, to_chrome_trace_with_counters, to_jsonl, CategorySet,
     IntervalSampler,
@@ -31,7 +35,8 @@ fn main() {
     let mut knobs = ucp_bench::env_knobs();
     knobs.trace = Some(knobs.trace.unwrap_or_else(CategorySet::all));
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let suite = knobs.profile().suite();
+    let profile = knobs.profile();
+    let suite = profile.suite();
     if args.iter().any(|a| a == "--list" || a == "-l") {
         for s in &suite {
             println!("{}", s.name);
@@ -57,7 +62,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "target/ucp-trace.json".to_string());
 
-    let (warmup, measure) = knobs.run_lengths(0.2);
+    let (warmup, measure) = profile.lengths();
     let cfg = SimConfig::ucp();
     let prog = spec.build();
     let mut sim = Simulator::with_knobs(&prog, spec.seed, &cfg, &knobs);
@@ -65,7 +70,10 @@ fn main() {
     if counters {
         // ~200 samples over the measured window even on short runs
         // (cycles ≈ instructions at IPC ≈ 1).
-        sim.set_interval_sampling(Some(IntervalSampler::new((measure / 200).max(100), 4096)));
+        sim.set_interval_sampling(Some(IntervalSampler::new(
+            (measure / 200).max(100),
+            DEFAULT_INTERVAL_CAPACITY,
+        )));
     }
     let out = sim.run_full(warmup, measure).unwrap_or_else(|e| {
         eprintln!("error: {e}");

@@ -27,19 +27,17 @@ fn config_named(name: &str) -> Option<(String, SimConfig)> {
     }
 }
 
+/// The suite table and per-workload lines; just the header when no
+/// workload finished (the caller's `DEGRADED` line says why).
 fn report(title: &str, results: &[RunResult]) -> String {
-    let agg = suite_breakdown(results);
     let mut out = format!("=== {title}: {} workloads ===\n", results.len());
-    if agg.is_empty() {
-        out += "  (no accounting data — cache predates cycle accounting; \
-                rerun with UCP_NO_CACHE=1)\n";
+    if results.is_empty() {
         return out;
     }
-    out += &agg.table();
+    out += &suite_breakdown(results).table();
     out += "\n  per-workload dominant category:\n";
     let mut rows: Vec<(String, f64, &'static str, f64)> = results
         .iter()
-        .filter(|r| !r.telemetry.is_empty())
         .map(|r| {
             let b = AccountingBreakdown::from_snapshot(&r.telemetry);
             let (top, cycles) = b.sorted()[0];

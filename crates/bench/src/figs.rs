@@ -602,7 +602,7 @@ pub fn timeseries(knobs: &Knobs) -> String {
         let mut records = 0usize;
         for r in results.iter() {
             if r.intervals.is_empty() {
-                continue; // cached before sampling existed, or sampling off
+                continue; // sampling off
             }
             let path = dir.join(format!("{}.csv", r.workload));
             if std::fs::write(&path, intervals_to_csv(&r.intervals)).is_ok() {

@@ -170,9 +170,7 @@ pub fn cached_suite_run(cfg: &SimConfig, knobs: &Knobs) -> SuiteRun {
 }
 
 /// Sums the per-workload telemetry snapshots of a result set into one
-/// suite-wide [`ucp_telemetry::RegistrySnapshot`]. Empty when every result
-/// came from a cache written before telemetry existed — rerun with
-/// `UCP_NO_CACHE=1` to repopulate.
+/// suite-wide [`ucp_telemetry::RegistrySnapshot`].
 pub fn merged_telemetry(results: &[RunResult]) -> ucp_telemetry::RegistrySnapshot {
     let mut total = ucp_telemetry::RegistrySnapshot::default();
     for r in results {
@@ -182,8 +180,7 @@ pub fn merged_telemetry(results: &[RunResult]) -> ucp_telemetry::RegistrySnapsho
 }
 
 /// Suite-wide cycle-accounting breakdown: the per-workload accounting
-/// counters summed, then decoded. Empty (all-zero) when the results carry
-/// no telemetry.
+/// counters summed, then decoded.
 pub fn suite_breakdown(results: &[RunResult]) -> AccountingBreakdown {
     AccountingBreakdown::from_snapshot(&merged_telemetry(results))
 }
@@ -191,14 +188,10 @@ pub fn suite_breakdown(results: &[RunResult]) -> AccountingBreakdown {
 /// Checks the cycle-accounting invariant on every result: the per-category
 /// cycles must sum to the accounting total, which must equal the measured
 /// cycle count. Returns one message per violating workload (empty = all
-/// good). Results without telemetry (pre-accounting caches) are skipped —
-/// there is nothing to check.
+/// good).
 pub fn check_accounting(results: &[RunResult]) -> Vec<String> {
     let mut bad = Vec::new();
     for r in results {
-        if r.telemetry.is_empty() {
-            continue;
-        }
         let b = AccountingBreakdown::from_snapshot(&r.telemetry);
         if let Err(e) = b.verify() {
             bad.push(format!("{}: {e}", r.workload));
@@ -219,11 +212,6 @@ pub fn check_accounting(results: &[RunResult]) -> Vec<String> {
 pub fn stall_breakdown_table(results: &[RunResult]) -> String {
     use ucp_telemetry::CycleCause;
     let agg = suite_breakdown(results);
-    if agg.is_empty() {
-        return "  (no accounting data — cache predates cycle accounting; \
-                rerun with UCP_NO_CACHE=1)\n"
-            .to_string();
-    }
     let order: Vec<CycleCause> = agg.sorted().into_iter().map(|(c, _)| c).collect();
     let mut out = format!("  {:<10}", "workload");
     for c in &order {
@@ -240,9 +228,6 @@ pub fn stall_breakdown_table(results: &[RunResult]) -> String {
     };
     for r in results {
         let b = AccountingBreakdown::from_snapshot(&r.telemetry);
-        if b.is_empty() {
-            continue;
-        }
         out += &row(&r.workload, &b);
     }
     out += &row("ALL", &agg);
@@ -369,19 +354,18 @@ mod tests {
     #[test]
     fn check_accounting_flags_mismatches_only() {
         let good = result_with_accounting("good", 10, 7, 3);
-        let bad = result_with_accounting("bad", 11, 7, 3); // total != cycles
-        let legacy = RunResult {
-            workload: "legacy".into(),
-            stats: ucp_core::SimStats::default(),
+        // Accounting total != measured cycles.
+        let bad = result_with_accounting("bad", 11, 7, 3);
+        // Measured cycles but no accounting counters: nothing tiles them.
+        let empty = RunResult {
             telemetry: ucp_telemetry::RegistrySnapshot::default(),
-            intervals: Vec::new(),
-            digests: Vec::new(),
-            knobs: Default::default(),
+            ..result_with_accounting("empty", 10, 0, 0)
         };
-        assert!(check_accounting(&[good.clone(), legacy]).is_empty());
-        let msgs = check_accounting(&[good, bad]);
-        assert_eq!(msgs.len(), 1);
+        assert!(check_accounting(std::slice::from_ref(&good)).is_empty());
+        let msgs = check_accounting(&[good, bad, empty]);
+        assert_eq!(msgs.len(), 2, "{msgs:?}");
         assert!(msgs[0].starts_with("bad:"), "{msgs:?}");
+        assert!(msgs[1].starts_with("empty:"), "{msgs:?}");
     }
 
     #[test]

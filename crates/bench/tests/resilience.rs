@@ -190,9 +190,10 @@ fn killed_run_leaves_one_checkpoint_directory_per_workload() {
         names
     };
     let cfg_json = serde_json::to_string(&SimConfig::baseline()).unwrap();
+    let interval = killing.interval.unwrap_or(0);
     let mut own_seeds: Vec<String> = s
         .iter()
-        .map(|w| run_slug(&w.name, w.seed, &cfg_json, WARMUP, MEASURE))
+        .map(|w| run_slug(&w.name, w.seed, &cfg_json, WARMUP, MEASURE, interval))
         .collect();
     own_seeds.sort();
     assert_eq!(run_dirs(), own_seeds, "one directory per workload");
@@ -207,6 +208,58 @@ fn killed_run_leaves_one_checkpoint_directory_per_workload() {
     assert!(resumed.is_complete());
     assert!(run_dirs().is_empty(), "a completed resume leaves no run");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint holds the interval sampler's state, so a run resumes only
+/// checkpoints taken under its own sampling interval: killed under one
+/// interval and re-run under another (or with sampling off), every
+/// workload starts fresh, finishes with the results of an uninterrupted
+/// run under the new interval, and leaves the killed run's checkpoints
+/// for a re-run under the old one.
+#[test]
+fn checkpoints_resume_only_under_their_own_sampling_interval() {
+    let s = suite(2);
+    for (killed_under, resumed_under) in [("1000", "3000"), ("3000", "off")] {
+        let dir = tmpdir(&format!("ckpt-iv-{killed_under}-{resumed_under}"));
+        let ckpt_dir = dir.join("ckpt");
+        let under = |interval: &str, fault: &str| Knobs {
+            ckpt: Some(CheckpointPolicy {
+                every: 5_000,
+                keep: 3,
+            }),
+            ckpt_dir: ckpt_dir.clone(),
+            ..Knobs::parse(|name| match name {
+                "UCP_RESULT_DIR" => Some(dir.display().to_string()),
+                "UCP_NO_CACHE" => Some("1".to_string()),
+                "UCP_INTERVAL" => Some(interval.to_string()),
+                "UCP_FAULT" => Some(fault.to_string()),
+                _ => None,
+            })
+            .expect("valid knobs")
+        };
+        let what =
+            format!("killed under UCP_INTERVAL={killed_under}, resumed under {resumed_under}");
+        let killed = run(&s, &under(killed_under, "kill:2"));
+        assert_eq!(killed.marker().as_deref(), Some("DEGRADED (0/2)"), "{what}");
+        let left_behind = files_matching(&ckpt_dir, "-");
+        assert_eq!(
+            left_behind.len(),
+            2,
+            "{what}: one run directory per workload"
+        );
+
+        let resumed = run(&s, &under(resumed_under, ""));
+        assert!(resumed.is_complete(), "{what}: {:?}", resumed.failures);
+        let uninterrupted = Knobs {
+            ckpt: None,
+            ..under(resumed_under, "")
+        };
+        assert_same_results(&resumed, &run(&s, &uninterrupted), &what);
+        for p in &left_behind {
+            assert!(p.exists(), "{what}: {} kept", p.display());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// An injected hang is terminated by the watchdog with a structured
@@ -252,8 +305,9 @@ fn injected_invariant_violation_is_structured() {
 }
 
 /// Cache-corruption matrix: a torn write, a truncated file, a stale model
-/// version and another workload's result are each quarantined, and only
-/// the damaged workload is regenerated.
+/// version, another workload's result and a well-formed entry missing a
+/// field are each quarantined, and only the damaged workload is
+/// regenerated.
 #[test]
 fn corrupt_cache_entries_quarantine_and_regenerate() {
     let dir = tmpdir("corrupt");
@@ -264,8 +318,14 @@ fn corrupt_cache_entries_quarantine_and_regenerate() {
     let intact = read_envelope(&entry, MODEL_VERSION).unwrap();
     let other = read_envelope(&entry_of(&dir, "w1"), MODEL_VERSION).unwrap();
     let torn = FaultPlan::parse("torn_write:1").unwrap();
+    let mut no_telemetry = serde_json::parse_value(&intact).unwrap();
+    if let serde_json::Value::Map(fields) = &mut no_telemetry {
+        fields.retain(|(k, _)| k != "telemetry");
+    }
+    let no_telemetry = serde_json::to_string(&no_telemetry).unwrap();
+    assert_ne!(no_telemetry, intact);
 
-    let corruptions: [(&str, &dyn Fn()); 4] = [
+    let corruptions: [(&str, &dyn Fn()); 5] = [
         ("torn write", &|| {
             write_envelope(&entry, MODEL_VERSION, &[intact.as_bytes()], Some(&torn)).unwrap()
         }),
@@ -278,6 +338,9 @@ fn corrupt_cache_entries_quarantine_and_regenerate() {
         }),
         ("wrong workload", &|| {
             write_envelope(&entry, MODEL_VERSION, &[other.as_bytes()], None).unwrap()
+        }),
+        ("missing telemetry", &|| {
+            write_envelope(&entry, MODEL_VERSION, &[no_telemetry.as_bytes()], None).unwrap()
         }),
     ];
     for (i, (what, corrupt)) in corruptions.iter().enumerate() {

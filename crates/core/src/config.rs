@@ -6,7 +6,6 @@ use serde::{Deserialize, Serialize};
 use ucp_bpred::SclPreset;
 use ucp_frontend::{BtbConfig, UopCacheConfig};
 use ucp_mem::HierarchyConfig;
-use ucp_prefetch::InstPrefetcher as _;
 
 /// How the µ-op cache is modelled.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -307,14 +306,9 @@ impl SimConfig {
                     ucp_bpred::Ittage::new(ucp_bpred::IttageParams::alt_4k()).storage_bits() as f64;
             }
         }
-        bits += match self.prefetcher {
-            PrefetcherKind::None => 0,
-            PrefetcherKind::FnlMma => ucp_prefetch::FnlMma::new(false).storage_bits(),
-            PrefetcherKind::FnlMmaPlusPlus => ucp_prefetch::FnlMma::new(true).storage_bits(),
-            PrefetcherKind::DJolt => ucp_prefetch::DJolt::new().storage_bits(),
-            PrefetcherKind::Ep => ucp_prefetch::Entangling::new(false).storage_bits(),
-            PrefetcherKind::EpPlusPlus => ucp_prefetch::Entangling::new(true).storage_bits(),
-        } as f64;
+        bits += ucp_prefetch::by_name(self.prefetcher.name())
+            .expect("every PrefetcherKind has a name")
+            .storage_bits() as f64;
         if let Some(entries) = self.mrc_entries {
             bits += ucp_prefetch::Mrc::new(entries).storage_bits() as f64;
         }

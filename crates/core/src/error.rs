@@ -45,9 +45,7 @@ pub struct DiagSnapshot {
     pub rob_occupancy: usize,
     /// Cycle-accounting breakdown over the whole run so far.
     pub accounting: AccountingBreakdown,
-    /// FNV-1a digest of the full serialized machine state at capture time
-    /// (0 in reports written before checkpointing existed).
-    #[serde(default)]
+    /// FNV-1a digest of the full serialized machine state at capture time.
     pub state_digest: u64,
 }
 
@@ -74,10 +72,7 @@ impl fmt::Display for DiagSnapshot {
         if self.pending_mispredict {
             write!(f, " pending-mispredict")?;
         }
-        if self.state_digest != 0 {
-            write!(f, " digest {:#018x}", self.state_digest)?;
-        }
-        Ok(())
+        write!(f, " digest {:#018x}", self.state_digest)
     }
 }
 

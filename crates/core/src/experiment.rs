@@ -20,14 +20,6 @@ use ucp_telemetry::interval::IntervalRecord;
 use ucp_telemetry::RegistrySnapshot;
 use ucp_workloads::WorkloadSpec;
 
-/// Default warm-up instructions per run (the paper uses 50 M on 100 M-inst
-/// traces; synthetic workloads reach steady state much sooner — see
-/// DESIGN.md §1).
-pub const DEFAULT_WARMUP: u64 = 1_000_000;
-
-/// Default measured instructions per run.
-pub const DEFAULT_MEASURE: u64 = 4_000_000;
-
 /// Per-workload persistence hook for [`run_suite_outcome`]: invoked from
 /// the worker thread with the workload's suite index and result as soon
 /// as it completes.
@@ -40,23 +32,16 @@ pub struct RunResult {
     pub workload: String,
     /// Collected statistics.
     pub stats: SimStats,
-    /// Telemetry counters over the measurement window. Empty for results
-    /// deserialized from caches written before telemetry existed
-    /// (`#[serde(default)]` keeps those readable).
-    #[serde(default)]
+    /// Telemetry counters over the measurement window.
     pub telemetry: RegistrySnapshot,
     /// Interval time series over the measurement window (empty when
-    /// sampling was off, or for results cached before it existed).
-    #[serde(default)]
+    /// sampling was off).
     pub intervals: Vec<IntervalRecord>,
     /// Determinism-auditor digest samples (empty unless `UCP_DIGEST` was
-    /// set, or for results cached before the auditor existed).
-    #[serde(default)]
+    /// set).
     pub digests: Vec<DigestRecord>,
     /// The run's manifest: the [`Knobs::to_env`] map of the knobs it ran
-    /// under, in environment syntax. Empty (unknown, not the defaults)
-    /// for results cached before manifests existed.
-    #[serde(default)]
+    /// under, in environment syntax.
     pub knobs: BTreeMap<String, String>,
 }
 
@@ -241,22 +226,6 @@ pub fn run_suite_outcome(
     run
 }
 
-/// Runs `cfg` over every workload in `suite`, returning the results only
-/// if every workload completed.
-///
-/// # Errors
-///
-/// The first per-workload failure.
-pub fn run_suite(
-    suite: &[WorkloadSpec],
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    knobs: &Knobs,
-) -> Result<Vec<RunResult>, SimError> {
-    run_suite_outcome(suite, cfg, warmup, measure, knobs, Vec::new(), None).into_results()
-}
-
 /// The first interval at which a replayed run's state digest stopped
 /// matching the recorded run's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -396,7 +365,9 @@ mod tests {
     use ucp_workloads::WorkloadSpec;
 
     fn suite_ok(suite: &[WorkloadSpec], cfg: &SimConfig, w: u64, m: u64) -> Vec<RunResult> {
-        run_suite(suite, cfg, w, m, &Knobs::default()).expect("suite run failed")
+        run_suite_outcome(suite, cfg, w, m, &Knobs::default(), Vec::new(), None)
+            .into_results()
+            .expect("suite run failed")
     }
 
     #[test]
@@ -450,29 +421,6 @@ mod tests {
         assert!(!r[0].intervals.is_empty());
         let sampled: u64 = r[0].intervals.iter().map(|iv| iv.cycles()).sum();
         assert_eq!(sampled, r[0].stats.cycles, "intervals tile the window");
-    }
-
-    #[test]
-    fn legacy_results_deserialize_without_telemetry() {
-        // A cache entry written before RunResult.telemetry existed.
-        let stats = SimStats::default();
-        let mut v = serde_json::to_value(&RunResult {
-            workload: "w".into(),
-            stats,
-            telemetry: RegistrySnapshot::default(),
-            intervals: Vec::new(),
-            digests: Vec::new(),
-            knobs: BTreeMap::new(),
-        })
-        .unwrap();
-        if let serde_json::Value::Map(entries) = &mut v {
-            entries
-                .retain(|(k, _)| !["telemetry", "intervals", "digests", "knobs"].contains(&&**k));
-        }
-        let back: RunResult = serde_json::from_value(v).unwrap();
-        assert!(back.telemetry.is_empty());
-        assert!(back.intervals.is_empty());
-        assert!(back.knobs.is_empty(), "an old entry's manifest is unknown");
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! README "Knobs" is the table of names, syntax and defaults.
 
 use crate::error::DEFAULT_WATCHDOG_CYCLES;
-use crate::experiment::{DEFAULT_MEASURE, DEFAULT_WARMUP};
 use crate::snapshot::{CheckpointPolicy, DEFAULT_CKPT_KEEP};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -26,7 +25,8 @@ use ucp_telemetry::{CategorySet, FaultPlan, IntervalSampler, Telemetry};
 use ucp_workloads::suite::{quick_suite, workload_suite};
 use ucp_workloads::WorkloadSpec;
 
-/// Simulation volume profile of the figure harnesses (`UCP_FIG_PROFILE`).
+/// Simulation volume profile of the figure harnesses and `trace_dump`
+/// (`UCP_FIG_PROFILE`): the one source of run lengths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Profile {
     /// 8 workloads × (0.2 M + 0.8 M) instructions.
@@ -87,26 +87,17 @@ impl Profile {
 /// default, except where a field says otherwise.
 #[derive(Clone, Debug)]
 pub struct Knobs {
-    /// `UCP_FIG_PROFILE`: figure-harness profile (`None`: unset, which
-    /// [`Knobs::profile`] reads as `std`).
+    /// `UCP_FIG_PROFILE`: suite and run-length profile (`None`: unset,
+    /// which [`Knobs::profile`] reads as `std`).
     pub fig_profile: Option<Profile>,
-    /// `UCP_SIM_WARMUP`: warm-up override for [`Knobs::run_lengths`].
-    pub sim_warmup: Option<u64>,
-    /// `UCP_SIM_INSTRUCTIONS`: measured-length override for
-    /// [`Knobs::run_lengths`].
-    pub sim_instructions: Option<u64>,
     /// `UCP_RESULT_DIR`: result-cache directory, taken verbatim.
     pub result_dir: PathBuf,
     /// `UCP_NO_CACHE`: set to any value, even empty, to bypass the cache.
     pub no_cache: bool,
     /// `UCP_INTERVAL`: cycles per interval sample (`None`: sampling off).
     pub interval: Option<u64>,
-    /// `UCP_INTERVAL_BUF`: interval ring capacity in records.
-    pub interval_buf: usize,
     /// `UCP_TRACE`: traced event categories (`None`: tracing off).
     pub trace: Option<CategorySet>,
-    /// `UCP_TRACE_BUF`: trace ring capacity in events.
-    pub trace_buf: usize,
     /// `UCP_WATCHDOG`: hang window in cycles (`None`: watchdog off).
     pub watchdog: Option<u64>,
     /// `UCP_DIGEST`: determinism-auditor cadence in committed
@@ -125,14 +116,10 @@ impl Default for Knobs {
     fn default() -> Self {
         Knobs {
             fig_profile: None,
-            sim_warmup: None,
-            sim_instructions: None,
             result_dir: PathBuf::from("target/ucp-results"),
             no_cache: false,
             interval: Some(DEFAULT_INTERVAL_CYCLES),
-            interval_buf: DEFAULT_INTERVAL_CAPACITY,
             trace: None,
-            trace_buf: DEFAULT_TRACE_CAPACITY,
             watchdog: Some(DEFAULT_WATCHDOG_CYCLES),
             digest: None,
             ckpt: None,
@@ -153,11 +140,6 @@ fn count_or_off(name: &str, s: &str, what: &str) -> Result<Option<u64>, String> 
             "{name}=`{s}` is not {what}; expected an integer, `0`, or `off`"
         )),
     }
-}
-
-fn integer<T: std::str::FromStr>(name: &str, s: &str, what: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("{name}=`{s}` is not {what}; expected an integer"))
 }
 
 fn ckpt_policy(s: &str) -> Result<Option<CheckpointPolicy>, String> {
@@ -219,12 +201,6 @@ impl Knobs {
         if let Some(s) = get("UCP_FIG_PROFILE") {
             k.fig_profile = Some(Profile::parse(&s)?);
         }
-        if let Some(s) = get("UCP_SIM_WARMUP") {
-            k.sim_warmup = Some(integer("UCP_SIM_WARMUP", &s, "an instruction count")?);
-        }
-        if let Some(s) = get("UCP_SIM_INSTRUCTIONS") {
-            k.sim_instructions = Some(integer("UCP_SIM_INSTRUCTIONS", &s, "an instruction count")?);
-        }
         if let Some(s) = lookup("UCP_RESULT_DIR") {
             k.result_dir = PathBuf::from(s);
         }
@@ -232,15 +208,9 @@ impl Knobs {
         if let Some(s) = get("UCP_INTERVAL") {
             k.interval = count_or_off("UCP_INTERVAL", &s, "a cycle count")?;
         }
-        if let Some(s) = get("UCP_INTERVAL_BUF") {
-            k.interval_buf = integer("UCP_INTERVAL_BUF", &s, "a record count")?;
-        }
         if let Some(s) = get("UCP_TRACE") {
             let set = CategorySet::parse(&s).map_err(|e| format!("UCP_TRACE=`{s}`: {e}"))?;
             k.trace = Some(set);
-        }
-        if let Some(s) = get("UCP_TRACE_BUF") {
-            k.trace_buf = integer("UCP_TRACE_BUF", &s, "an event count")?;
         }
         if let Some(s) = get("UCP_WATCHDOG") {
             k.watchdog = count_or_off("UCP_WATCHDOG", &s, "a cycle count")?;
@@ -262,8 +232,8 @@ impl Knobs {
     }
 
     /// The knobs in environment syntax: each knob's effective value,
-    /// leaving out those unset with no default (profile, run-length
-    /// overrides, no-cache, trace, fault plan), so [`Knobs::parse`] of
+    /// leaving out those unset with no default (profile, no-cache, trace,
+    /// fault plan), so [`Knobs::parse`] of
     /// this map rebuilds an equivalent value (paths as UTF-8, lossily).
     pub fn to_env(&self) -> BTreeMap<String, String> {
         let mut env = BTreeMap::new();
@@ -272,22 +242,14 @@ impl Knobs {
         if let Some(p) = self.fig_profile {
             set("UCP_FIG_PROFILE", p.tag().to_string());
         }
-        if let Some(n) = self.sim_warmup {
-            set("UCP_SIM_WARMUP", n.to_string());
-        }
-        if let Some(n) = self.sim_instructions {
-            set("UCP_SIM_INSTRUCTIONS", n.to_string());
-        }
         set("UCP_RESULT_DIR", self.result_dir.display().to_string());
         if self.no_cache {
             set("UCP_NO_CACHE", "1".to_string());
         }
         set("UCP_INTERVAL", off(self.interval));
-        set("UCP_INTERVAL_BUF", self.interval_buf.to_string());
         if let Some(categories) = self.trace {
             set("UCP_TRACE", categories.to_string());
         }
-        set("UCP_TRACE_BUF", self.trace_buf.to_string());
         set("UCP_WATCHDOG", off(self.watchdog));
         set("UCP_DIGEST", off(self.digest));
         let ckpt = self.ckpt.map(|p| format!("{}:{}", p.every, p.keep));
@@ -304,31 +266,20 @@ impl Knobs {
         self.fig_profile.unwrap_or(Profile::Std)
     }
 
-    /// (warmup, measure) instruction counts: `UCP_SIM_WARMUP` /
-    /// `UCP_SIM_INSTRUCTIONS`, else the defaults scaled by `scale`; at
-    /// least 10 000 each.
-    pub fn run_lengths(&self, scale: f64) -> (u64, u64) {
-        let warmup = self
-            .sim_warmup
-            .unwrap_or((DEFAULT_WARMUP as f64 * scale) as u64);
-        let measure = self
-            .sim_instructions
-            .unwrap_or((DEFAULT_MEASURE as f64 * scale) as u64);
-        (warmup.max(10_000), measure.max(10_000))
-    }
-
-    /// A fresh registry and the tracer `UCP_TRACE`/`UCP_TRACE_BUF` ask for.
+    /// A fresh registry and the tracer `UCP_TRACE` asks for, with a
+    /// [`DEFAULT_TRACE_CAPACITY`]-event ring.
     pub fn telemetry(&self) -> Telemetry {
         match self.trace {
-            Some(set) => Telemetry::with_trace(set, self.trace_buf),
+            Some(set) => Telemetry::with_trace(set, DEFAULT_TRACE_CAPACITY),
             None => Telemetry::disabled(),
         }
     }
 
-    /// The interval sampler `UCP_INTERVAL`/`UCP_INTERVAL_BUF` ask for.
+    /// The interval sampler `UCP_INTERVAL` asks for, with a
+    /// [`DEFAULT_INTERVAL_CAPACITY`]-record ring.
     pub fn sampler(&self) -> Option<IntervalSampler> {
         self.interval
-            .map(|every| IntervalSampler::new(every, self.interval_buf))
+            .map(|every| IntervalSampler::new(every, DEFAULT_INTERVAL_CAPACITY))
     }
 }
 
@@ -356,10 +307,6 @@ mod tests {
         assert_eq!(k.watchdog, Some(DEFAULT_WATCHDOG_CYCLES));
         assert_eq!((k.digest, k.ckpt, k.trace), (None, None, None));
         assert!(k.fault.is_none() && !k.no_cache);
-        assert_eq!(
-            k.run_lengths(0.5),
-            (DEFAULT_WARMUP / 2, DEFAULT_MEASURE / 2)
-        );
         // Blank values are unset too.
         let blank = with(&[("UCP_INTERVAL", " "), ("UCP_WATCHDOG", "")]).unwrap();
         assert_eq!(blank.to_env(), Knobs::default().to_env());
@@ -374,15 +321,6 @@ mod tests {
                 k.profile() == Profile::Quick
             }),
             ("UCP_FIG_PROFILE", "full", |k| k.profile() == Profile::Full),
-            ("UCP_SIM_WARMUP", "20000", |k| {
-                k.run_lengths(1.0).0 == 20_000
-            }),
-            ("UCP_SIM_INSTRUCTIONS", " 50000 ", |k| {
-                k.run_lengths(1.0).1 == 50_000
-            }),
-            ("UCP_SIM_INSTRUCTIONS", "5", |k| {
-                k.run_lengths(1.0).1 == 10_000
-            }),
             ("UCP_RESULT_DIR", "out/r", |k| {
                 k.result_dir == Path::new("out/r")
             }),
@@ -390,12 +328,10 @@ mod tests {
             ("UCP_INTERVAL", "2500", |k| k.interval == Some(2500)),
             ("UCP_INTERVAL", "0", |k| k.interval.is_none()),
             ("UCP_INTERVAL", "OFF", |k| k.sampler().is_none()),
-            ("UCP_INTERVAL_BUF", "16", |k| k.interval_buf == 16),
             ("UCP_TRACE", "ucp, mem", |k| {
                 k.trace.unwrap().to_string() == "ucp,mem"
             }),
             ("UCP_TRACE", "all", |k| k.telemetry().tracer.is_active()),
-            ("UCP_TRACE_BUF", "64", |k| k.trace_buf == 64),
             ("UCP_WATCHDOG", "25000", |k| k.watchdog == Some(25_000)),
             ("UCP_WATCHDOG", "off", |k| k.watchdog.is_none()),
             ("UCP_WATCHDOG", "0", |k| k.watchdog.is_none()),
@@ -425,22 +361,17 @@ mod tests {
     #[test]
     fn malformed_values_are_errors_naming_the_accepted_values() {
         // (knob, value, text the error must contain besides the knob).
-        let count = "expected an integer";
         let count_or_off = "expected an integer, `0`, or `off`";
         let ckpt = "expected `<instructions>[:<keep>]`, `0`, or `off`";
         for (name, value, accepted) in [
             ("UCP_FIG_PROFILE", "fast", "valid tags: quick, std, full"),
             ("UCP_FIG_PROFILE", "Quick", "valid tags: quick, std, full"),
-            ("UCP_SIM_WARMUP", "1e6", count),
-            ("UCP_SIM_INSTRUCTIONS", "lots", count),
             ("UCP_INTERVAL", "garbage", count_or_off),
-            ("UCP_INTERVAL_BUF", "many", count),
             (
                 "UCP_TRACE",
                 "memm",
                 "pipeline, frontend, uopc, prefetch, ucp, mem, or `all`",
             ),
-            ("UCP_TRACE_BUF", "big", count),
             ("UCP_WATCHDOG", "soon", count_or_off),
             ("UCP_DIGEST", "often", count_or_off),
             ("UCP_DIGEST", "-5", count_or_off),
@@ -498,8 +429,6 @@ mod tests {
     fn manifest_and_parser_cover_the_same_knobs() {
         let all_set = with(&[
             ("UCP_FIG_PROFILE", "std"),
-            ("UCP_SIM_WARMUP", "1"),
-            ("UCP_SIM_INSTRUCTIONS", "1"),
             ("UCP_NO_CACHE", "1"),
             ("UCP_TRACE", "all"),
             ("UCP_FAULT", "panic:1"),

@@ -36,8 +36,8 @@ pub use config::{
 };
 pub use error::{DiagSnapshot, SimError, DEFAULT_WATCHDOG_CYCLES};
 pub use experiment::{
-    align_by_workload, replay_verify, run_suite, run_suite_outcome, speedups_pct, PersistFn,
-    ReplayDivergence, ReplayReport, RunResult, SuiteRun,
+    align_by_workload, replay_verify, run_suite_outcome, speedups_pct, PersistFn, ReplayDivergence,
+    ReplayReport, RunResult, SuiteRun,
 };
 pub use knobs::{Knobs, Profile};
 pub use pipeline::{RunOutput, Simulator};

@@ -25,7 +25,7 @@
 pub mod backend;
 mod records;
 
-use crate::config::{PrefetcherKind, SimConfig, UopCacheModel};
+use crate::config::{SimConfig, UopCacheModel};
 use crate::error::{DiagSnapshot, SimError};
 use crate::knobs::Knobs;
 use crate::snapshot::{
@@ -48,7 +48,7 @@ use ucp_bpred::{
 };
 use ucp_frontend::{BoundedQueue, Btb, EntryEnd, Ras, RasCheckpoint, UopCache, UopEntrySpec};
 use ucp_mem::{CacheStats, Hierarchy, HitLevel};
-use ucp_prefetch::{DJolt, Entangling, FnlMma, InstPrefetcher, Mrc, NoPrefetch};
+use ucp_prefetch::{InstPrefetcher, Mrc};
 use ucp_telemetry::interval::{IntervalRecord, IntervalSampler, INSTRET_PATH};
 use ucp_telemetry::{
     AccountingBreakdown, Category, Counter, CycleAccounting, CycleCause, FaultPlan, Histogram,
@@ -389,14 +389,8 @@ impl<'p> Simulator<'p> {
         if let Some(uc) = uop_cache.as_mut() {
             uc.attach_telemetry(&telemetry);
         }
-        let mut prefetcher: Box<dyn InstPrefetcher> = match cfg.prefetcher {
-            PrefetcherKind::None => Box::new(NoPrefetch),
-            PrefetcherKind::FnlMma => Box::new(FnlMma::new(false)),
-            PrefetcherKind::FnlMmaPlusPlus => Box::new(FnlMma::new(true)),
-            PrefetcherKind::DJolt => Box::new(DJolt::new()),
-            PrefetcherKind::Ep => Box::new(Entangling::new(false)),
-            PrefetcherKind::EpPlusPlus => Box::new(Entangling::new(true)),
-        };
+        let mut prefetcher =
+            ucp_prefetch::by_name(cfg.prefetcher.name()).expect("every PrefetcherKind has a name");
         prefetcher.attach_telemetry(&telemetry);
         let mut hier = Hierarchy::new(&cfg.mem);
         hier.attach_telemetry(&telemetry);
@@ -1701,7 +1695,8 @@ impl<'p> Simulator<'p> {
 
     /// Arms checkpointing for this run as `knobs` ask (`UCP_CKPT` under
     /// `UCP_CKPT_DIR`; a no-op when off) and, when a valid checkpoint of
-    /// the *same trajectory* (workload, seed, config, run lengths) exists
+    /// the *same trajectory* (workload, seed, config, run lengths, the
+    /// sampler's interval) exists
     /// on disk, restores the newest one instead of re-simulating from
     /// cycle zero. Returns the committed-instruction count resumed from,
     /// if any. The knobs' fault plan arms the `torn_write` and `kill`
@@ -1716,7 +1711,8 @@ impl<'p> Simulator<'p> {
         let policy = knobs.ckpt?;
         let spec_json = serde_json::to_string(spec).expect("workload spec serializes");
         let cfg_json = serde_json::to_string(&self.cfg).expect("sim config serializes");
-        let slug = run_slug(&spec.name, spec.seed, &cfg_json, warmup, measure);
+        let interval = self.sampler.as_ref().map_or(0, IntervalSampler::every);
+        let slug = run_slug(&spec.name, spec.seed, &cfg_json, warmup, measure, interval);
         let dir = knobs.ckpt_dir.join(slug);
         let mut resumed = None;
         if let Some((meta, state)) = latest_valid_checkpoint(&dir) {

@@ -95,9 +95,18 @@ pub struct CheckpointPolicy {
 
 /// Stable per-run directory slug: a digest of everything that determines
 /// the simulated trajectory, so a run never resumes a checkpoint from a
-/// different trajectory.
-pub fn run_slug(workload: &str, seed: u64, cfg_json: &str, warmup: u64, measure: u64) -> String {
-    let key = format!("{workload}|{seed:#x}|{cfg_json}|w{warmup}|m{measure}");
+/// different trajectory. A checkpoint carries the interval sampler's
+/// state, so the sampling interval in cycles (`0`: sampling off) is part
+/// of the key, as it is of the result-cache key.
+pub fn run_slug(
+    workload: &str,
+    seed: u64,
+    cfg_json: &str,
+    warmup: u64,
+    measure: u64,
+    interval: u64,
+) -> String {
+    let key = format!("{workload}|{seed:#x}|{cfg_json}|w{warmup}|m{measure}|iv{interval}");
     format!("{workload}-{:016x}", fnv1a64(key.as_bytes()))
 }
 
@@ -394,12 +403,13 @@ mod tests {
 
     #[test]
     fn slug_depends_on_every_input() {
-        let a = run_slug("w", 1, "{}", 100, 200);
-        assert_ne!(a, run_slug("w", 2, "{}", 100, 200));
-        assert_ne!(a, run_slug("w", 1, "{\"x\":1}", 100, 200));
-        assert_ne!(a, run_slug("w", 1, "{}", 101, 200));
-        assert_ne!(a, run_slug("w", 1, "{}", 100, 201));
-        assert_eq!(a, run_slug("w", 1, "{}", 100, 200));
+        let a = run_slug("w", 1, "{}", 100, 200, 50);
+        assert_ne!(a, run_slug("w", 2, "{}", 100, 200, 50));
+        assert_ne!(a, run_slug("w", 1, "{\"x\":1}", 100, 200, 50));
+        assert_ne!(a, run_slug("w", 1, "{}", 101, 200, 50));
+        assert_ne!(a, run_slug("w", 1, "{}", 100, 201, 50));
+        assert_ne!(a, run_slug("w", 1, "{}", 100, 200, 0));
+        assert_eq!(a, run_slug("w", 1, "{}", 100, 200, 50));
         assert!(a.starts_with("w-"));
     }
 }

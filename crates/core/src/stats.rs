@@ -13,17 +13,6 @@ pub struct BucketCount {
     pub misses: u64,
 }
 
-impl BucketCount {
-    /// Miss rate in percent; 0 when empty.
-    pub fn miss_rate_pct(&self) -> f64 {
-        if self.preds == 0 {
-            0.0
-        } else {
-            100.0 * self.misses as f64 / self.preds as f64
-        }
-    }
-}
-
 /// H2P classification counters for one confidence estimator (Fig. 9).
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct H2pCounts {
@@ -263,17 +252,6 @@ impl SimStats {
         t.preds += 1;
         t.misses += u64::from(mispredicted);
     }
-
-    /// Share of all mispredictions attributed to `provider`, in percent
-    /// (Fig. 7).
-    pub fn provider_miss_share_pct(&self, provider: Provider) -> f64 {
-        let total: u64 = self.provider_totals.values().map(|b| b.misses).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let own = self.provider_totals.get(&provider).map_or(0, |b| b.misses);
-        100.0 * own as f64 / total as f64
-    }
 }
 
 /// Serializes `BTreeMap`s with non-string keys as vectors of pairs, so
@@ -370,8 +348,8 @@ mod tests {
         let b = s.provider_buckets[&(Provider::HitBank, 3)];
         assert_eq!(b.preds, 2);
         assert_eq!(b.misses, 1);
-        assert!((b.miss_rate_pct() - 50.0).abs() < 1e-9);
-        assert!((s.provider_miss_share_pct(Provider::AltBank) - 50.0).abs() < 1e-9);
+        assert_eq!(s.provider_totals[&Provider::AltBank].misses, 1);
+        assert_eq!(s.provider_totals[&Provider::HitBank].preds, 2);
     }
 
     #[test]

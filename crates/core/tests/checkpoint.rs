@@ -26,7 +26,8 @@ fn json<T: serde::Serialize>(v: &T) -> String {
 }
 
 fn run_dir(spec: &WorkloadSpec, cfg: &SimConfig) -> std::path::PathBuf {
-    let slug = run_slug(&spec.name, spec.seed, &json(cfg), WARMUP, MEASURE);
+    let interval = Knobs::default().interval.unwrap_or(0);
+    let slug = run_slug(&spec.name, spec.seed, &json(cfg), WARMUP, MEASURE, interval);
     Knobs::default().ckpt_dir.join(slug)
 }
 

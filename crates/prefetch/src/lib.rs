@@ -17,14 +17,21 @@
 //! # Examples
 //!
 //! ```
-//! use ucp_prefetch::{InstPrefetcher, NextLine};
 //! use sim_isa::Addr;
 //!
-//! let mut p = NextLine::new(2);
-//! p.on_access(Addr::new(0x1000), false);
+//! // FNL learns that line A is followed by line A+2 and prefetches it on
+//! // the next access to A, hit or miss.
+//! let mut p = ucp_prefetch::by_name("FNL-MMA").expect("a Fig. 5 prefetcher");
 //! let mut out = Vec::new();
+//! for _ in 0..3 {
+//!     p.on_access(Addr::new(0x10_0000), false);
+//!     p.on_access(Addr::new(0x10_0080), false);
+//!     p.drain(&mut out);
+//! }
+//! out.clear();
+//! p.on_access(Addr::new(0x10_0000), true);
 //! p.drain(&mut out);
-//! assert_eq!(out, vec![Addr::new(0x1040), Addr::new(0x1080)]);
+//! assert!(out.contains(&Addr::new(0x10_0080)));
 //! ```
 
 pub mod djolt;
@@ -96,56 +103,6 @@ impl PrefetchTelemetry {
     }
 }
 
-/// The trivial sequential prefetcher (fetches the next `n` lines on every
-/// miss). Not part of the paper's comparison set, but a useful sanity
-/// baseline and example implementation.
-#[derive(Debug, Default)]
-pub struct NextLine {
-    degree: u64,
-    pending: Vec<Addr>,
-    tele: PrefetchTelemetry,
-}
-
-impl NextLine {
-    /// Creates a next-`degree`-lines prefetcher.
-    pub fn new(degree: u64) -> Self {
-        NextLine {
-            degree,
-            pending: Vec::new(),
-            tele: PrefetchTelemetry::default(),
-        }
-    }
-}
-
-sim_isa::state_fields!(NextLine { pending } skip { degree, tele });
-
-impl InstPrefetcher for NextLine {
-    fn name(&self) -> &'static str {
-        "NextLine"
-    }
-
-    fn storage_bits(&self) -> u64 {
-        8
-    }
-
-    fn on_access(&mut self, line: Addr, hit: bool) {
-        if !hit {
-            for i in 1..=self.degree {
-                self.pending.push(Addr::new(line.line().raw() + i * 64));
-            }
-        }
-    }
-
-    fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        self.tele.attach(telemetry);
-    }
-
-    fn drain(&mut self, out: &mut Vec<Addr>) {
-        self.tele.on_drain("NextLine", &self.pending);
-        out.append(&mut self.pending);
-    }
-}
-
 /// A no-op prefetcher (the paper's `NONE` configuration).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoPrefetch;
@@ -187,18 +144,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn next_line_only_fires_on_miss() {
-        let mut p = NextLine::new(1);
-        p.on_access(Addr::new(0x40), true);
-        let mut out = Vec::new();
-        p.drain(&mut out);
-        assert!(out.is_empty());
-        p.on_access(Addr::new(0x40), false);
-        p.drain(&mut out);
-        assert_eq!(out, vec![Addr::new(0x80)]);
-    }
-
-    #[test]
     fn none_never_prefetches() {
         let mut p = NoPrefetch;
         p.on_access(Addr::new(0x40), false);
@@ -214,12 +159,10 @@ mod tests {
             ucp_telemetry::CategorySet::parse("prefetch").unwrap(),
             16,
         );
-        let mut p = NextLine::new(2);
-        p.attach_telemetry(&t);
-        p.on_access(Addr::new(0x1000), false);
-        let mut out = Vec::new();
-        p.drain(&mut out);
-        p.drain(&mut out); // empty drain must not emit
+        let mut tele = PrefetchTelemetry::default();
+        tele.attach(&t);
+        tele.on_drain("EP", &[Addr::new(0x1040), Addr::new(0x1080)]);
+        tele.on_drain("EP", &[]); // empty drain must not emit
         assert_eq!(t.registry.snapshot().counters["prefetch.candidates"], 2);
         assert_eq!(t.tracer.events().len(), 1);
     }

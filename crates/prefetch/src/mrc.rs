@@ -59,15 +59,6 @@ impl Mrc {
         }
     }
 
-    /// Builds the size (in entries) for a given paper storage point in KB
-    /// (16.5 → 64, 33 → 128, 66 → 256, 132 → 512).
-    pub fn with_storage_kb(kb: f64) -> Self {
-        let entries = ((kb * 8192.0) / Self::bits_per_entry() as f64)
-            .round()
-            .max(1.0) as usize;
-        Mrc::new(entries)
-    }
-
     fn bits_per_entry() -> u64 {
         // tag(46) + 64 µ-ops × 32 + valid/fill/lru(18) = 2112 bits, giving
         // the paper's 16.5 KB at 64 entries.
@@ -241,9 +232,8 @@ mod tests {
     #[test]
     fn storage_points_match_paper() {
         for (kb, entries) in [(16.5, 64), (33.0, 128), (66.0, 256), (132.0, 512)] {
-            let m = Mrc::with_storage_kb(kb);
-            assert_eq!(m.slots.len(), entries, "for {kb} KB");
-            assert!((m.storage_kb() - kb).abs() / kb < 0.05);
+            let m = Mrc::new(entries);
+            assert!((m.storage_kb() - kb).abs() / kb < 0.05, "{entries} entries");
         }
     }
 

@@ -82,19 +82,6 @@ impl Addr {
         Addr(self.0 + n * INST_BYTES)
     }
 
-    /// Number of instructions between `self` and `later` (`later >= self`).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `later` is below `self` or the distance is
-    /// not a whole number of instructions.
-    #[inline]
-    pub fn insts_until(self, later: Addr) -> u64 {
-        debug_assert!(later.0 >= self.0);
-        debug_assert_eq!((later.0 - self.0) % INST_BYTES, 0);
-        (later.0 - self.0) / INST_BYTES
-    }
-
     /// `true` if `self` and `other` fall in the same 64 B cache line.
     #[inline]
     pub const fn same_line(self, other: Addr) -> bool {
@@ -154,7 +141,7 @@ mod tests {
     fn inst_arithmetic_round_trips() {
         let a = Addr::new(0x400);
         let b = a.offset_insts(7);
-        assert_eq!(a.insts_until(b), 7);
+        assert_eq!(b.raw() - a.raw(), 7 * INST_BYTES);
         assert_eq!(a.next_inst(), a.offset_insts(1));
     }
 

@@ -199,12 +199,6 @@ impl AccountingBreakdown {
         self.cycles.iter().sum()
     }
 
-    /// True when nothing was charged (accounting absent or zero-length
-    /// window).
-    pub fn is_empty(&self) -> bool {
-        self.total == 0 && self.sum() == 0
-    }
-
     /// Share of total cycles charged to `cause`, in percent.
     pub fn share_pct(&self, cause: CycleCause) -> f64 {
         if self.total == 0 {
@@ -316,7 +310,7 @@ mod tests {
     #[test]
     fn empty_snapshot_decodes_and_verifies() {
         let b = AccountingBreakdown::from_snapshot(&RegistrySnapshot::default());
-        assert!(b.is_empty());
+        assert_eq!((b.total, b.sum()), (0, 0));
         b.verify().expect("empty breakdown is consistent");
         assert_eq!(b.share_pct(CycleCause::Drained), 0.0);
     }

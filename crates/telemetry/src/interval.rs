@@ -14,9 +14,10 @@
 //! form stays lossless and small (zero deltas are dropped by
 //! [`RegistrySnapshot::delta_since`]).
 //!
-//! `UCP_INTERVAL` (cycles per interval, `0`/`off` disables sampling) and
-//! `UCP_INTERVAL_BUF` (ring capacity; when full the oldest records are
-//! dropped and counted) configure the sampler through `ucp_core::Knobs`.
+//! `UCP_INTERVAL` (cycles per interval, `0`/`off` disables sampling)
+//! configures the sampler through `ucp_core::Knobs`. The ring holds
+//! [`DEFAULT_INTERVAL_CAPACITY`] records; when full, the oldest are
+//! dropped and counted.
 
 use crate::accounting::AccountingBreakdown;
 use crate::registry::{Registry, RegistrySnapshot};
@@ -26,7 +27,7 @@ use std::collections::BTreeMap;
 /// Default interval length in simulated cycles.
 pub const DEFAULT_INTERVAL_CYCLES: u64 = 100_000;
 
-/// Default ring capacity in records (`UCP_INTERVAL_BUF` unset).
+/// Ring capacity in records of every sampler the knobs build.
 pub const DEFAULT_INTERVAL_CAPACITY: usize = 4096;
 
 /// Counter path of committed instructions (maintained by the pipeline's
@@ -206,8 +207,11 @@ impl IntervalSampler {
     }
 
     /// The sampler's complete mutable state as a serializable value —
-    /// the checkpoint path. `every`/`capacity` ride along so a restore
-    /// into a sampler built from different knobs is detectable.
+    /// the checkpoint path. `every`/`capacity` ride along, and
+    /// [`IntervalSampler::import_state`] adopts them: a restored sampler
+    /// keeps sampling at the exported interval, whatever it was built
+    /// with. Checkpoint directories are keyed by the interval, so a
+    /// resume never mixes two.
     pub fn export_state(&self) -> SamplerState {
         SamplerState {
             every: self.every,

@@ -43,10 +43,12 @@
 //!
 //! # Configuration
 //!
-//! This crate reads no environment. The `UCP_TRACE`, `UCP_TRACE_BUF`,
-//! `UCP_INTERVAL`, `UCP_INTERVAL_BUF` and `UCP_FAULT` knobs are parsed once,
-//! with every other knob, by `ucp_core::Knobs` (README "Knobs" lists them
-//! all), which builds the tracer, sampler and fault plan from them.
+//! This crate reads no environment. The `UCP_TRACE`, `UCP_INTERVAL` and
+//! `UCP_FAULT` knobs are parsed once, with every other knob, by
+//! `ucp_core::Knobs` (README "Knobs" lists them all), which builds the
+//! tracer, sampler and fault plan from them. The tracer and sampler rings
+//! hold [`tracer::DEFAULT_TRACE_CAPACITY`] events and
+//! [`interval::DEFAULT_INTERVAL_CAPACITY`] records.
 //!
 //! # Example
 //!

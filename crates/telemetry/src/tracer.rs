@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default ring-buffer capacity (events) when `UCP_TRACE_BUF` is unset.
+/// Ring-buffer capacity (events) of the tracer `UCP_TRACE` turns on.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// Event categories; see the crate docs for the taxonomy table.
