@@ -410,7 +410,10 @@ mod tests {
         let suite = vec![WorkloadSpec::tiny("a", 1)];
         let r = suite_ok(&suite, &SimConfig::baseline(), 5_000, 20_000);
         let snap = &r[0].telemetry;
-        assert!(!snap.is_empty(), "measurement window should tick counters");
+        assert!(
+            snap.counters.values().any(|&v| v > 0),
+            "measurement window should tick counters"
+        );
         assert!(snap.counters.contains_key("frontend.uopc.hits"));
         // Cycle accounting rides in the same window delta and must tile
         // the measured cycles exactly.

@@ -1696,11 +1696,11 @@ impl<'p> Simulator<'p> {
     /// Arms checkpointing for this run as `knobs` ask (`UCP_CKPT` under
     /// `UCP_CKPT_DIR`; a no-op when off) and, when a valid checkpoint of
     /// the *same trajectory* (workload, seed, config, run lengths, the
-    /// sampler's interval) exists
-    /// on disk, restores the newest one instead of re-simulating from
-    /// cycle zero. Returns the committed-instruction count resumed from,
-    /// if any. The knobs' fault plan arms the `torn_write` and `kill`
-    /// sites on every checkpoint write.
+    /// sampler's interval) exists on disk, restores the newest one
+    /// instead of re-simulating from cycle zero. Returns the
+    /// committed-instruction count resumed from, if any. The knobs' fault
+    /// plan arms the `torn_write` and `kill` sites on every checkpoint
+    /// write.
     pub fn arm_checkpointing(
         &mut self,
         spec: &WorkloadSpec,

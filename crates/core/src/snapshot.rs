@@ -24,8 +24,8 @@
 //! offline tools (`ucp-bisect`) can rebuild the exact simulation from the
 //! checkpoint directory alone. Checkpoints are named
 //! `ckpt-<committed>.bin` under a per-run directory keyed by a slug of
-//! (workload, seed, config, run lengths); a keep-last-k policy bounds disk
-//! use.
+//! (workload, seed, config, run lengths, sampling interval); a keep-last-k
+//! policy bounds disk use.
 
 use crate::error::SimError;
 use serde::{Deserialize, Serialize};

@@ -316,11 +316,6 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
-    /// True when no instrument recorded anything.
-    pub fn is_empty(&self) -> bool {
-        self.counters.values().all(|&v| v == 0) && self.histograms.values().all(|h| h.count == 0)
-    }
-
     /// Accumulates `other` into `self` (union of paths, values summed).
     /// Used to aggregate per-workload snapshots into suite totals.
     pub fn merge(&mut self, other: &RegistrySnapshot) {
@@ -484,14 +479,5 @@ mod tests {
         let text = serde_json::to_string(&snap).unwrap();
         let back: RegistrySnapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn empty_detection() {
-        let r = Registry::default();
-        r.counter("a.b"); // registered but never incremented
-        assert!(r.snapshot().is_empty());
-        r.counter("a.b").inc();
-        assert!(!r.snapshot().is_empty());
     }
 }
