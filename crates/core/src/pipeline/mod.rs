@@ -56,18 +56,25 @@ use ucp_telemetry::{
 };
 use ucp_workloads::{Oracle, Program, WorkloadSpec};
 
+/// The most µ-op cache entries one block builds: a block holds at most 8
+/// instructions and every entry but the last holds two branches.
+pub(crate) const MAX_BLOCK_ENTRIES: usize = 4;
+
 /// Builds µ-op cache entries for `n` instructions starting at `start`,
 /// applying the paper's termination rules: entries never cross the 32 B
 /// window (callers pass window-bounded blocks), never exceed 8 µ-ops, and
-/// split when a third branch would need a target slot.
+/// split when a third branch would need a target slot. The entries come
+/// first, in order; the rest of the array is `None`.
 pub(crate) fn build_entries(
     prog: &Program,
     start: Addr,
     n: u8,
     prefetched: bool,
     trigger: u64,
-) -> Vec<UopEntrySpec> {
-    let mut out = Vec::with_capacity(2);
+) -> [Option<UopEntrySpec>; MAX_BLOCK_ENTRIES] {
+    debug_assert!(n <= 8, "a block holds at most 8 instructions");
+    let mut out = [None; MAX_BLOCK_ENTRIES];
+    let mut built = 0;
     let mut entry_start = start;
     let mut count: u8 = 0;
     let mut branches: u8 = 0;
@@ -77,13 +84,14 @@ pub(crate) fn build_entries(
         if is_branch && branches == 2 {
             // Third branch: terminate and start a new entry in the same
             // region (another way of the same set).
-            out.push(UopEntrySpec {
+            out[built] = Some(UopEntrySpec {
                 start: entry_start,
                 num_uops: count,
                 end: EntryEnd::BranchSlots,
                 prefetched,
                 trigger,
             });
+            built += 1;
             entry_start = pc;
             count = 0;
             branches = 0;
@@ -92,7 +100,7 @@ pub(crate) fn build_entries(
         branches += u8::from(is_branch);
     }
     if count > 0 {
-        out.push(UopEntrySpec {
+        out[built] = Some(UopEntrySpec {
             start: entry_start,
             num_uops: count,
             end: EntryEnd::WindowBoundary,
@@ -1263,7 +1271,10 @@ impl<'p> Simulator<'p> {
                     if self.head_delivered == blk.n {
                         // Block fully decoded: build µ-op cache entries.
                         if let Some(uc) = self.uop_cache.as_mut() {
-                            for spec in build_entries(self.prog, blk.start, blk.n, false, 0) {
+                            for spec in build_entries(self.prog, blk.start, blk.n, false, 0)
+                                .into_iter()
+                                .flatten()
+                            {
                                 uc.insert(spec);
                             }
                         }
@@ -1365,7 +1376,6 @@ impl<'p> Simulator<'p> {
                 next = pc;
                 break;
             };
-            let inst = *inst;
             let Some(class) = inst.kind.branch_class() else {
                 n += 1;
                 pc = pc.next_inst();
@@ -2210,7 +2220,7 @@ impl State for Simulator<'_> {
         for _ in 0..r.get_usize() {
             let pc = r.get_addr();
             let (next_pc, taken, mem_addr) = (r.get_addr(), r.get_bool(), r.get_addr());
-            let inst = *self
+            let inst = self
                 .prog
                 .inst_at(pc)
                 .expect("checkpoint stream pc outside the program");

@@ -844,9 +844,9 @@ impl UcpEngine {
             if self.decode_progress >= u32::from(blk.n) {
                 let _ = self.decode_q.pop();
                 self.decode_progress = 0;
-                for spec in
-                    crate::pipeline::build_entries(prog, blk.start, blk.n, true, blk.trigger)
-                {
+                let entries =
+                    crate::pipeline::build_entries(prog, blk.start, blk.n, true, blk.trigger);
+                for spec in entries.into_iter().flatten() {
                     uc.insert(spec);
                     self.stats.entries_inserted += 1;
                     self.tele.entries_inserted.inc();

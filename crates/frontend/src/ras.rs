@@ -99,19 +99,14 @@ impl Ras {
     /// starts"). Keeps at most `self.capacity()` youngest entries.
     pub fn copy_from(&mut self, other: &Ras) {
         let take = other.depth().min(self.capacity());
-        // Walk the youngest `take` entries of `other`, oldest-first.
-        let mut addrs = Vec::with_capacity(take);
-        let mut idx = other.sp;
-        for _ in 0..take {
-            idx = (idx + other.entries.len() - 1) % other.entries.len();
-            addrs.push(other.entries[idx]);
+        // The youngest `take` entries of `other`, oldest first, land at the
+        // bottom of this stack.
+        let n = other.entries.len();
+        for (i, slot) in self.entries[..take].iter_mut().enumerate() {
+            *slot = other.entries[(other.sp + n - take + i) % n];
         }
-        addrs.reverse();
-        self.sp = 0;
-        self.depth = 0;
-        for a in addrs {
-            self.push(a);
-        }
+        self.sp = take % self.entries.len();
+        self.depth = take;
     }
 
     /// Storage in bits (32-bit compressed return addresses).
@@ -176,6 +171,38 @@ mod tests {
         assert_eq!(alt.pop(), Some(Addr::new(0x140)));
         assert_eq!(alt.pop(), Some(Addr::new(0x130)));
         assert_eq!(alt.pop(), Some(Addr::new(0x120)));
+    }
+
+    #[test]
+    fn copy_from_equals_pushing_the_youngest_entries() {
+        for (main_cap, alt_cap, pushes) in
+            [(8, 4, 6), (8, 4, 11), (4, 8, 9), (16, 16, 3), (4, 4, 4)]
+        {
+            let mut main = Ras::new(main_cap);
+            for i in 0..pushes {
+                main.push(Addr::new(0x100 + i * 4));
+            }
+            main.pop();
+            let mut alt = Ras::new(alt_cap);
+            for i in 0..=alt_cap as u64 {
+                alt.push(Addr::new(0x900 + i * 4));
+            }
+            let mut expected = alt.clone();
+            let mut youngest = main.clone();
+            let take = main.depth().min(alt_cap);
+            let mut addrs: Vec<Addr> = (0..take).map(|_| youngest.pop().unwrap()).collect();
+            addrs.reverse();
+            (expected.sp, expected.depth) = (0, 0);
+            for a in addrs {
+                expected.push(a);
+            }
+            alt.copy_from(&main);
+            assert_eq!(
+                (&alt.entries, alt.sp, alt.depth),
+                (&expected.entries, expected.sp, expected.depth),
+                "{main_cap}/{alt_cap}/{pushes}"
+            );
+        }
     }
 
     #[test]

@@ -78,17 +78,36 @@ impl CacheStats {
     }
 }
 
+/// One cache line in 24 bytes: the valid bit rides in bit 63 of the tag
+/// (a line address, at most 58 bits wide) and the prefetched bit in bit
+/// 63 of the ready cycle.
 #[derive(Clone, Copy, Debug, Default)]
 struct Line {
+    /// Line address, with [`VALID`] set when the line holds data.
     tag: u64,
-    valid: bool,
     /// LRU stamp (bigger = more recent).
     lru: u64,
-    /// Cycle at which the fill completes; hits before this merge with the
-    /// outstanding fill.
+    /// Cycle at which the fill completes (hits before this merge with the
+    /// outstanding fill), with [`PREFETCHED`] set while the line, filled
+    /// by a prefetch, has not been demanded.
     ready: u64,
-    /// The line was filled by a prefetch and not yet demanded.
-    prefetched: bool,
+}
+
+/// Tag bit: the line is valid.
+const VALID: u64 = 1 << 63;
+/// Ready bit: the line was filled by a prefetch and not yet demanded.
+const PREFETCHED: u64 = 1 << 63;
+
+impl Line {
+    #[inline]
+    fn valid(&self) -> bool {
+        self.tag & VALID != 0
+    }
+
+    #[inline]
+    fn ready(&self) -> u64 {
+        self.ready & !PREFETCHED
+    }
 }
 
 /// A set-associative, LRU, 64 B-line cache.
@@ -162,7 +181,7 @@ impl SetAssocCache {
         let base = set * self.cfg.ways;
         self.lines[base..base + self.cfg.ways]
             .iter()
-            .any(|l| l.valid && l.tag == line)
+            .any(|l| l.tag == line | VALID)
     }
 
     /// Demand lookup at cycle `now`: updates LRU and statistics.
@@ -172,9 +191,10 @@ impl SetAssocCache {
         let latency = self.cfg.latency;
         let (ways, line) = self.set_ways(addr);
         for l in ways.iter_mut() {
-            if l.valid && l.tag == line {
+            if l.tag == line | VALID {
                 l.lru = stamp;
-                let was_prefetched = std::mem::take(&mut l.prefetched);
+                let was_prefetched = l.ready & PREFETCHED != 0;
+                l.ready &= !PREFETCHED;
                 let ready = l.ready.max(now) + latency;
                 self.stats.hits += 1;
                 if was_prefetched {
@@ -193,23 +213,24 @@ impl SetAssocCache {
         self.stamp += 1;
         let stamp = self.stamp;
         let (ways, line) = self.set_ways(addr);
+        debug_assert_eq!(ready & PREFETCHED, 0, "fill cycle {ready} out of range");
         // Already present (racing fills): refresh.
-        if let Some(l) = ways.iter_mut().find(|l| l.valid && l.tag == line) {
-            l.ready = l.ready.min(ready);
+        if let Some(l) = ways.iter_mut().find(|l| l.tag == line | VALID) {
+            l.ready = l.ready().min(ready) | (l.ready & PREFETCHED);
             l.lru = stamp;
             return None;
         }
         let victim = ways
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru } else { 0 })
+            .min_by_key(|l| if l.valid() { l.lru } else { 0 })
             .expect("ways is nonempty");
-        let evicted = victim.valid.then(|| Addr::new(victim.tag << 6));
+        let evicted = victim
+            .valid()
+            .then(|| Addr::new((victim.tag & !VALID) << 6));
         *victim = Line {
-            tag: line,
-            valid: true,
+            tag: line | VALID,
             lru: stamp,
-            ready,
-            prefetched: prefetch,
+            ready: if prefetch { ready | PREFETCHED } else { ready },
         };
         self.stats.fills += 1;
         if prefetch {
@@ -218,31 +239,58 @@ impl SetAssocCache {
         evicted
     }
 
-    /// Invalidates a line if present; returns whether it was present.
-    pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let (ways, line) = self.set_ways(addr);
-        for l in ways.iter_mut() {
-            if l.valid && l.tag == line {
-                l.valid = false;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid()).count()
     }
 }
 
 sim_isa::state_fields!(SetAssocCache { lines, stamp, stats } skip { cfg });
-sim_isa::state_fields!(Line { tag, valid, lru, ready, prefetched } skip {});
+/// Writes the five fields of the unpacked line: tag, valid, LRU stamp,
+/// ready cycle, prefetched.
+impl sim_isa::State for Line {
+    fn save_state(&self, w: &mut sim_isa::StateWriter) {
+        w.put_u64(self.tag & !VALID);
+        w.put_bool(self.valid());
+        w.put_u64(self.lru);
+        w.put_u64(self.ready());
+        w.put_bool(self.ready & PREFETCHED != 0);
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the saved tag or ready cycle has bit 63 set, which save
+    /// never writes.
+    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
+        let tag = r.get_u64();
+        assert_eq!(
+            tag & VALID,
+            0,
+            "checkpoint state corrupt: cache tag {tag:#x} wider than 63 bits"
+        );
+        let valid = r.get_bool();
+        self.lru = r.get_u64();
+        let ready = r.get_u64();
+        assert_eq!(
+            ready & PREFETCHED,
+            0,
+            "checkpoint state corrupt: cache ready cycle {ready:#x} wider than 63 bits"
+        );
+        let prefetched = r.get_bool();
+        self.tag = if valid { tag | VALID } else { tag };
+        self.ready = if prefetched {
+            ready | PREFETCHED
+        } else {
+            ready
+        };
+    }
+}
 sim_isa::state_fields!(CacheStats { hits, misses, fills, prefetch_fills, prefetch_useful } skip {});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_isa::State;
 
     fn tiny() -> SetAssocCache {
         SetAssocCache::new(CacheConfig {
@@ -325,13 +373,46 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes() {
+    fn a_line_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Line>(), 24);
+    }
+
+    #[test]
+    fn lines_checkpoint_as_five_unpacked_fields() {
         let mut c = tiny();
-        let a = Addr::new(0x40);
-        c.fill(a, 0, false);
-        assert!(c.invalidate(a));
-        assert!(!c.probe(a));
-        assert!(!c.invalidate(a));
+        c.fill(Addr::new(0x40), 7, true);
+        let line = c.lines.iter().find(|l| l.valid()).copied().unwrap();
+        let mut w = sim_isa::StateWriter::new();
+        line.save_state(&mut w);
+        let mut expected = sim_isa::StateWriter::new();
+        (1u64, true, line.lru).save_state(&mut expected);
+        (7u64, true).save_state(&mut expected);
+        assert_eq!(w.bytes(), expected.bytes());
+
+        let mut back = Line::default();
+        back.restore_state(&mut sim_isa::StateReader::new(w.bytes()));
+        assert_eq!(
+            (back.tag, back.lru, back.ready),
+            (line.tag, line.lru, line.ready)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cache tag 0x8000000000000001 wider than 63 bits")]
+    fn restore_rejects_a_tag_with_bit_63_set() {
+        let mut w = sim_isa::StateWriter::new();
+        (VALID | 1, true, 0u64).save_state(&mut w);
+        (0u64, false).save_state(&mut w);
+        Line::default().restore_state(&mut sim_isa::StateReader::new(w.bytes()));
+    }
+
+    #[test]
+    #[should_panic(expected = "cache ready cycle 0x8000000000000005 wider than 63 bits")]
+    fn restore_rejects_a_ready_cycle_with_bit_63_set() {
+        let mut w = sim_isa::StateWriter::new();
+        (1u64, true, 0u64).save_state(&mut w);
+        (PREFETCHED | 5, false).save_state(&mut w);
+        Line::default().restore_state(&mut sim_isa::StateReader::new(w.bytes()));
     }
 
     #[test]

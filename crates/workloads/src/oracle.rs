@@ -36,10 +36,8 @@ pub struct Oracle<'p> {
     occ: Box<[u64]>,
     /// Last outcome of each conditional branch (for `Correlated`).
     last_outcome: Box<[bool]>,
-    /// Loop-branch state: iterations completed in the current trip.
-    loop_iter: Box<[u32]>,
-    /// Loop-branch state: number of completed trips (re-seeds variable trips).
-    loop_exits: Box<[u32]>,
+    /// Trip state of the loop branches.
+    loops: LoopState,
     call_stack: Vec<Addr>,
     retired: u64,
 }
@@ -59,8 +57,7 @@ impl<'p> Oracle<'p> {
             pc: prog.entry(),
             occ: vec![0; n].into_boxed_slice(),
             last_outcome: vec![false; n].into_boxed_slice(),
-            loop_iter: vec![0; n].into_boxed_slice(),
-            loop_exits: vec![0; n].into_boxed_slice(),
+            loops: LoopState::new(prog),
             call_stack: Vec::with_capacity(256),
             retired: 0,
         }
@@ -90,7 +87,8 @@ impl<'p> Oracle<'p> {
                 hash_event(self.seed ^ ((idx as u64) << 32) ^ occ, taken_prob_milli)
             }
             CondBehavior::Loop { min_trip, max_trip } => {
-                let trips = self.loop_exits[idx];
+                let slot = self.loops.slot(idx);
+                let trips = self.loops.exits[slot];
                 let trip = if min_trip == max_trip {
                     min_trip
                 } else {
@@ -99,14 +97,14 @@ impl<'p> Oracle<'p> {
                         + (splitmix64(self.seed ^ ((idx as u64) << 24) ^ u64::from(trips)) % span)
                             as u32
                 };
-                let iter = self.loop_iter[idx] + 1;
+                let iter = self.loops.iters[slot] + 1;
                 if iter >= trip.max(1) {
                     // Exit iteration: not taken.
-                    self.loop_iter[idx] = 0;
-                    self.loop_exits[idx] = trips.wrapping_add(1);
+                    self.loops.iters[slot] = 0;
+                    self.loops.exits[slot] = trips.wrapping_add(1);
                     false
                 } else {
-                    self.loop_iter[idx] = iter;
+                    self.loops.iters[slot] = iter;
                     true
                 }
             }
@@ -147,10 +145,7 @@ impl<'p> Oracle<'p> {
             .prog
             .index_of(pc)
             .unwrap_or_else(|| panic!("oracle PC {pc} escaped the program image"));
-        let inst = *self
-            .prog
-            .inst_at(pc)
-            .expect("index_of succeeded, inst_at must too");
+        let inst = self.prog.inst(idx);
         let occ = self.occ[idx];
         self.occ[idx] = occ + 1;
 
@@ -236,11 +231,95 @@ impl<'p> Oracle<'p> {
     }
 }
 
+/// Trip state, held only for the loop branches (under 1% of a server
+/// program's instructions): per loop branch, the iterations completed in
+/// the current trip and the number of completed trips (which re-seeds a
+/// variable trip count).
+///
+/// It checkpoints as two per-instruction rows of `u32`, iterations then
+/// exits, zero at every instruction that is not a loop branch.
+#[derive(Debug)]
+struct LoopState {
+    /// Instruction indices of the loop branches, ascending.
+    at: Box<[u32]>,
+    iters: Box<[u32]>,
+    exits: Box<[u32]>,
+    /// Program length: the length of each checkpoint row.
+    rows: usize,
+}
+
+impl LoopState {
+    fn new(prog: &Program) -> Self {
+        let at: Box<[u32]> = (0..prog.len())
+            .filter(|&i| matches!(prog.behavior(i), Behavior::Cond(CondBehavior::Loop { .. })))
+            .map(|i| u32::try_from(i).expect("instruction index fits u32"))
+            .collect();
+        LoopState {
+            iters: vec![0; at.len()].into_boxed_slice(),
+            exits: vec![0; at.len()].into_boxed_slice(),
+            at,
+            rows: prog.len(),
+        }
+    }
+
+    /// The slot of the loop branch at instruction `idx`.
+    fn slot(&self, idx: usize) -> usize {
+        self.at
+            .binary_search(&(idx as u32))
+            .expect("a loop behaviour belongs to a loop branch")
+    }
+}
+
+impl sim_isa::State for LoopState {
+    fn save_state(&self, w: &mut sim_isa::StateWriter) {
+        for values in [&self.iters, &self.exits] {
+            let mut next = 0;
+            for (&at, &v) in self.at.iter().zip(values.iter()) {
+                for _ in next..at {
+                    w.put_u32(0);
+                }
+                w.put_u32(v);
+                next = at + 1;
+            }
+            for _ in next as usize..self.rows {
+                w.put_u32(0);
+            }
+        }
+    }
+
+    /// # Panics
+    ///
+    /// Panics if a row is nonzero at an instruction that is not a loop
+    /// branch, which save never writes.
+    fn restore_state(&mut self, r: &mut sim_isa::StateReader) {
+        let LoopState {
+            at,
+            iters,
+            exits,
+            rows,
+        } = self;
+        for values in [iters, exits] {
+            let mut slot = 0;
+            for i in 0..*rows {
+                let v = r.get_u32();
+                if at.get(slot).is_some_and(|&a| a as usize == i) {
+                    values[slot] = v;
+                    slot += 1;
+                } else {
+                    assert_eq!(
+                        v, 0,
+                        "checkpoint state corrupt: loop row {v} at non-loop instruction {i}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 // The seed is a reconstruction parameter, written as a cross-check; the
-// three per-instruction tables share the program length `occ` pins.
+// per-instruction tables share the program length `occ` pins.
 sim_isa::state_fields!(Oracle<'p> {
-    geometry(seed), pc, occ, rows(last_outcome), rows(loop_iter), rows(loop_exits), call_stack,
-    retired,
+    geometry(seed), pc, occ, rows(last_outcome), loops, call_stack, retired,
 } skip { prog });
 
 #[cfg(test)]
@@ -248,7 +327,7 @@ mod tests {
     use super::*;
     use crate::behavior::{Behavior, CondBehavior, IndirectBehavior};
     use crate::program::PROGRAM_BASE;
-    use sim_isa::{ExecClass, StaticInst};
+    use sim_isa::{ExecClass, State, StateReader, StateWriter, StaticInst};
 
     fn addr(i: u64) -> Addr {
         Addr::new(PROGRAM_BASE + i * 4)
@@ -423,6 +502,43 @@ mod tests {
                 assert_eq!(Some(d.taken), last0);
             }
         }
+    }
+
+    #[test]
+    fn loop_state_checkpoints_as_per_instruction_rows() {
+        let p = loop_program(2, 6);
+        let mut o = Oracle::new(&p, 99);
+        for _ in 0..17 {
+            o.next_inst();
+        }
+        assert_eq!(&o.loops.at[..], &[1]);
+        let (iters, exits) = (o.loops.iters[0], o.loops.exits[0]);
+        assert!(exits > 0);
+        let mut w = StateWriter::new();
+        o.loops.save_state(&mut w);
+        let mut expected = StateWriter::new();
+        [0, iters, 0, 0, exits, 0].save_state(&mut expected);
+        assert_eq!(w.bytes(), expected.bytes());
+
+        // A whole-oracle round trip resumes the same stream.
+        let mut w = StateWriter::new();
+        o.save_state(&mut w);
+        let mut back = Oracle::new(&p, 99);
+        back.restore_state(&mut StateReader::new(w.bytes()));
+        for _ in 0..100 {
+            assert_eq!(back.next_inst(), o.next_inst());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "loop row 5 at non-loop instruction 2")]
+    fn restore_rejects_a_loop_row_at_a_non_loop_instruction() {
+        let p = loop_program(2, 6);
+        let mut w = StateWriter::new();
+        [0u32, 3, 5, 0, 0, 0].save_state(&mut w);
+        Oracle::new(&p, 1)
+            .loops
+            .restore_state(&mut StateReader::new(w.bytes()));
     }
 
     #[test]
