@@ -3,8 +3,14 @@
 //! Renders the cycle-accounting breakdown for one or more configurations
 //! as sorted plain text — the suite-wide category table, then one line per
 //! workload with its dominant category — and verifies the accounting
-//! invariant (categories sum to the measured cycle total) on every run,
-//! exiting nonzero if any workload trips it.
+//! invariant (categories sum to the measured cycle total) on every run.
+//!
+//! Exit status: 0 when every requested configuration finished at least
+//! one workload and no workload tripped the invariant; 1 when a workload
+//! tripped it; 2 on an unknown configuration or a malformed `UCP_*` knob;
+//! [`NOTHING_FINISHED`] (3) when a requested configuration finished no
+//! workload at all (its report is just a header and a `DEGRADED (0/n)`
+//! line). An invariant violation takes precedence.
 //!
 //! ```text
 //! cargo run --release -p ucp-bench --bin ucp-top [-- CONFIG...]
@@ -17,6 +23,9 @@
 use ucp_bench::{cached_suite_run, check_accounting, suite_breakdown};
 use ucp_core::{RunResult, SimConfig};
 use ucp_telemetry::AccountingBreakdown;
+
+/// Exit status when a requested configuration finished no workload.
+const NOTHING_FINISHED: i32 = 3;
 
 fn config_named(name: &str) -> Option<(String, SimConfig)> {
     match name {
@@ -61,6 +70,7 @@ fn main() {
     };
     let knobs = ucp_bench::env_knobs();
     let mut violations = Vec::new();
+    let mut empty = Vec::new();
     for name in wanted {
         let Some((title, cfg)) = config_named(name) else {
             eprintln!("unknown config `{name}`; known: baseline, ucp, noucp");
@@ -75,6 +85,9 @@ fn main() {
         for v in check_accounting(&results) {
             violations.push(format!("{name}/{v}"));
         }
+        if results.is_empty() {
+            empty.push(name);
+        }
     }
     if !violations.is_empty() {
         eprintln!("cycle-accounting invariant violated:");
@@ -82,5 +95,9 @@ fn main() {
             eprintln!("  {v}");
         }
         std::process::exit(1);
+    }
+    if !empty.is_empty() {
+        eprintln!("no workload finished under: {}", empty.join(", "));
+        std::process::exit(NOTHING_FINISHED);
     }
 }

@@ -21,11 +21,29 @@ use ucp_workloads::WorkloadSpec;
 const WARMUP: u64 = 5_000;
 const MEASURE: u64 = 20_000;
 
-fn tmpdir(tag: &str) -> PathBuf {
+/// A test's private directory under the system temp dir, removed when
+/// dropped, so a failing test cleans up too.
+struct TmpDir(PathBuf);
+
+impl std::ops::Deref for TmpDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn tmpdir(tag: &str) -> TmpDir {
     let d = std::env::temp_dir().join(format!("ucp-resilience-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
-    d
+    TmpDir(d)
 }
 
 fn suite(n: usize) -> Vec<WorkloadSpec> {
@@ -154,8 +172,6 @@ fn injected_panic_degrades_resumes_and_matches_uninjected() {
     let hit = clean_run(&s, &dir_fault);
     assert_eq!(hit.simulated, vec![false; 8]);
     assert_same_results(&hit, &clean, "cache hit equals a clean run");
-    let _ = std::fs::remove_dir_all(&dir_fault);
-    let _ = std::fs::remove_dir_all(&dir_clean);
 }
 
 /// A killed workload is not run again under another seed: a suite run
@@ -207,7 +223,6 @@ fn killed_run_leaves_one_checkpoint_directory_per_workload() {
     );
     assert!(resumed.is_complete());
     assert!(run_dirs().is_empty(), "a completed resume leaves no run");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A checkpoint holds the interval sampler's state, so a run resumes only
@@ -258,7 +273,6 @@ fn checkpoints_resume_only_under_their_own_sampling_interval() {
         for p in &left_behind {
             assert!(p.exists(), "{what}: {} kept", p.display());
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -283,7 +297,6 @@ fn injected_hang_reports_structured_snapshot() {
     let text = err.to_string();
     assert!(text.contains("agen_pc 0x"), "{text}");
     assert!(text.contains("no retirement for 3000 cycles"), "{text}");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// An injected accounting skew surfaces as `SimError::InvariantViolation`
@@ -301,7 +314,6 @@ fn injected_invariant_violation_is_structured() {
     assert_eq!(err.kind(), "invariant-violation");
     assert!(err.to_string().contains("accounting"), "{err}");
     assert!(err.snapshot().is_some(), "violation carries machine state");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Cache-corruption matrix: a torn write, a truncated file, a stale model
@@ -363,7 +375,6 @@ fn corrupt_cache_entries_quarantine_and_regenerate() {
             "entry regenerated after {what}"
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A torn cache write (simulated crash mid-write) is detected on the next
@@ -389,7 +400,6 @@ fn torn_cache_write_heals_on_next_run() {
     let third = clean_run(&s, &dir);
     assert_eq!(third.simulated, vec![false, false]);
     assert_same_results(&third, &second, "cache hit equals the healed run");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `run_full` returns `Err(SimError::Hang)` (rather than panicking) when
